@@ -46,7 +46,6 @@ from .network import (
     exact_chsh,
     exact_joint,
     conditional_behavior,
-    network_behavior,
     sample,
     verify_markov,
 )
@@ -55,7 +54,6 @@ from .optimize import (
     OptimizationResult,
     TSIRELSON,
     chsh_of_settings,
-    chsh_via_behavior,
     seesaw_maximize,
     sweep,
     tsirelson_settings,
@@ -73,7 +71,6 @@ from .quantum import (
     random_pure_state,
     random_unit_vector,
     singlet,
-    tensor,
 )
 from .theses import (
     EscapeRoute,

@@ -36,7 +36,7 @@ def _clean_table(p) -> np.ndarray:
         raise InvalidInputError("behavior table contains non-finite entries")
     if np.min(table) < -NEGATIVITY_TOL:
         raise InvalidInputError(f"behavior entry {np.min(table):.3e} below -{NEGATIVITY_TOL:g}")
-    # round-off from projector arithmetic may leave entries at -1e-16 or so
+    # float round-off in computed tables may leave entries at -1e-16 or so
     table = np.clip(table, 0.0, None)
     block_sums = table.sum(axis=(2, 3))
     if np.max(np.abs(block_sums - 1.0)) > NORMALIZATION_TOL:
@@ -99,13 +99,15 @@ def behavior_from_correlators(
     e = np.asarray(e, dtype=float)
     ma = np.zeros(2) if alice_marginals is None else np.asarray(alice_marginals, dtype=float)
     mb = np.zeros(2) if bob_marginals is None else np.asarray(bob_marginals, dtype=float)
-    table = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for i, av in enumerate(OUTCOME_VALUES):
-                for j, bv in enumerate(OUTCOME_VALUES):
-                    table[x, y, i, j] = (1.0 + av * ma[x] + bv * mb[y] + av * bv * e[x, y]) / 4.0
-    return Behavior(table)
+    return Behavior(_table_from_means(e, ma, mb))
+
+
+def _table_from_means(e: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x, y]) / 4, unvalidated."""
+    a_term = np.multiply.outer(ma, _VALS)[:, None, :, None]
+    b_term = np.multiply.outer(mb, _VALS)[None, :, None, :]
+    ab_term = np.multiply.outer(e, np.multiply.outer(_VALS, _VALS))
+    return (1.0 + a_term + b_term + ab_term) / 4.0
 
 
 def correlators(b: Behavior) -> np.ndarray:
@@ -181,12 +183,7 @@ def random_no_signaling_behavior(
         e = e0 + rng.uniform(-perturbation, perturbation, size=(2, 2))
         ma = ma0 + rng.uniform(-perturbation, perturbation, size=2)
         mb = mb0 + rng.uniform(-perturbation, perturbation, size=2)
-        table = np.empty((2, 2, 2, 2))
-        for x in range(2):
-            for y in range(2):
-                for i, av in enumerate(OUTCOME_VALUES):
-                    for j, bv in enumerate(OUTCOME_VALUES):
-                        table[x, y, i, j] = (1 + av * ma[x] + bv * mb[y] + av * bv * e[x, y]) / 4
+        table = _table_from_means(e, ma, mb)
         if table.min() >= 0.0:
             return Behavior(table)
     return b0

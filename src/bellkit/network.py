@@ -17,7 +17,7 @@ import numpy as np
 
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, correlators
 from .errors import InsufficientDataError, InvalidInputError
-from .lhv import LHVModel, PRIOR_TOL, chsh, lhv_behavior
+from .lhv import LHVModel, PRIOR_TOL, chsh
 
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
@@ -54,32 +54,17 @@ class NetworkSpec:
         object.__setattr__(self, "setting_prior_b",
                            _validated_prob_pair(self.setting_prior_b, "settingPriorB"))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.model.labels
-
-    @property
-    def lambda_prior(self) -> np.ndarray:
-        return self.model.prior
-
-    @property
-    def alice_cpt(self) -> np.ndarray:
-        return self.model.alice_response
-
-    @property
-    def bob_cpt(self) -> np.ndarray:
-        return self.model.bob_response
-
 
 def exact_joint(spec: NetworkSpec) -> np.ndarray:
     """Joint P(k, x, y, A, B) as an array of shape (n_lambda, 2, 2, 2, 2).
 
     Outcome axes use index 0 for +1 and 1 for -1, as in behavior tables.
     """
-    pa = np.stack([spec.alice_cpt, 1.0 - spec.alice_cpt], axis=2)  # (k, x, A)
-    pb = np.stack([spec.bob_cpt, 1.0 - spec.bob_cpt], axis=2)      # (k, y, B)
+    model = spec.model
+    pa = np.stack([model.alice_response, 1.0 - model.alice_response], axis=2)  # (k, x, A)
+    pb = np.stack([model.bob_response, 1.0 - model.bob_response], axis=2)      # (k, y, B)
     return np.einsum("k,x,y,kxi,kyj->kxyij",
-                     spec.lambda_prior, spec.setting_prior_a, spec.setting_prior_b, pa, pb)
+                     model.prior, spec.setting_prior_a, spec.setting_prior_b, pa, pb)
 
 
 def conditional_behavior(joint: np.ndarray) -> Behavior:
@@ -226,13 +211,14 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
     streams = [np.random.Generator(np.random.PCG64(child))
                for child in np.random.SeedSequence(seed).spawn(5)]
-    lam = np.searchsorted(np.cumsum(spec.lambda_prior), streams[0].random(n), side="right")
-    lam = np.minimum(lam, spec.model.size - 1)  # guard against cumsum rounding at 1.0
+    model = spec.model
+    lam = np.searchsorted(np.cumsum(model.prior), streams[0].random(n), side="right")
+    lam = np.minimum(lam, model.size - 1)  # guard against cumsum rounding at 1.0
     x = (streams[1].random(n) >= spec.setting_prior_a[0]).astype(np.int64)
     y = (streams[2].random(n) >= spec.setting_prior_b[0]).astype(np.int64)
-    a = np.where(streams[3].random(n) < spec.alice_cpt[lam, x], 1, -1).astype(np.int64)
-    b = np.where(streams[4].random(n) < spec.bob_cpt[lam, y], 1, -1).astype(np.int64)
-    return SampleDataset(labels=spec.labels, lam=lam, x=x, y=y, a=a, b=b, seed=int(seed))
+    a = np.where(streams[3].random(n) < model.alice_response[lam, x], 1, -1).astype(np.int64)
+    b = np.where(streams[4].random(n) < model.bob_response[lam, y], 1, -1).astype(np.int64)
+    return SampleDataset(labels=model.labels, lam=lam, x=x, y=y, a=a, b=b, seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -273,11 +259,6 @@ def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
     return ChshEstimate(s=s, stderr=stderr,
                         per_block_counts=(int(counts[0, 0]), int(counts[0, 1]),
                                           int(counts[1, 0]), int(counts[1, 1])))
-
-
-def network_behavior(spec: NetworkSpec) -> Behavior:
-    """Shortcut: the conditional behavior of the spec's embedded model."""
-    return lhv_behavior(spec.model)
 
 
 def exact_chsh(spec: NetworkSpec) -> float:

@@ -1,32 +1,22 @@
-"""Maximizing |S| over measurement directions for a fixed pure state.
+"""The largest CHSH value of a pure state, and S along a rotation of Bob's settings.
 
-For fixed Bob directions the optimal Alice directions have a closed form in
-terms of the state's 3x3 correlation matrix, and vice versa, so an
-alternating (seesaw) update converges monotonically.  Both signs of S are
-optimized and the larger magnitude reported.
+Both read the state's 3x3 correlation matrix T only: S at directions
+(u, u', v, v') is u^T T (v + v') + u'^T T (v - v').
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .behavior import correlators
 from .errors import InvalidInputError
 from .lhv import chsh
-from .quantum import (
-    TwoQubitState,
-    UnitVector3,
-    correlation,
-    correlation_matrix,
-    quantum_behavior,
-    random_unit_vector,
-)
+from .quantum import TwoQubitState, UnitVector3, correlation_matrix
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
-_ZERO_DIRECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,126 +51,45 @@ def tsirelson_settings() -> MeasurementSettings:
 class OptimizationResult:
     best_s: float
     settings: MeasurementSettings
-    iterations: int
-    converged: bool
-    perturbations: int
-    objective_history: tuple[float, ...]
+    # the maximum is computed, not iterated to; callers written for the
+    # former iterative optimizer still read these two
+    iterations: ClassVar[int] = 0
+    converged: ClassVar[bool] = True
+
+
+def _directions(s: MeasurementSettings) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's (u, u') and Bob's (v, v') as the rows of two 2x3 matrices."""
+    dirs = np.array([w.as_array() for w in s.as_tuple()])
+    return dirs[:2], dirs[2:]
 
 
 def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
-    """S from the four quantum correlators at the given directions."""
-    e = np.array([
-        correlation(psi, s.alice_u, s.bob_v),
-        correlation(psi, s.alice_u, s.bob_v_prime),
-        correlation(psi, s.alice_u_prime, s.bob_v),
-        correlation(psi, s.alice_u_prime, s.bob_v_prime),
-    ])
-    return chsh(e)
+    """S from the four quantum correlators U T V^T at the given directions."""
+    alice, bob = _directions(s)
+    return chsh((alice @ correlation_matrix(psi) @ bob.T).reshape(4))
 
 
-def chsh_via_behavior(psi: TwoQubitState, s: MeasurementSettings) -> float:
-    """Same value through the outcome-table pathway; cross-check route."""
-    return chsh(correlators(quantum_behavior(psi, s.as_tuple())))
+def seesaw_maximize(psi: TwoQubitState, seed: int) -> OptimizationResult:
+    """The largest S over all measurement directions, in closed form.
 
-
-def _normalize_or_perturb(vec: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    norm = float(np.linalg.norm(vec))
-    if norm < _ZERO_DIRECTION_TOL:
-        return random_unit_vector(rng).as_array(), True
-    return vec / norm, False
-
-
-def _seesaw_run(
-    t: np.ndarray,
-    rng: np.random.Generator,
-    max_iter: int,
-    tol: float,
-    init: MeasurementSettings | None,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool, int, list[float]]:
-    if init is None:
-        u = random_unit_vector(rng).as_array()
-        up = random_unit_vector(rng).as_array()
-        v = random_unit_vector(rng).as_array()
-        vp = random_unit_vector(rng).as_array()
-    else:
-        u, up, v, vp = (w.as_array() for w in init.as_tuple())
-
-    def objective(u_, up_, v_, vp_) -> float:
-        return float(u_ @ t @ (v_ + vp_) + up_ @ t @ (v_ - vp_))
-
-    obj = objective(u, up, v, vp)
-    history = [obj]
-    perturbations = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        u, pu = _normalize_or_perturb(t @ (v + vp), rng)
-        up, pup = _normalize_or_perturb(t @ (v - vp), rng)
-        v, pv = _normalize_or_perturb(t.T @ (u + up), rng)
-        vp, pvp = _normalize_or_perturb(t.T @ (u - up), rng)
-        perturbations += pu + pup + pv + pvp
-        new = objective(u, up, v, vp)
-        history.append(new)
-        if abs(new - obj) < tol:
-            obj = new
-            converged = True
-            break
-        obj = new
-    return obj, u, up, v, vp, iterations, converged, perturbations, history
-
-
-def seesaw_maximize(
-    psi: TwoQubitState,
-    seed: int,
-    max_iter: int = 1000,
-    tol: float = 1e-10,
-    init: MeasurementSettings | None = None,
-) -> OptimizationResult:
-    """Alternate closed-form direction updates until |S| stops improving.
-
-    With T the state's correlation matrix, the Alice step sets u and u'
-    proportional to T(v+v') and T(v-v'); the Bob step mirrors it with T^T.
-    Each half-step is the exact maximizer given the other side, so the
-    objective is non-decreasing.  S and -S are maximized in separate runs
-    (the latter is the same seesaw on -T) and the larger magnitude wins.
-    A zero-norm update direction is replaced by a seeded random unit vector
-    and counted in ``perturbations``.
+    With T = M diag(s) N^T the singular value decomposition of the state's
+    correlation matrix (s1 >= s2 >= s3), Alice measures along the two leading
+    left singular vectors m1, m2 and Bob along cos(t) n1 +/- sin(t) n2 with
+    tan(t) = s2/s1, which gives S = 2 sqrt(s1^2 + s2^2), the maximum
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).
+    ``best_s`` is therefore always positive.  ``seed`` is accepted for
+    compatibility with the former seeded seesaw and does not affect the result.
     """
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0.0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    t = correlation_matrix(psi)
-    children = np.random.SeedSequence(seed).spawn(2)
-    best = None
-    for sign, child in zip((+1.0, -1.0), children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        obj, u, up, v, vp, iters, conv, perturbed, history = _seesaw_run(
-            sign * t, rng, max_iter, tol, init)
-        s_value = sign * obj
-        if best is None or obj > best[0]:
-            best = (obj, s_value, u, up, v, vp, iters, conv, perturbed, history)
-    obj, s_value, u, up, v, vp, iters, conv, perturbed, history = best
+    left, sv, right_t = np.linalg.svd(correlation_matrix(psi))
+    theta = math.atan2(sv[1], sv[0])
+    c, s = math.cos(theta), math.sin(theta)
     settings = MeasurementSettings(
-        alice_u=UnitVector3(*u),
-        alice_u_prime=UnitVector3(*up),
-        bob_v=UnitVector3(*v),
-        bob_v_prime=UnitVector3(*vp),
+        alice_u=UnitVector3(*left[:, 0]),
+        alice_u_prime=UnitVector3(*left[:, 1]),
+        bob_v=UnitVector3(*(c * right_t[0] + s * right_t[1])),
+        bob_v_prime=UnitVector3(*(c * right_t[0] - s * right_t[1])),
     )
-    return OptimizationResult(
-        best_s=s_value,
-        settings=settings,
-        iterations=iters,
-        converged=conv,
-        perturbations=perturbed,
-        objective_history=tuple(history),
-    )
-
-
-def _rotate_about(vec: np.ndarray, axis: np.ndarray, theta_rad: float) -> np.ndarray:
-    """Rodrigues rotation of ``vec`` by ``theta_rad`` about unit ``axis``."""
-    c, s = math.cos(theta_rad), math.sin(theta_rad)
-    return vec * c + np.cross(axis, vec) * s + axis * (axis @ vec) * (1.0 - c)
+    return OptimizationResult(best_s=2.0 * math.hypot(sv[0], sv[1]), settings=settings)
 
 
 def sweep(
@@ -200,16 +109,13 @@ def sweep(
     if steps < 2:
         raise InvalidInputError(f"steps must be >= 2, got {steps}")
     base = tsirelson_settings() if base is None else base
+    thetas = [theta_start_deg + (theta_end_deg - theta_start_deg) * i / (steps - 1)
+              for i in range(steps)]
+    rad = np.radians(thetas)[:, None, None]
+    c, s = np.cos(rad), np.sin(rad)
     ax = axis.as_array()
-    rows = []
-    for i in range(steps):
-        theta = theta_start_deg + (theta_end_deg - theta_start_deg) * i / (steps - 1)
-        rad = math.radians(theta)
-        rotated = MeasurementSettings(
-            alice_u=base.alice_u,
-            alice_u_prime=base.alice_u_prime,
-            bob_v=UnitVector3(*_rotate_about(base.bob_v.as_array(), ax, rad)),
-            bob_v_prime=UnitVector3(*_rotate_about(base.bob_v_prime.as_array(), ax, rad)),
-        )
-        rows.append((theta, chsh_of_settings(psi, rotated)))
-    return rows
+    alice, bob = _directions(base)
+    # Rodrigues rotation of both of Bob's directions by every angle: (steps, 2, 3)
+    rotated = bob * c + np.cross(ax, bob) * s + np.outer(bob @ ax, ax) * (1.0 - c)
+    e = alice @ correlation_matrix(psi) @ rotated.transpose(0, 2, 1)
+    return [(theta, chsh(row)) for theta, row in zip(thetas, e.reshape(steps, 4))]

@@ -19,6 +19,7 @@ from .behavior import Behavior, LOCAL_BOUND_TOL, correlators, no_signaling
 from .errors import InvalidInputError
 from .lhv import deterministic_vertex_tables
 
+LOCAL_BOUND = 2.0
 DECOMPOSITION_TOL = 1e-9
 
 # one minus sign rotated through each position, both overall signs
@@ -48,7 +49,7 @@ def is_local(b: Behavior, tol: float = LOCAL_BOUND_TOL) -> bool:
             f"behavior signals (max marginal residual {report.max_residual:.3e}); "
             "local-polytope membership is undefined"
         )
-    return bool(np.max(chsh_variants(correlators(b))) <= 2.0 + tol)
+    return bool(np.max(chsh_variants(correlators(b))) <= LOCAL_BOUND + tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import Behavior, behavior_from_correlators
 from .errors import InternalConsistencyError, InvalidInputError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 UNIT_NORM_TOL = 1e-9  # reject beyond this; silently renormalize below it
 STATE_NORM_TOL = 1e-12
@@ -152,32 +152,31 @@ def pauli_dot(v: UnitVector3) -> Observable2:
     return Observable2(m)
 
 
-def tensor(m_a: Observable2 | np.ndarray, m_b: Observable2 | np.ndarray) -> np.ndarray:
-    """Kronecker product in the fixed |00>,|01>,|10>,|11> basis, Alice left."""
-    a = m_a.m if isinstance(m_a, Observable2) else np.asarray(m_a, dtype=complex)
-    b = m_b.m if isinstance(m_b, Observable2) else np.asarray(m_b, dtype=complex)
-    return np.kron(a, b)
+def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local Bloch vectors and correlation tensor (a, b, T) of a pure state.
 
-
-def _expectation(psi: TwoQubitState, op4: np.ndarray) -> float:
-    val = np.vdot(psi.amp, op4 @ psi.amp)
-    if abs(val.imag) > IMAG_PART_TOL:
-        raise InternalConsistencyError(f"expectation has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    a[i] = <sigma_i (x) 1>, b[j] = <1 (x) sigma_j>, T[i, j] = <sigma_i (x) sigma_j>.
+    With the amplitudes as a 2x2 matrix m (Alice's index first), sigma_i (x) 1
+    maps m to sigma_i m and 1 (x) sigma_j maps it to m sigma_j^T.  a and b are
+    the overlaps of psi with these vectors, and T[i, j] is the overlap of
+    Alice's i-th vector with Bob's j-th, since both Paulis are Hermitian.
+    """
+    m = psi.amp.reshape(2, 2)
+    alice = (_PAULIS @ m).reshape(3, 4)
+    bob = (m @ _PAULIS.transpose(0, 2, 1)).reshape(3, 4)
+    bra = psi.amp.conj()
+    a, b, t = alice @ bra, bob @ bra, alice.conj() @ bob.T
+    imag = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)), np.max(np.abs(t.imag)))
+    if imag > IMAG_PART_TOL:
+        raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
+    return a.real, b.real, t.real
 
 
 def correlation(psi: TwoQubitState, u: UnitVector3, v: UnitVector3) -> float:
-    """<psi| (u.sigma) (x) (v.sigma) |psi>, the expected product of outcomes."""
-    val = _expectation(psi, tensor(pauli_dot(u), pauli_dot(v)))
+    """<psi| (u.sigma) (x) (v.sigma) |psi> = u^T T v, the expected product of outcomes."""
+    val = float(u.as_array() @ correlation_matrix(psi) @ v.as_array())
     # expectation of a +/-1 observable product; clamp float overshoot
     return min(1.0, max(-1.0, val))
-
-
-def _projectors(v: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projectors (Pi_plus, Pi_minus) of v.sigma."""
-    m = pauli_dot(v).m
-    eye = np.eye(2, dtype=complex)
-    return (eye + m) / 2.0, (eye - m) / 2.0
 
 
 def quantum_behavior(
@@ -186,19 +185,14 @@ def quantum_behavior(
 ) -> Behavior:
     """Outcome table P(A,B|x,y) from projective spin measurements.
 
-    ``settings`` is (Alice's u, u', Bob's v, v'); entry [x, y, A, B] is
-    <psi| Pi_A(x) (x) Pi_B(y) |psi>.
+    ``settings`` is (Alice's u, u', Bob's v, v'); with U and V the matrices of
+    Alice's and Bob's directions, the correlators are U T V^T and the outcome
+    means U a and V b.
     """
-    u, u_prime, v, v_prime = settings
-    alice = [_projectors(u), _projectors(u_prime)]
-    bob = [_projectors(v), _projectors(v_prime)]
-    table = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for i in range(2):
-                for j in range(2):
-                    table[x, y, i, j] = _expectation(psi, np.kron(alice[x][i], bob[y][j]))
-    return Behavior(table)
+    a, b, t = _bloch_and_tensor(psi)
+    dirs = np.array([w.as_array() for w in settings])
+    alice, bob = dirs[:2], dirs[2:]
+    return behavior_from_correlators(alice @ t @ bob.T, alice @ a, bob @ b)
 
 
 def correlation_matrix(psi: TwoQubitState) -> np.ndarray:
@@ -206,8 +200,4 @@ def correlation_matrix(psi: TwoQubitState) -> np.ndarray:
 
     Satisfies correlation(psi, u, v) = u^T T v for all unit u, v.
     """
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = _expectation(psi, np.kron(_PAULIS[i], _PAULIS[j]))
-    return t
+    return _bloch_and_tensor(psi)[2]

@@ -19,6 +19,7 @@ import numpy as np
 from .behavior import Behavior, OUTCOME_VALUES, correlators, no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .lhv import chsh
+from .network import _validated_prob_pair
 
 
 class Thesis(enum.Enum):
@@ -275,11 +276,9 @@ def superdeterministic_witness(
     the hidden value.  Setting priors must be strictly positive so that
     conditioning on every setting pair is defined.
     """
-    pa = np.asarray(setting_prior_a, dtype=float)
-    pb = np.asarray(setting_prior_b, dtype=float)
+    pa = _validated_prob_pair(setting_prior_a, "settingPriorA")
+    pb = _validated_prob_pair(setting_prior_b, "settingPriorB")
     for name, p in (("settingPriorA", pa), ("settingPriorB", pb)):
-        if p.shape != (2,) or abs(p.sum() - 1.0) > 1e-9:
-            raise InvalidInputError(f"{name} must be two entries summing to 1")
         if np.min(p) <= 0.0:
             raise InvalidInputError(f"{name} must be strictly positive")
     atoms = []

@@ -107,19 +107,18 @@ def test_criterion_5_tsirelson_recovery():
     slowest = 0.0
     for seed in range(100):
         t0 = time.perf_counter()
-        result = seesaw_maximize(psi, seed=seed, tol=1e-10)
+        result = seesaw_maximize(psi, seed=seed)
         slowest = max(slowest, time.perf_counter() - t0)
         hits += abs(result.best_s) >= TSIRELSON - 1e-4
     rng = np.random.default_rng(777)
     worst = 0.0
     for seed in range(1000):
-        result = seesaw_maximize(random_pure_state(rng), seed=seed, tol=1e-10)
-        if result.converged:
-            worst = max(worst, abs(result.best_s))
+        result = seesaw_maximize(random_pure_state(rng), seed=seed)
+        worst = max(worst, abs(result.best_s))
     ok = hits >= 95 and slowest < 10e-3 and worst <= TSIRELSON + 1e-9
-    _verdict(5, "seesaw recovers 2*sqrt(2) and never exceeds it", ok,
+    _verdict(5, "optimizer recovers 2*sqrt(2) and never exceeds it", ok,
              f"hits {hits}/100, slowest run {slowest * 1e3:.2f} ms, "
-             f"max converged |S| = {worst:.12f}")
+             f"max |S| = {worst:.12f}")
 
 
 def test_criterion_6_membership_oracle_equivalence():

@@ -7,6 +7,7 @@ import pytest
 from bellkit import (
     DeterministicStrategy,
     NetworkSpec,
+    behavior_from_correlators,
     quantum_behavior,
     random_model,
     singlet,
@@ -62,6 +63,17 @@ class TestChshCommand:
         assert code == 0
         assert "S: 0.0000000" in out
         assert "local bound |S| <= 2: yes" in out
+
+    def test_relabelled_pr_box_verdicts(self, capsys, tmp_path):
+        # S = 0 here, but another CHSH sign variant reaches 4
+        box = behavior_from_correlators(np.array([[-1.0, 1.0], [1.0, 1.0]]))
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(behavior_to_json(box)))
+        code, out, _ = run(capsys, "chsh", str(path))
+        assert code == 0
+        assert "S: 0.0000000" in out
+        assert "local bound |S| <= 2: no" in out
+        assert "quantum bound |S| <= 2*sqrt(2): no" in out
 
     def test_model_file_accepted(self, capsys, tmp_path):
         model = random_model(np.random.default_rng(0), n_lambda=2)
@@ -129,8 +141,7 @@ class TestEnumerateCommand:
 
 class TestOptimizeCommand:
     def test_singlet(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "optimize", "singlet",
-                           "--seed", "1", "--tol", "1e-10")
+        code, out, _ = run(capsys, "--format", "json", "optimize", "singlet", "--seed", "1")
         assert code == 0
         body = json.loads(out)
         assert abs(body["results"]["|best S|"] - 2 * SQRT2) <= 1e-6

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bellkit import (
     InvalidInputError,
+    MeasurementSettings,
     Observable2,
     TwoQubitState,
     UnitVector3,
@@ -19,9 +20,15 @@ from bellkit import (
     quantum_behavior,
     random_pure_state,
     random_unit_vector,
+    seesaw_maximize,
     singlet,
-    tensor,
     tsirelson_settings,
+)
+from conftest import (
+    chsh_via_behavior,
+    kron_behavior_table,
+    kron_correlation,
+    kron_correlation_matrix,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -82,20 +89,6 @@ class TestPauliDot:
             Observable2(np.array([[1.0, 0.0], [0.0, 1.0]]))  # trace 2
         with pytest.raises(InvalidInputError):
             Observable2(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-
-
-class TestTensor:
-    def test_identity_tensor_identity(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
-    def test_zz(self):
-        expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-        np.testing.assert_allclose(tensor(pauli_dot(Z), pauli_dot(Z)), expected, atol=0)
-
-    def test_xx(self):
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-        np.testing.assert_allclose(tensor(pauli_dot(X), pauli_dot(X)), expected, atol=0)
 
 
 class TestSinglet:
@@ -221,6 +214,33 @@ class TestCorrelationMatrix:
         for _ in range(50):
             t = correlation_matrix(random_pure_state(rng))
             assert np.max(np.abs(t)) <= 1.0 + 1e-12
+
+
+def pure_states():
+    """Hypothesis strategy: 8 reals (re, im per amplitude) with usable norm, normalized."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    return (
+        st.lists(coord, min_size=8, max_size=8)
+        .map(lambda v: np.array(v[0::2]) + 1j * np.array(v[1::2]))
+        .filter(lambda amp: np.linalg.norm(amp) > 0.2)
+        .map(lambda amp: TwoQubitState(amp / np.linalg.norm(amp)))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pure_states(), st.tuples(*(unit_vectors() for _ in range(4))),
+       st.tuples(*(unit_vectors() for _ in range(4))))
+def test_tensor_core_matches_projector_oracle(psi, dirs, other_dirs):
+    b = quantum_behavior(psi, dirs)
+    assert np.max(np.abs(b.table - kron_behavior_table(psi, dirs))) <= 1e-12
+    assert np.max(np.abs(correlation_matrix(psi) - kron_correlation_matrix(psi))) <= 1e-12
+    for u in dirs[:2]:
+        for v in dirs[2:]:
+            assert abs(correlation(psi, u, v) - kron_correlation(psi, u, v)) <= 1e-12
+    # the closed-form optimum is reached at its settings and beaten by none
+    result = seesaw_maximize(psi, seed=0)
+    assert abs(chsh_via_behavior(psi, result.settings) - result.best_s) <= 1e-12
+    assert abs(chsh_via_behavior(psi, MeasurementSettings(*other_dirs))) <= result.best_s + 1e-12
 
 
 def test_reference_settings_are_unit():
