@@ -9,11 +9,12 @@ index 1 meaning -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .tolerance import PROBABILITY_SLACK, ROUNDOFF
 
 SETTING_LABELS_A = ("a", "a'")
 SETTING_LABELS_B = ("b", "b'")
@@ -22,10 +23,9 @@ OUTCOME_VALUES = (+1, -1)
 # outcome values by index, used to form expectation weights
 _VALS = np.array(OUTCOME_VALUES, dtype=float)
 
-NEGATIVITY_TOL = 1e-12
-NORMALIZATION_TOL = 1e-9
-NO_SIGNALING_TOL = 1e-9
-LOCAL_BOUND_TOL = 1e-9
+# random_no_signaling_behavior's jitter on each mean value, and its cap on redraws
+_PERTURBATION = 0.2
+_MAX_TRIES = 200
 
 
 def _clean_table(p) -> np.ndarray:
@@ -34,12 +34,12 @@ def _clean_table(p) -> np.ndarray:
         raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
     if not np.all(np.isfinite(table)):
         raise InvalidInputError("behavior table contains non-finite entries")
-    if np.min(table) < -NEGATIVITY_TOL:
-        raise InvalidInputError(f"behavior entry {np.min(table):.3e} below -{NEGATIVITY_TOL:g}")
-    # float round-off in computed tables may leave entries at -1e-16 or so
+    if np.min(table) < -ROUNDOFF:
+        raise InvalidInputError(f"behavior entry {np.min(table):.3e} below -{ROUNDOFF:g}")
+    # float round-off in computed tables may leave entries slightly below 0
     table = np.clip(table, 0.0, None)
     block_sums = table.sum(axis=(2, 3))
-    if np.max(np.abs(block_sums - 1.0)) > NORMALIZATION_TOL:
+    if np.max(np.abs(block_sums - 1.0)) > PROBABILITY_SLACK:
         worst = np.unravel_index(np.argmax(np.abs(block_sums - 1.0)), (2, 2))
         raise InvalidInputError(
             f"block ({SETTING_LABELS_A[worst[0]]},{SETTING_LABELS_B[worst[1]]}) "
@@ -51,7 +51,7 @@ def _clean_table(p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Validated table P(A,B|x,y); entries clamped at 0, blocks normalized within 1e-9."""
+    """Validated table P(A,B|x,y); entries clamped at 0, blocks normalized within PROBABILITY_SLACK."""
 
     table: np.ndarray
 
@@ -127,7 +127,6 @@ class NoSignalingReport:
     ok: bool
     alice_residuals: np.ndarray
     bob_residuals: np.ndarray
-    tol: float = field(default=NO_SIGNALING_TOL)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -137,23 +136,29 @@ class NoSignalingReport:
         return float(max(self.alice_residuals.max(), self.bob_residuals.max()))
 
 
-def no_signaling(b: Behavior, tol: float = NO_SIGNALING_TOL) -> NoSignalingReport:
-    """Check that each party's outcome marginals ignore the other's setting."""
+def no_signaling(b: Behavior) -> NoSignalingReport:
+    """Check that each party's outcome marginals ignore the other's setting within PROBABILITY_SLACK."""
     alice = np.array([
         np.max(np.abs(b.alice_marginal(x, 0) - b.alice_marginal(x, 1))) for x in range(2)
     ])
     bob = np.array([
         np.max(np.abs(b.bob_marginal(0, y) - b.bob_marginal(1, y))) for y in range(2)
     ])
-    ok = bool(alice.max() <= tol and bob.max() <= tol)
-    return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob, tol=tol)
+    ok = bool(alice.max() <= PROBABILITY_SLACK and bob.max() <= PROBABILITY_SLACK)
+    return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
 
 
-def random_no_signaling_behavior(
-    rng: np.random.Generator,
-    perturbation: float = 0.2,
-    max_tries: int = 200,
-) -> Behavior:
+def require_no_signaling(b: Behavior, what: str) -> None:
+    """Raise, naming the max marginal residual, if ``b`` signals; ``what`` names what needs it not to."""
+    report = no_signaling(b)
+    if not report.ok:
+        raise InvalidInputError(
+            f"behavior signals (max marginal residual {report.max_residual:.3e}); "
+            f"no-signaling is required for {what}"
+        )
+
+
+def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
     """Draw a pseudo-random no-signaling behavior, local or not.
 
     Starts from a Dirichlet mixture of the 16 deterministic behaviors; half the
@@ -173,16 +178,14 @@ def random_no_signaling_behavior(
         box = behavior_from_correlators(signs.reshape(2, 2)).table
         mu = rng.random()
         base = (1.0 - mu) * base + mu * box
-    if perturbation <= 0.0:
-        return Behavior(base)
     b0 = Behavior(base)
     e0 = np.einsum("xyij,i,j->xy", b0.table, _VALS, _VALS)
     ma0 = np.array([b0.alice_marginal(x, 0) @ _VALS for x in range(2)])
     mb0 = np.array([b0.bob_marginal(0, y) @ _VALS for y in range(2)])
-    for _ in range(max_tries):
-        e = e0 + rng.uniform(-perturbation, perturbation, size=(2, 2))
-        ma = ma0 + rng.uniform(-perturbation, perturbation, size=2)
-        mb = mb0 + rng.uniform(-perturbation, perturbation, size=2)
+    for _ in range(_MAX_TRIES):
+        e = e0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=(2, 2))
+        ma = ma0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)
+        mb = mb0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)
         table = _table_from_means(e, ma, mb)
         if table.min() >= 0.0:
             return Behavior(table)

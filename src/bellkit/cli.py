@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .behavior import LOCAL_BOUND_TOL, correlators
+from .behavior import correlators, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .io import (
     FileFormatError,
@@ -32,6 +32,7 @@ from .optimize import TSIRELSON, seesaw_maximize, sweep
 from .polytope import LOCAL_BOUND, chsh_variants
 from .quantum import TwoQubitState, basis_state, singlet
 from .theses import Thesis, find_interpretation, taxonomy
+from .tolerance import BOUND_SLACK
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,7 +59,7 @@ def _parse_state(spec: str) -> TwoQubitState:
     except ValueError as exc:
         raise InvalidInputError(f"state spec has a non-numeric entry: {exc}") from exc
     amp = np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)])
-    return TwoQubitState.from_amplitudes(amp, tol=1e-6)
+    return TwoQubitState.from_amplitudes(amp)
 
 
 def _read_text(path: str) -> str:
@@ -105,6 +106,7 @@ def cmd_chsh(args) -> RunReport:
     else:
         raise FileFormatError(
             f"{args.input}: expected a behavior file (\"blocks\") or a model file (\"lambda\")")
+    require_no_signaling(behavior, "the CHSH bound verdicts")
     e = correlators(behavior)
     s = chsh(e)
     # S is one of the 8 sign variants; a relabelled box can hide its violation in another
@@ -117,8 +119,8 @@ def cmd_chsh(args) -> RunReport:
             "correlators": {"E(a,b)": float(e[0]), "E(a,b')": float(e[1]),
                             "E(a',b)": float(e[2]), "E(a',b')": float(e[3])},
             "S": float(s),
-            "local bound |S| <= 2": bool(largest <= LOCAL_BOUND + LOCAL_BOUND_TOL),
-            "quantum bound |S| <= 2*sqrt(2)": bool(largest <= TSIRELSON + LOCAL_BOUND_TOL),
+            "local bound |S| <= 2": bool(largest <= LOCAL_BOUND + BOUND_SLACK),
+            "quantum bound |S| <= 2*sqrt(2)": bool(largest <= TSIRELSON + BOUND_SLACK),
         },
     )
 
@@ -147,7 +149,6 @@ def cmd_optimize(args) -> RunReport:
         seed=args.seed,
         results={
             "best S": result.best_s,
-            "|best S|": abs(result.best_s),
             "alice u": [st.alice_u.x, st.alice_u.y, st.alice_u.z],
             "alice u'": [st.alice_u_prime.x, st.alice_u_prime.y, st.alice_u_prime.z],
             "bob v": [st.bob_v.x, st.bob_v.y, st.bob_v.z],

@@ -132,10 +132,6 @@ def model_from_json(data: Any, source: str = "model") -> LHVModel:
         raise FileFormatError(f"{source}: {exc}") from exc
 
 
-def parse_model_text(text: str, source: str = "model") -> LHVModel:
-    return model_from_json(load_json(text, source), source)
-
-
 def network_to_json(spec: NetworkSpec) -> dict:
     data = model_to_json(spec.model)
     data["settingPriorA"] = {"a": float(spec.setting_prior_a[0]),

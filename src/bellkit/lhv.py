@@ -16,9 +16,7 @@ import numpy as np
 
 from .behavior import Behavior
 from .errors import InvalidInputError
-
-PRIOR_TOL = 1e-9
-CORRELATOR_TOL = 1e-9
+from .tolerance import BOUND_SLACK, ROUNDOFF, probability_vector
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class LHVModel:
 
     ``alice_response[k, x]`` is P(A=+1 | setting x, hidden value k) with x = 0
     for a and 1 for a'; ``bob_response`` likewise for b, b'.  The prior must
-    sum to 1 within 1e-9 and is renormalized to exact unit mass on input.
+    pass ``probability_vector`` and is renormalized to exact unit mass on input.
     """
 
     labels: tuple[str, ...]
@@ -64,24 +62,18 @@ class LHVModel:
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (n,):
             raise InvalidInputError(f"prior must have shape ({n},), got {prior.shape}")
-        # negated >= / <= forms so that NaN entries fail the checks too
-        if not prior.min() >= -PRIOR_TOL:
-            raise InvalidInputError("prior entries must be nonnegative and finite")
-        total = float(prior.sum())
-        if not abs(total - 1.0) <= PRIOR_TOL:
-            raise InvalidInputError(f"prior mass {total:.12g} deviates from 1 beyond {PRIOR_TOL:g}")
-        prior = np.maximum(prior, 0.0)
-        prior /= prior.sum()
+        prior = probability_vector(prior, "prior")
         resp_a = np.asarray(self.alice_response, dtype=float)
         resp_b = np.asarray(self.bob_response, dtype=float)
         for name, resp in (("alice_response", resp_a), ("bob_response", resp_b)):
             if resp.shape != (n, 2):
                 raise InvalidInputError(f"{name} must have shape ({n}, 2), got {resp.shape}")
-            if not resp.min() >= -1e-12 or not resp.max() <= 1.0 + 1e-12:
+            # negated >= / <= forms so that NaN entries fail the check too
+            if not resp.min() >= -ROUNDOFF or not resp.max() <= 1.0 + ROUNDOFF:
                 raise InvalidInputError(f"{name} entries must lie in [0, 1]")
         resp_a = resp_a.clip(0.0, 1.0)
         resp_b = resp_b.clip(0.0, 1.0)
-        for arr in (prior, resp_a, resp_b):
+        for arr in (resp_a, resp_b):
             arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
@@ -107,7 +99,7 @@ def chsh(e) -> float:
     e = np.asarray(e, dtype=float)
     if e.shape != (4,):
         raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
-    if np.max(np.abs(e)) > 1.0 + CORRELATOR_TOL:
+    if np.max(np.abs(e)) > 1.0 + BOUND_SLACK:
         raise InvalidInputError(f"correlator {e[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
     return float(e[0] + e[1] + e[2] - e[3])
 

@@ -17,23 +17,11 @@ import numpy as np
 
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, correlators
 from .errors import InsufficientDataError, InvalidInputError
-from .lhv import LHVModel, PRIOR_TOL, chsh
+from .lhv import LHVModel, chsh
+from .tolerance import ROUNDOFF, probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
-
-
-def _validated_prob_pair(p, name: str) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (2,):
-        raise InvalidInputError(f"{name} must have 2 entries, got shape {arr.shape}")
-    if np.min(arr) < 0.0 or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} entries must be nonnegative and finite")
-    if abs(arr.sum() - 1.0) > PRIOR_TOL:
-        raise InvalidInputError(f"{name} sums to {arr.sum():.12g}, not 1")
-    arr = arr / arr.sum()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,10 +37,11 @@ class NetworkSpec:
     setting_prior_b: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
 
     def __post_init__(self):
-        object.__setattr__(self, "setting_prior_a",
-                           _validated_prob_pair(self.setting_prior_a, "settingPriorA"))
-        object.__setattr__(self, "setting_prior_b",
-                           _validated_prob_pair(self.setting_prior_b, "settingPriorB"))
+        for attr, name in (("setting_prior_a", "settingPriorA"), ("setting_prior_b", "settingPriorB")):
+            p = np.asarray(getattr(self, attr), dtype=float)
+            if p.shape != (2,):
+                raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
+            object.__setattr__(self, attr, probability_vector(p, name))
 
 
 def exact_joint(spec: NetworkSpec) -> np.ndarray:
@@ -94,8 +83,8 @@ class MarkovReport:
     def max_residual(self) -> float:
         return max(self.source_settings, self.alice_screening, self.bob_screening)
 
-    def ok(self, tol: float = 1e-12) -> bool:
-        return self.max_residual <= tol
+    def ok(self) -> bool:
+        return self.max_residual <= ROUNDOFF
 
 
 def verify_markov(spec_or_joint: NetworkSpec | np.ndarray) -> MarkovReport:
@@ -111,10 +100,7 @@ def verify_markov(spec_or_joint: NetworkSpec | np.ndarray) -> MarkovReport:
         if joint.ndim != 5 or joint.shape[1:] != (2, 2, 2, 2):
             raise InvalidInputError(
                 f"joint must have shape (n, 2, 2, 2, 2), got {joint.shape}")
-        if np.min(joint) < -1e-12:
-            raise InvalidInputError("joint has negative entries")
-        if abs(joint.sum() - 1.0) > PRIOR_TOL:
-            raise InvalidInputError(f"joint sums to {joint.sum():.12g}, not 1")
+        joint = probability_vector(joint, "joint")
 
     p_kxy = joint.sum(axis=(3, 4))
     p_k = p_kxy.sum(axis=(1, 2))

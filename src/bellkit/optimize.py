@@ -97,25 +97,21 @@ def sweep(
     steps: int,
     theta_start_deg: float = 0.0,
     theta_end_deg: float = 360.0,
-    axis: UnitVector3 = UnitVector3(0.0, 0.0, 1.0),
-    base: MeasurementSettings | None = None,
 ) -> list[tuple[float, float]]:
-    """Table of (angle in degrees, S) as Bob's pair rotates about ``axis``.
+    """Table of (angle in degrees, S) as Bob's pair of ``tsirelson_settings`` rotates about z.
 
-    Angles are evenly spaced over [theta_start_deg, theta_end_deg] inclusive.
-    The unrotated configuration defaults to the maximal-violation settings, so
-    the first row of the default sweep on the singlet is (0, -2*sqrt(2)).
+    Angles are evenly spaced over [theta_start_deg, theta_end_deg] inclusive;
+    the first row of the sweep from 0 on the singlet is (0, -2*sqrt(2)).
     """
     if steps < 2:
         raise InvalidInputError(f"steps must be >= 2, got {steps}")
-    base = tsirelson_settings() if base is None else base
     thetas = [theta_start_deg + (theta_end_deg - theta_start_deg) * i / (steps - 1)
               for i in range(steps)]
     rad = np.radians(thetas)[:, None, None]
     c, s = np.cos(rad), np.sin(rad)
-    ax = axis.as_array()
-    alice, bob = _directions(base)
+    z = np.array([0.0, 0.0, 1.0])
+    alice, bob = _directions(tsirelson_settings())
     # Rodrigues rotation of both of Bob's directions by every angle: (steps, 2, 3)
-    rotated = bob * c + np.cross(ax, bob) * s + np.outer(bob @ ax, ax) * (1.0 - c)
+    rotated = bob * c + np.cross(z, bob) * s + np.outer(bob @ z, z) * (1.0 - c)
     e = alice @ correlation_matrix(psi) @ rotated.transpose(0, 2, 1)
     return [(theta, chsh(row)) for theta, row in zip(thetas, e.reshape(steps, 4))]

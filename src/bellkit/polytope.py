@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .behavior import Behavior, LOCAL_BOUND_TOL, correlators, no_signaling
+from .behavior import Behavior, correlators, require_no_signaling
 from .errors import InvalidInputError
 from .lhv import deterministic_vertex_tables
+from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
 
 LOCAL_BOUND = 2.0
-DECOMPOSITION_TOL = 1e-9
 
 # one minus sign rotated through each position, both overall signs
 _CHSH_SIGNS = np.array([
@@ -37,19 +37,14 @@ def chsh_variants(e) -> np.ndarray:
     return _CHSH_SIGNS @ e
 
 
-def is_local(b: Behavior, tol: float = LOCAL_BOUND_TOL) -> bool:
-    """True iff every CHSH sign variant is <= 2 + tol.
+def is_local(b: Behavior) -> bool:
+    """True iff every CHSH sign variant is <= 2 + BOUND_SLACK.
 
     Only defined for no-signaling behaviors (the joint-distribution
     characterization presupposes no-signaling); signaling input is rejected.
     """
-    report = no_signaling(b)
-    if not report.ok:
-        raise InvalidInputError(
-            f"behavior signals (max marginal residual {report.max_residual:.3e}); "
-            "local-polytope membership is undefined"
-        )
-    return bool(np.max(chsh_variants(correlators(b))) <= LOCAL_BOUND + tol)
+    require_no_signaling(b, "local-polytope membership")
+    return bool(np.max(chsh_variants(correlators(b))) <= LOCAL_BOUND + BOUND_SLACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,19 +57,11 @@ class LocalDecomposition:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (16,):
             raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
-        if np.min(w) < -DECOMPOSITION_TOL:
-            raise InvalidInputError(f"weight {np.min(w):.3e} below -{DECOMPOSITION_TOL:g}")
-        if abs(w.sum() - 1.0) > DECOMPOSITION_TOL:
-            raise InvalidInputError(f"weights sum to {w.sum():.12g}, not 1")
-        w = np.clip(w, 0.0, None)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", probability_vector(w, "weights"))
 
     def behavior(self) -> Behavior:
         """The mixture behavior these weights produce."""
-        table = np.tensordot(self.weights / self.weights.sum(),
-                             deterministic_vertex_tables(), axes=(0, 0))
-        return Behavior(table)
+        return Behavior(np.tensordot(self.weights, deterministic_vertex_tables(), axes=(0, 0)))
 
 
 def local_decomposition(b: Behavior) -> LocalDecomposition | None:
@@ -83,8 +70,8 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
     Returns None when the 16-variable feasibility LP (equality to each table
     entry, weights nonnegative) has no solution, i.e. the behavior lies
     outside the local polytope.  Block probabilities are renormalized before
-    solving so that input normalization slack (allowed up to 1e-9) does not
-    masquerade as infeasibility.
+    solving so that input normalization slack (up to PROBABILITY_SLACK) does
+    not masquerade as infeasibility.
     """
     target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
     vertex_matrix = deterministic_vertex_tables().reshape(16, 16).T  # (entries, weights)
@@ -96,7 +83,7 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": DECOMPOSITION_TOL},
+        options={"primal_feasibility_tolerance": PROBABILITY_SLACK},
     )
     if not res.success:
         return None

@@ -14,24 +14,20 @@ import numpy as np
 
 from .behavior import Behavior, behavior_from_correlators
 from .errors import InternalConsistencyError, InvalidInputError
+from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
-UNIT_NORM_TOL = 1e-9  # reject beyond this; silently renormalize below it
-STATE_NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
-IMAG_PART_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class UnitVector3:
     """A direction in R^3, renormalized on construction.
 
-    Norm deviations up to 1e-9 (accumulated float error, e.g. from optimizer
-    loops) are corrected silently; larger deviations are rejected.
+    Norm deviations up to PROBABILITY_SLACK (accumulated float error) are
+    corrected silently; larger deviations are rejected.
     """
 
     x: float
@@ -43,8 +39,8 @@ class UnitVector3:
         if not all(math.isfinite(c) for c in v):
             raise InvalidInputError(f"direction has non-finite components: {v}")
         norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise InvalidInputError(f"direction norm {norm:.12g} deviates from 1 beyond {UNIT_NORM_TOL:g}")
+        if abs(norm - 1.0) > PROBABILITY_SLACK:
+            raise InvalidInputError(f"direction norm {norm:.12g} deviates from 1 beyond {PROBABILITY_SLACK:g}")
         object.__setattr__(self, "x", v[0] / norm)
         object.__setattr__(self, "y", v[1] / norm)
         object.__setattr__(self, "z", v[2] / norm)
@@ -53,7 +49,7 @@ class UnitVector3:
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
         """Build from an arbitrary nonzero vector, normalizing first."""
         norm = math.sqrt(x * x + y * y + z * z)
-        if norm < 1e-300 or not math.isfinite(norm):
+        if not 0.0 < norm < math.inf:
             raise InvalidInputError("cannot normalize a zero or non-finite vector")
         return cls(x / norm, y / norm, z / norm)
 
@@ -74,12 +70,12 @@ class Observable2:
         m = np.asarray(self.m, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidInputError(f"observable must be 2x2, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if np.max(np.abs(m - m.conj().T)) > ROUNDOFF:
             raise InvalidInputError("observable is not Hermitian")
-        if abs(np.trace(m)) > HERMITICITY_TOL:
+        if abs(np.trace(m)) > ROUNDOFF:
             raise InvalidInputError("observable is not traceless")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det + 1.0) > HERMITICITY_TOL:
+        if abs(det + 1.0) > ROUNDOFF:
             raise InvalidInputError(f"observable determinant {det:.12g} is not -1")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
@@ -98,21 +94,21 @@ class TwoQubitState:
         if not np.all(np.isfinite(amp.view(float))):
             raise InvalidInputError("state amplitudes contain non-finite values")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > STATE_NORM_TOL:
-            raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {STATE_NORM_TOL:g}")
+        if abs(norm_sq - 1.0) > ROUNDOFF:
+            raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
         amp = amp / math.sqrt(norm_sq)
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
 
     @classmethod
-    def from_amplitudes(cls, amp, tol: float = 1e-6) -> "TwoQubitState":
-        """Build from possibly-unnormalized amplitudes, rejecting beyond ``tol``."""
+    def from_amplitudes(cls, amp) -> "TwoQubitState":
+        """Build from possibly-unnormalized amplitudes, rejecting beyond AMPLITUDE_SLACK."""
         a = np.asarray(amp, dtype=complex)
         if a.shape != (4,):
             raise InvalidInputError(f"state needs 4 amplitudes, got shape {a.shape}")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > tol:
-            raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {tol:g}")
+        if abs(norm - 1.0) > AMPLITUDE_SLACK:
+            raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
         return cls(a / norm)
 
 
@@ -142,7 +138,7 @@ def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
     while True:
         v = rng.standard_normal(3)
         n = np.linalg.norm(v)
-        if n > 1e-12:
+        if n > ROUNDOFF:
             return UnitVector3(*(v / n))
 
 
@@ -167,7 +163,7 @@ def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.nd
     bra = psi.amp.conj()
     a, b, t = alice @ bra, bob @ bra, alice.conj() @ bob.T
     imag = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)), np.max(np.abs(t.imag)))
-    if imag > IMAG_PART_TOL:
+    if imag > BOUND_SLACK:
         raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
     return a.real, b.real, t.real
 

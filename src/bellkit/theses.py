@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, OUTCOME_VALUES, correlators, no_signaling
+from .behavior import Behavior, OUTCOME_VALUES, correlators, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .lhv import chsh
-from .network import _validated_prob_pair
+from .tolerance import probability_vector
 
 
 class Thesis(enum.Enum):
@@ -204,12 +204,7 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     the behavior's conditionals.  Requires no-signaling so that P(A|x) is
     well-defined.
     """
-    report = no_signaling(b)
-    if not report.ok:
-        raise InvalidInputError(
-            f"behavior signals (max residual {report.max_residual:.3e}); "
-            "Alice's marginal P(A|x) is not well-defined"
-        )
+    require_no_signaling(b, "Alice's marginal P(A|x)")
     # average the two y-blocks; they agree within the no-signaling tolerance
     p_a = 0.5 * (b.table.sum(axis=3)[:, 0, :] + b.table.sum(axis=3)[:, 1, :])
     p_b = np.empty((2, 2, 2, 2))
@@ -276,11 +271,16 @@ def superdeterministic_witness(
     the hidden value.  Setting priors must be strictly positive so that
     conditioning on every setting pair is defined.
     """
-    pa = _validated_prob_pair(setting_prior_a, "settingPriorA")
-    pb = _validated_prob_pair(setting_prior_b, "settingPriorB")
-    for name, p in (("settingPriorA", pa), ("settingPriorB", pb)):
+    priors = []
+    for name, p in (("settingPriorA", setting_prior_a), ("settingPriorB", setting_prior_b)):
+        p = np.asarray(p, dtype=float)
+        if p.shape != (2,):
+            raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
+        p = probability_vector(p, name)
         if np.min(p) <= 0.0:
             raise InvalidInputError(f"{name} must be strictly positive")
+        priors.append(p)
+    pa, pb = priors
     atoms = []
     prior = []
     for x in range(2):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellkit import (
+    Behavior,
     DeterministicStrategy,
     NetworkSpec,
     behavior_from_correlators,
@@ -16,6 +17,7 @@ from bellkit import (
 )
 from bellkit.cli import main
 from bellkit.io import behavior_to_json, model_to_json, network_to_json
+from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +76,14 @@ class TestChshCommand:
         assert "S: 0.0000000" in out
         assert "local bound |S| <= 2: no" in out
         assert "quantum bound |S| <= 2*sqrt(2): no" in out
+
+    def test_signaling_table_refused(self, capsys, tmp_path):
+        path = tmp_path / "signaling.json"
+        path.write_text(json.dumps(behavior_to_json(Behavior(signaling_table()))))
+        code, out, err = run(capsys, "chsh", str(path))
+        assert code == 2
+        assert out == ""
+        assert "behavior signals (max marginal residual 1.000e+00)" in err
 
     def test_model_file_accepted(self, capsys, tmp_path):
         model = random_model(np.random.default_rng(0), n_lambda=2)
@@ -144,20 +154,20 @@ class TestOptimizeCommand:
         code, out, _ = run(capsys, "--format", "json", "optimize", "singlet", "--seed", "1")
         assert code == 0
         body = json.loads(out)
-        assert abs(body["results"]["|best S|"] - 2 * SQRT2) <= 1e-6
+        assert abs(body["results"]["best S"] - 2 * SQRT2) <= 1e-6
         assert body["seed"] == 1
 
     def test_product_state_keyword(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "optimize", "00", "--seed", "3")
         assert code == 0
-        assert abs(json.loads(out)["results"]["|best S|"] - 2.0) <= 1e-6
+        assert abs(json.loads(out)["results"]["best S"] - 2.0) <= 1e-6
 
     def test_explicit_amplitudes(self, capsys):
         r = 1 / SQRT2
         spec = f"0,0,{r},0,{-r},0,0,0"
         code, out, _ = run(capsys, "--format", "json", "optimize", spec, "--seed", "2")
         assert code == 0
-        assert abs(json.loads(out)["results"]["|best S|"] - 2 * SQRT2) <= 1e-6
+        assert abs(json.loads(out)["results"]["best S"] - 2 * SQRT2) <= 1e-6
 
     def test_unnormalized_amplitudes_exit_2(self, capsys):
         code, _, err = run(capsys, "optimize", "1,0,1,0,0,0,0,0", "--seed", "1")

@@ -81,7 +81,7 @@ class TestVerifyMarkov:
         for _ in range(50):
             spec = NetworkSpec(model=random_model(rng))
             report = verify_markov(spec)
-            assert report.ok(1e-12), report
+            assert report.ok(), report
 
     def test_source_setting_dependence_detected(self):
         # hidden value perfectly tracks Alice's setting
@@ -108,6 +108,12 @@ class TestVerifyMarkov:
             verify_markov(np.full((1, 2, 2, 2, 2), 1.0))  # sums to 16
         with pytest.raises(InvalidInputError):
             verify_markov(np.zeros((2, 2, 2, 2)))  # wrong rank
+
+    def test_raw_joint_with_nan_rejected(self):
+        joint = np.full((1, 2, 2, 2, 2), 1.0 / 16.0)
+        joint[0, 0, 0, 0, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            verify_markov(joint)
 
 
 class TestSample:

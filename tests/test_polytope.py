@@ -91,6 +91,12 @@ class TestLocalDecomposition:
         with pytest.raises(InvalidInputError):
             LocalDecomposition(np.concatenate([[-1e-6, 1.0 + 1e-6], np.zeros(14)]))
 
+    def test_nan_weight_rejected(self):
+        weights = np.full(16, 1.0 / 16.0)
+        weights[3] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            LocalDecomposition(weights)
+
 
 def test_oracle_equivalence_sample():
     # the full 1000-behavior run lives in the acceptance suite
