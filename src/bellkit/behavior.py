@@ -138,12 +138,10 @@ class NoSignalingReport:
 
 def no_signaling(b: Behavior) -> NoSignalingReport:
     """Check that each party's outcome marginals ignore the other's setting within PROBABILITY_SLACK."""
-    alice = np.array([
-        np.max(np.abs(b.alice_marginal(x, 0) - b.alice_marginal(x, 1))) for x in range(2)
-    ])
-    bob = np.array([
-        np.max(np.abs(b.bob_marginal(0, y) - b.bob_marginal(1, y))) for y in range(2)
-    ])
+    p_a = b.table.sum(axis=3)  # P(A|x,y), indexed [x, y, A]
+    p_b = b.table.sum(axis=2)  # P(B|x,y), indexed [x, y, B]
+    alice = np.max(np.abs(p_a[:, 0] - p_a[:, 1]), axis=1)
+    bob = np.max(np.abs(p_b[0] - p_b[1]), axis=1)
     ok = bool(alice.max() <= PROBABILITY_SLACK and bob.max() <= PROBABILITY_SLACK)
     return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
 
@@ -179,9 +177,9 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
         mu = rng.random()
         base = (1.0 - mu) * base + mu * box
     b0 = Behavior(base)
-    e0 = np.einsum("xyij,i,j->xy", b0.table, _VALS, _VALS)
-    ma0 = np.array([b0.alice_marginal(x, 0) @ _VALS for x in range(2)])
-    mb0 = np.array([b0.bob_marginal(0, y) @ _VALS for y in range(2)])
+    e0 = correlators(b0).reshape(2, 2)
+    ma0 = b0.table[:, 0].sum(axis=2) @ _VALS
+    mb0 = b0.table[0].sum(axis=1) @ _VALS
     for _ in range(_MAX_TRIES):
         e = e0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=(2, 2))
         ma = ma0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)

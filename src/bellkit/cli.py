@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: chsh, enumerate, optimize, sample, taxonomy, sweep.  Exit codes:
-0 success, 2 parse/validation failure, 3 unknown lookup name, 4 I/O failure.
+0 success, 2 parse/validation failure or too few samples per block, 3 unknown
+lookup name, 4 I/O failure.
 Randomized commands require an explicit --seed; nothing defaults to the clock.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior import correlators, require_no_signaling
-from .errors import InvalidInputError, UnknownInterpretationError
+from .errors import InsufficientDataError, InvalidInputError, UnknownInterpretationError
 from .io import (
     FileFormatError,
     RunReport,
@@ -161,10 +162,11 @@ def cmd_sample(args) -> RunReport:
     text = _read_text(args.network)
     spec = parse_network_text(text, args.network)
     dataset = sample(spec, n=args.n, seed=args.seed)
-    csv_text = dataset.to_csv()
-    _write_text(args.out, csv_text)
+    # every estimate before the write, so a run that fails leaves no file behind
     estimate = estimate_chsh(dataset)
     markov = verify_markov(spec)
+    exact_s = exact_chsh(spec)
+    _write_text(args.out, dataset.to_csv())
     return RunReport(
         command="sample",
         inputs_digest=digest_inputs({"file": _file_digest(text), "n": args.n}),
@@ -172,7 +174,7 @@ def cmd_sample(args) -> RunReport:
         results={
             "records": dataset.count,
             "output": args.out,
-            "exact S": exact_chsh(spec),
+            "exact S": exact_s,
             "estimated S": estimate.s,
             "stderr": estimate.stderr,
             "block counts (ab, ab', a'b, a'b')": list(estimate.per_block_counts),
@@ -291,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except InvalidInputError as exc:
+    except (InvalidInputError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.format == "json":

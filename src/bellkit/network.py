@@ -108,31 +108,22 @@ def verify_markov(spec_or_joint: NetworkSpec | np.ndarray) -> MarkovReport:
     p_y = p_kxy.sum(axis=(0, 1))
     res_src = float(np.max(np.abs(p_kxy - np.einsum("k,x,y->kxy", p_k, p_x, p_y))))
 
-    # A independent of (y, B) given (x, k): within each (k, x) slice the
-    # conditional over (A, y, B) must factor into P(A|x,k) * P(y,B|x,k)
-    res_a = 0.0
-    res_b = 0.0
-    n = joint.shape[0]
-    for k in range(n):
-        for x in range(2):
-            slice_ayb = joint[k, x]            # (y, A, B)
-            mass = slice_ayb.sum()
-            if mass <= 0.0:
-                continue
-            q = slice_ayb / mass
-            qa = q.sum(axis=(0, 2))            # (A,)
-            qyb = q.sum(axis=1)                # (y, B)
-            res_a = max(res_a, float(np.max(np.abs(q - np.einsum("i,yj->yij", qa, qyb)))))
-        for y in range(2):
-            slice_bxa = joint[k, :, y]         # (x, A, B)
-            mass = slice_bxa.sum()
-            if mass <= 0.0:
-                continue
-            q = slice_bxa / mass
-            qb = q.sum(axis=(0, 1))            # (B,)
-            qxa = q.sum(axis=2)                # (x, A)
-            res_b = max(res_b, float(np.max(np.abs(q - np.einsum("j,xi->xij", qb, qxa)))))
-    return MarkovReport(source_settings=res_src, alice_screening=res_a, bob_screening=res_b)
+    return MarkovReport(source_settings=res_src,
+                        alice_screening=_screening_residual(joint),
+                        bob_screening=_screening_residual(joint.transpose(0, 2, 1, 4, 3)))
+
+
+def _screening_residual(joint: np.ndarray) -> float:
+    """Max |P(y,A,B|x,k) - P(A|x,k) P(y,B|x,k)| over all (k, x) slices: A independent of (y, B).
+
+    Slices without mass contribute 0.  Bob's residual is this one on the joint
+    with the parties swapped, axes (k, y, x, B, A).
+    """
+    mass = joint.sum(axis=(2, 3, 4), keepdims=True)
+    q = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)  # (k, x, y, A, B)
+    qa = q.sum(axis=(2, 4))[:, :, None, :, None]
+    qyb = q.sum(axis=3)[:, :, :, None, :]
+    return float(np.max(np.abs(q - qa * qyb)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .behavior import Behavior, correlators, require_no_signaling
-from .errors import InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .lhv import deterministic_vertex_tables
 from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
 
@@ -67,11 +67,12 @@ class LocalDecomposition:
 def local_decomposition(b: Behavior) -> LocalDecomposition | None:
     """Express ``b`` as a convex combination of deterministic behaviors.
 
-    Returns None when the 16-variable feasibility LP (equality to each table
-    entry, weights nonnegative) has no solution, i.e. the behavior lies
-    outside the local polytope.  Block probabilities are renormalized before
-    solving so that input normalization slack (up to PROBABILITY_SLACK) does
-    not masquerade as infeasibility.
+    Returns None when HiGHS reports the 16-variable feasibility LP (equality
+    to each table entry, weights nonnegative) infeasible, i.e. the behavior
+    lies outside the local polytope; any other solver failure raises
+    InternalConsistencyError rather than pose as that verdict.  Block
+    probabilities are renormalized before solving so that input normalization
+    slack (up to PROBABILITY_SLACK) does not masquerade as infeasibility.
     """
     target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
     vertex_matrix = deterministic_vertex_tables().reshape(16, 16).T  # (entries, weights)
@@ -85,7 +86,10 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
         method="highs",
         options={"primal_feasibility_tolerance": PROBABILITY_SLACK},
     )
-    if not res.success:
+    if res.status == 2:  # HiGHS: the problem is infeasible
         return None
+    if not res.success:
+        raise InternalConsistencyError(
+            f"local decomposition LP failed (status {res.status}): {res.message}")
     weights = np.clip(res.x, 0.0, None)
     return LocalDecomposition(weights / weights.sum())

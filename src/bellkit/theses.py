@@ -19,6 +19,7 @@ import numpy as np
 from .behavior import Behavior, OUTCOME_VALUES, correlators, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .lhv import chsh
+from .network import conditional_behavior
 from .tolerance import probability_vector
 
 
@@ -205,16 +206,12 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     well-defined.
     """
     require_no_signaling(b, "Alice's marginal P(A|x)")
+    p_axy = b.table.sum(axis=3)
     # average the two y-blocks; they agree within the no-signaling tolerance
-    p_a = 0.5 * (b.table.sum(axis=3)[:, 0, :] + b.table.sum(axis=3)[:, 1, :])
-    p_b = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for i in range(2):
-                if p_a[x, i] > 0.0:
-                    p_b[x, y, i] = b.table[x, y, i] / p_a[x, i]
-                else:
-                    p_b[x, y, i] = 0.5  # convention on a null event; product is 0 anyway
+    p_a = 0.5 * (p_axy[:, 0, :] + p_axy[:, 1, :])
+    denom = p_a[:, None, :, None]
+    # 0.5 is the convention on a null event A; its product with P(A|x) is 0 anyway
+    p_b = np.divide(b.table, denom, out=np.full((2, 2, 2, 2), 0.5), where=denom > 0.0)
     return NonlocalWitness(p_a_given_x=p_a, p_b_given_xya=p_b)
 
 
@@ -233,30 +230,29 @@ class SuperdeterministicWitness:
     setting_prior_a: np.ndarray
     setting_prior_b: np.ndarray
 
+    def _atom_index(self) -> tuple[np.ndarray, ...]:
+        """Each atom's (x, y, A, B) index into a behavior-shaped table."""
+        atoms = np.array(self.atoms, dtype=int).reshape(-1, 4)
+        return atoms[:, 0], atoms[:, 1], (1 - atoms[:, 2]) // 2, (1 - atoms[:, 3]) // 2
+
     def induced_behavior(self) -> Behavior:
         """Condition the induced joint on the settings; reproduces the input."""
-        table = np.zeros((2, 2, 2, 2))
-        for (x, y, a, b), p in zip(self.atoms, self.prior):
-            table[x, y, OUTCOME_VALUES.index(a), OUTCOME_VALUES.index(b)] += p
-        p_xy = table.sum(axis=(2, 3))
-        if np.min(p_xy) <= 0.0:
-            raise InvalidInputError("induced joint puts zero mass on a setting pair")
-        return Behavior(table / p_xy[:, :, None, None])
+        joint = np.zeros((1, 2, 2, 2, 2))
+        np.add.at(joint[0], self._atom_index(), self.prior)
+        return conditional_behavior(joint)
 
     def recomposed_chsh(self) -> float:
         return chsh(correlators(self.induced_behavior()))
 
     def setting_dependence_residual(self) -> float:
         """max |P(value|x,y) - P(value)|: strictly positive, the broken thesis."""
-        residual = 0.0
+        x, y = self._atom_index()[:2]
         p_xy = np.zeros((2, 2))
-        for (x, y, _, _), p in zip(self.atoms, self.prior):
-            p_xy[x, y] += p
-        for (x, y, _, _), p in zip(self.atoms, self.prior):
-            # conditioning on the matching setting pair inflates the mass;
-            # conditioning on any other pair kills it entirely
-            residual = max(residual, abs(p / p_xy[x, y] - p), p)
-        return residual
+        np.add.at(p_xy, (x, y), self.prior)
+        # conditioning on the matching setting pair inflates the mass;
+        # conditioning on any other pair kills it entirely
+        inflated = np.abs(self.prior / p_xy[x, y] - self.prior)
+        return float(np.max(np.maximum(inflated, self.prior), initial=0.0))
 
 
 def superdeterministic_witness(
@@ -281,19 +277,12 @@ def superdeterministic_witness(
             raise InvalidInputError(f"{name} must be strictly positive")
         priors.append(p)
     pa, pb = priors
-    atoms = []
-    prior = []
-    for x in range(2):
-        for y in range(2):
-            for i, av in enumerate(OUTCOME_VALUES):
-                for j, bv in enumerate(OUTCOME_VALUES):
-                    mass = pa[x] * pb[y] * b.table[x, y, i, j]
-                    if mass > 0.0:
-                        atoms.append((x, y, av, bv))
-                        prior.append(mass)
-    prior = np.array(prior)
+    mass = np.multiply.outer(pa, pb)[:, :, None, None] * b.table
+    index = np.argwhere(mass > 0.0)  # (x, y, A, B) rows in C order
+    outcomes = np.array(OUTCOME_VALUES)[index[:, 2:]]
+    prior = mass[mass > 0.0]
     return SuperdeterministicWitness(
-        atoms=tuple(atoms),
+        atoms=tuple(map(tuple, np.column_stack([index[:, :2], outcomes]).tolist())),
         prior=prior / prior.sum(),
         setting_prior_a=pa,
         setting_prior_b=pb,

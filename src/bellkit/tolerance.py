@@ -23,6 +23,8 @@ def probability_vector(values, what: str) -> np.ndarray:
     read-only array of the input's shape.  ``what`` names the input in errors.
     """
     p = np.asarray(values, dtype=float)
+    if p.size == 0:
+        raise InvalidInputError(f"{what} is empty")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError(f"{what} has non-finite entries")
     if np.min(p) < -PROBABILITY_SLACK:

@@ -110,3 +110,32 @@ def relabelings():
         flip_bob_outcomes_on_b_prime,
         swap_parties,
     ]
+
+
+# Independent oracle for network.verify_markov's screening residuals: the
+# per-slice loop over hidden values and settings that the array code replaced.
+
+def loop_screening_residuals(joint: np.ndarray) -> tuple[float, float]:
+    """(Alice's, Bob's) max screening residual over the (k, x) and (k, y) slices with mass."""
+    res_a = 0.0
+    res_b = 0.0
+    for k in range(joint.shape[0]):
+        for x in range(2):
+            slice_ayb = joint[k, x]            # (y, A, B)
+            mass = slice_ayb.sum()
+            if mass <= 0.0:
+                continue
+            q = slice_ayb / mass
+            qa = q.sum(axis=(0, 2))            # (A,)
+            qyb = q.sum(axis=1)                # (y, B)
+            res_a = max(res_a, float(np.max(np.abs(q - np.einsum("i,yj->yij", qa, qyb)))))
+        for y in range(2):
+            slice_bxa = joint[k, :, y]         # (x, A, B)
+            mass = slice_bxa.sum()
+            if mass <= 0.0:
+                continue
+            q = slice_bxa / mass
+            qb = q.sum(axis=(0, 1))            # (B,)
+            qxa = q.sum(axis=2)                # (x, A)
+            res_b = max(res_b, float(np.max(np.abs(q - np.einsum("j,xi->xij", qb, qxa)))))
+    return res_a, res_b

@@ -227,6 +227,23 @@ class TestSampleCommand:
         gap = abs(body["results"]["estimated S"] - body["results"]["exact S"])
         assert gap <= 5.0 * body["results"]["stderr"]
 
+    @pytest.mark.parametrize("n, prior_a, block", [("3", (0.5, 0.5), None),
+                                                   ("1000", (1.0, 0.0), "(a',b)")])
+    def test_sparse_block_exits_2_without_csv(self, capsys, tmp_path, n, prior_a, block):
+        spec = NetworkSpec(model=strategy_to_model(DeterministicStrategy(1, 1, 1, 1)),
+                           setting_prior_a=np.array(prior_a))
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(network_to_json(spec)))
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sample", str(path), "-n", n, "--seed", "1",
+                             "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: block (") and "record(s); need at least 2" in err
+        if block is not None:
+            assert f"block {block} has 0 record(s)" in err
+        assert not out_csv.exists()
+
     def test_unwritable_out_exits_4(self, capsys, det_network_file, tmp_path):
         code, _, err = run(capsys, "sample", det_network_file, "-n", "10",
                            "--seed", "1", "--out", str(tmp_path / "no_dir" / "x.csv"))

@@ -21,6 +21,8 @@ from bellkit import (
     strategy_to_model,
     verify_markov,
 )
+from bellkit.tolerance import probability_vector
+from conftest import loop_screening_residuals
 
 
 def det_spec(outs=(1, 1, 1, 1)) -> NetworkSpec:
@@ -99,15 +101,38 @@ class TestVerifyMarkov:
         for y in range(2):
             joint[0, 0, y, 0, 0] = 0.25  # x = a  -> B = +1
             joint[0, 1, y, 0, 1] = 0.25  # x = a' -> B = -1
-        report = verify_markov(joint)
-        assert report.bob_screening > 0.1
-        assert report.source_settings <= 1e-15
+        # the same joint with the parties swapped: Alice's outcome reads Bob's setting
+        for reader, other, crosstalk in (("bob", "alice", joint),
+                                         ("alice", "bob", joint.transpose(0, 2, 1, 4, 3))):
+            report = verify_markov(crosstalk)
+            assert getattr(report, f"{reader}_screening") > 0.1, reader
+            assert getattr(report, f"{other}_screening") == 0.0, reader
+            assert report.source_settings <= 1e-15
+
+    def test_matches_per_slice_oracle(self):
+        rng = np.random.default_rng(2015)
+        for trial in range(100):
+            raw = rng.random((int(rng.integers(1, 6)), 2, 2, 2, 2)) ** 3
+            if trial % 3 == 0:  # a joint that factorizes, residuals at round-off
+                raw = exact_joint(NetworkSpec(model=random_model(rng)))
+            raw[rng.random(raw.shape[:2]) < 0.3] = 0.0  # empty some (k, x) slices
+            if trial % 2:  # and some (k, y) slices
+                raw[:, :, 1][rng.random(raw.shape[0]) < 0.5] = 0.0
+            if raw.sum() == 0.0:
+                continue
+            raw /= raw.sum()
+            report = verify_markov(raw)
+            res_a, res_b = loop_screening_residuals(probability_vector(raw, "joint"))
+            assert abs(report.alice_screening - res_a) <= 1e-15
+            assert abs(report.bob_screening - res_b) <= 1e-15
 
     def test_raw_joint_validation(self):
         with pytest.raises(InvalidInputError):
             verify_markov(np.full((1, 2, 2, 2, 2), 1.0))  # sums to 16
         with pytest.raises(InvalidInputError):
             verify_markov(np.zeros((2, 2, 2, 2)))  # wrong rank
+        with pytest.raises(InvalidInputError, match="joint is empty"):
+            verify_markov(np.zeros((0, 2, 2, 2, 2)))  # no hidden values
 
     def test_raw_joint_with_nan_rejected(self):
         joint = np.full((1, 2, 2, 2, 2), 1.0 / 16.0)

@@ -4,6 +4,7 @@ import pytest
 from bellkit import (
     Behavior,
     DeterministicStrategy,
+    InternalConsistencyError,
     InvalidInputError,
     LocalDecomposition,
     chsh_variants,
@@ -84,6 +85,17 @@ class TestLocalDecomposition:
             deco = local_decomposition(b)
             assert deco is not None
             assert np.max(np.abs(deco.behavior().table - b.table)) <= 1e-7
+
+    def test_solver_failure_raises(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        import bellkit.polytope
+
+        failed = OptimizeResult(status=4, success=False, x=None,
+                                message="Numerical difficulties encountered.")
+        monkeypatch.setattr(bellkit.polytope, "linprog", lambda *args, **kwargs: failed)
+        with pytest.raises(InternalConsistencyError, match=r"status 4.*Numerical difficulties"):
+            local_decomposition(uniform_behavior())
 
     def test_weight_validation(self):
         with pytest.raises(InvalidInputError):

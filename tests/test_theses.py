@@ -13,6 +13,8 @@ from bellkit import (
     Thesis,
     UnknownInterpretationError,
     classical,
+    deterministic_behavior,
+    enumerate_deterministic,
     escape_route,
     find_interpretation,
     nonlocal_witness,
@@ -169,10 +171,14 @@ class TestNonlocalWitness:
 
     def test_random_behaviors_reproduced(self):
         rng = np.random.default_rng(313)
-        for _ in range(200):
-            b = random_no_signaling_behavior(rng)
+        # the 16 deterministic behaviors have null events A with P(A|x) = 0
+        behaviors = [random_no_signaling_behavior(rng) for _ in range(200)] + [
+            deterministic_behavior(s) for s, _ in enumerate_deterministic()]
+        for b in behaviors:
             witness = nonlocal_witness(b)
             assert np.max(np.abs(witness.recompose().table - b.table)) <= 1e-12
+            null = witness.p_a_given_x == 0.0
+            assert np.all(witness.p_b_given_xya.transpose(0, 2, 1, 3)[null] == 0.5)
 
 
 class TestSuperdeterministicWitness:
