@@ -60,13 +60,11 @@ from .optimize import (
 )
 from .polytope import LocalDecomposition, chsh_variants, is_local, local_decomposition
 from .quantum import (
-    Observable2,
     TwoQubitState,
     UnitVector3,
     basis_state,
     correlation,
     correlation_matrix,
-    pauli_dot,
     quantum_behavior,
     random_pure_state,
     random_unit_vector,

@@ -58,18 +58,6 @@ class Behavior:
     def __post_init__(self):
         object.__setattr__(self, "table", _clean_table(self.table))
 
-    def block(self, x: int, y: int) -> np.ndarray:
-        """2x2 block [[P(+,+), P(+,-)], [P(-,+), P(-,-)]] for settings (x, y)."""
-        return self.table[x, y]
-
-    def alice_marginal(self, x: int, y: int) -> np.ndarray:
-        """(P(A=+1|x,y), P(A=-1|x,y))."""
-        return self.table[x, y].sum(axis=1)
-
-    def bob_marginal(self, x: int, y: int) -> np.ndarray:
-        """(P(B=+1|x,y), P(B=-1|x,y))."""
-        return self.table[x, y].sum(axis=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Behavior) and np.array_equal(self.table, other.table)
 

@@ -173,16 +173,12 @@ def random_model(rng: np.random.Generator, n_lambda: int | None = None) -> LHVMo
 
 
 @lru_cache(maxsize=1)
-def _vertex_tables_cached() -> np.ndarray:
+def deterministic_vertex_tables() -> np.ndarray:
+    """(16, 2, 2, 2, 2) array: behavior tables of the strategies in enumeration order."""
     tables = np.stack([lhv_behavior(strategy_to_model(s)).table
                        for s, _ in enumerate_deterministic()])
     tables.setflags(write=False)
     return tables
-
-
-def deterministic_vertex_tables() -> np.ndarray:
-    """(16, 2, 2, 2, 2) array: behavior tables of the strategies in enumeration order."""
-    return _vertex_tables_cached()
 
 
 def deterministic_behavior(s: DeterministicStrategy) -> Behavior:

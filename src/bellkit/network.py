@@ -38,10 +38,15 @@ class NetworkSpec:
 
     def __post_init__(self):
         for attr, name in (("setting_prior_a", "settingPriorA"), ("setting_prior_b", "settingPriorB")):
-            p = np.asarray(getattr(self, attr), dtype=float)
-            if p.shape != (2,):
-                raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
-            object.__setattr__(self, attr, probability_vector(p, name))
+            object.__setattr__(self, attr, _setting_prior(getattr(self, attr), name))
+
+
+def _setting_prior(values, name: str) -> np.ndarray:
+    """``values`` as one party's distribution over its two settings; ``name`` names it in errors."""
+    p = np.asarray(values, dtype=float)
+    if p.shape != (2,):
+        raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
+    return probability_vector(p, name)
 
 
 def exact_joint(spec: NetworkSpec) -> np.ndarray:

@@ -3,22 +3,26 @@
 For two settings and two outcomes per party, a no-signaling behavior is a
 mixture of the 16 deterministic behaviors exactly when all sign variants of
 the CHSH combination stay within 2.  ``is_local`` checks the inequalities;
-``local_decomposition`` searches for an explicit convex decomposition by
-linear programming, giving an oracle that does not share code with the
-inequality test.
+``local_decomposition`` finds an explicit convex decomposition instead,
+giving an oracle that does not share code with the inequality test.  In the
+Collins-Gisin coordinates (P(A=+|x), P(B=+|y), P(+,+|x,y)) the 16 vertices
+are 0/1 vectors, every affinely independent 9-subset of them spans a simplex
+with an integer inverse, and by Caratheodory's theorem a behavior is local
+iff its barycentric weights in one of these simplices are all nonnegative.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .behavior import Behavior, correlators, require_no_signaling
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 from .lhv import deterministic_vertex_tables
-from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
+from .tolerance import BOUND_SLACK, probability_vector
 
 LOCAL_BOUND = 2.0
 
@@ -64,32 +68,51 @@ class LocalDecomposition:
         return Behavior(np.tensordot(self.weights, deterministic_vertex_tables(), axes=(0, 0)))
 
 
-def local_decomposition(b: Behavior) -> LocalDecomposition | None:
-    """Express ``b`` as a convex combination of deterministic behaviors.
+def _collins_gisin(tables: np.ndarray) -> np.ndarray:
+    """Homogeneous coordinates (1, P(A=+|x), P(B=+|y), P(+,+|x,y)) of tables [..., x, y, A, B]."""
+    lead = tables.shape[:-4]
+    return np.concatenate([
+        np.ones(lead + (1,)),
+        tables[..., :, 0, 0, :].sum(axis=-1),
+        tables[..., 0, :, :, 0].sum(axis=-1),
+        tables[..., 0, 0].reshape(lead + (4,)),
+    ], axis=-1)
 
-    Returns None when HiGHS reports the 16-variable feasibility LP (equality
-    to each table entry, weights nonnegative) infeasible, i.e. the behavior
-    lies outside the local polytope; any other solver failure raises
-    InternalConsistencyError rather than pose as that verdict.  Block
-    probabilities are renormalized before solving so that input normalization
-    slack (up to PROBABILITY_SLACK) does not masquerade as infeasibility.
+
+@lru_cache(maxsize=1)
+def _vertex_simplices() -> tuple[np.ndarray, np.ndarray]:
+    """The 4096 vertex 9-subsets spanning a simplex, and the inverses of their coordinate matrices.
+
+    Every such matrix has determinant +/-1, so its inverse is an integer
+    matrix.  The inverses are stacked as [coordinate, vertex slot, simplex],
+    so that a coordinate vector times them gives the weights of all simplices.
     """
+    subsets = np.array(list(itertools.combinations(range(16), 9)))
+    matrices = _collins_gisin(deterministic_vertex_tables())[subsets]
+    spanning = np.abs(np.linalg.det(matrices)) > 0.5
+    subsets = subsets[spanning]
+    inverses = np.rint(np.linalg.inv(matrices[spanning])).transpose(1, 2, 0).copy()
+    for arr in (subsets, inverses):
+        arr.setflags(write=False)
+    return subsets, inverses
+
+
+def local_decomposition(b: Behavior) -> LocalDecomposition | None:
+    """Express ``b`` as a convex combination of deterministic behaviors, or None if it is not local.
+
+    Takes the vertex simplex whose smallest barycentric weight is largest.
+    Block probabilities are renormalized first so that input normalization
+    slack (up to PROBABILITY_SLACK) does not masquerade as a negative weight.
+    Signaling input is rejected, as in ``is_local``.
+    """
+    require_no_signaling(b, "local decomposition")
     target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
-    vertex_matrix = deterministic_vertex_tables().reshape(16, 16).T  # (entries, weights)
-    a_eq = np.vstack([vertex_matrix, np.ones(16)])
-    b_eq = np.concatenate([target.reshape(16), [1.0]])
-    res = linprog(
-        c=np.zeros(16),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": PROBABILITY_SLACK},
-    )
-    if res.status == 2:  # HiGHS: the problem is infeasible
+    subsets, inverses = _vertex_simplices()
+    weights = np.tensordot(_collins_gisin(target), inverses, axes=1)  # [vertex slot, simplex]
+    best = np.argmax(weights.min(axis=0))
+    # a vertex off a CHSH facet has S = -2 there, so its weight is (2 - S)/4: 4 converts to S units
+    if -4.0 * weights[:, best].min() > BOUND_SLACK:
         return None
-    if not res.success:
-        raise InternalConsistencyError(
-            f"local decomposition LP failed (status {res.status}): {res.message}")
-    weights = np.clip(res.x, 0.0, None)
-    return LocalDecomposition(weights / weights.sum())
+    full = np.zeros(16)
+    full[subsets[best]] = weights[:, best]
+    return LocalDecomposition(full)

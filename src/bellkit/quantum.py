@@ -16,10 +16,8 @@ from .behavior import Behavior, behavior_from_correlators
 from .errors import InternalConsistencyError, InvalidInputError
 from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
+# sigma_x, sigma_y, sigma_z
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -58,27 +56,6 @@ class UnitVector3:
 
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-
-@dataclass(frozen=True, eq=False)
-class Observable2:
-    """A traceless Hermitian 2x2 matrix with eigenvalues +/-1 (det = -1)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidInputError(f"observable must be 2x2, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > ROUNDOFF:
-            raise InvalidInputError("observable is not Hermitian")
-        if abs(np.trace(m)) > ROUNDOFF:
-            raise InvalidInputError("observable is not traceless")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det + 1.0) > ROUNDOFF:
-            raise InvalidInputError(f"observable determinant {det:.12g} is not -1")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +117,6 @@ def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
         n = np.linalg.norm(v)
         if n > ROUNDOFF:
             return UnitVector3(*(v / n))
-
-
-def pauli_dot(v: UnitVector3) -> Observable2:
-    """Spin observable along ``v``: v.x*sigma_x + v.y*sigma_y + v.z*sigma_z."""
-    m = v.x * PAULI_X + v.y * PAULI_Y + v.z * PAULI_Z
-    return Observable2(m)
 
 
 def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

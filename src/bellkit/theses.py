@@ -19,8 +19,7 @@ import numpy as np
 from .behavior import Behavior, OUTCOME_VALUES, correlators, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .lhv import chsh
-from .network import conditional_behavior
-from .tolerance import probability_vector
+from .network import _setting_prior, conditional_behavior
 
 
 class Thesis(enum.Enum):
@@ -269,10 +268,7 @@ def superdeterministic_witness(
     """
     priors = []
     for name, p in (("settingPriorA", setting_prior_a), ("settingPriorB", setting_prior_b)):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (2,):
-            raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
-        p = probability_vector(p, name)
+        p = _setting_prior(p, name)
         if np.min(p) <= 0.0:
             raise InvalidInputError(f"{name} must be strictly positive")
         priors.append(p)

@@ -10,7 +10,6 @@ from bellkit import (
     UnitVector3,
     chsh,
     correlators,
-    pauli_dot,
     quantum_behavior,
     singlet,
     tsirelson_settings,
@@ -27,6 +26,12 @@ def singlet_behavior() -> Behavior:
 # on the 4-dimensional state, sharing no arithmetic with bellkit's (a, b, T) core.
 
 _AXES = (UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), UnitVector3(0.0, 0.0, 1.0))
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def pauli_dot(v) -> np.ndarray:
+    """The spin observable v.sigma = v.x sigma_x + v.y sigma_y + v.z sigma_z as a 2x2 matrix."""
+    return v.x * _PAULI[0] + v.y * _PAULI[1] + v.z * _PAULI[2]
 
 
 def _expectation(psi, op4: np.ndarray) -> float:
@@ -37,14 +42,14 @@ def _expectation(psi, op4: np.ndarray) -> float:
 
 def _projectors(v) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors (1 + v.sigma)/2 and (1 - v.sigma)/2."""
-    m = pauli_dot(v).m
+    m = pauli_dot(v)
     eye = np.eye(2, dtype=complex)
     return (eye + m) / 2.0, (eye - m) / 2.0
 
 
 def kron_correlation(psi, u, v) -> float:
     """<psi| (u.sigma) (x) (v.sigma) |psi>."""
-    return _expectation(psi, np.kron(pauli_dot(u).m, pauli_dot(v).m))
+    return _expectation(psi, np.kron(pauli_dot(u), pauli_dot(v)))
 
 
 def kron_correlation_matrix(psi) -> np.ndarray:

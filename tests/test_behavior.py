@@ -97,14 +97,14 @@ class TestFromCorrelators:
             correlators(b), [e[0, 0], e[0, 1], e[1, 0], e[1, 1]], atol=1e-12
         )
         for x in range(2):
-            assert b.alice_marginal(x, 0)[0] - b.alice_marginal(x, 0)[1] == pytest.approx(
+            assert b.table[x, 0, 0].sum() - b.table[x, 0, 1].sum() == pytest.approx(
                 ma[x], abs=1e-12
             )
 
     def test_pr_box_blocks(self):
         b = pr_box()
-        np.testing.assert_allclose(b.block(0, 0), [[0.5, 0.0], [0.0, 0.5]], atol=0)
-        np.testing.assert_allclose(b.block(1, 1), [[0.0, 0.5], [0.5, 0.0]], atol=0)
+        np.testing.assert_allclose(b.table[0, 0], [[0.5, 0.0], [0.0, 0.5]], atol=0)
+        np.testing.assert_allclose(b.table[1, 1], [[0.0, 0.5], [0.5, 0.0]], atol=0)
 
 
 class TestRandomNoSignaling:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,15 @@ class TestSweepCommand:
                            "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "steps" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so that modules the rest of the suite imported do not count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, bellkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_behavior_file_roundtrip_through_tool(capsys, tmp_path):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit import (
     Behavior,
     DeterministicStrategy,
-    InternalConsistencyError,
     InvalidInputError,
     LocalDecomposition,
+    behavior_from_correlators,
     chsh_variants,
     deterministic_behavior,
+    enumerate_deterministic,
     is_local,
     lhv_behavior,
     local_decomposition,
@@ -17,7 +20,15 @@ from bellkit import (
     random_no_signaling_behavior,
     uniform_behavior,
 )
+from bellkit.tolerance import BOUND_SLACK, ROUNDOFF
 from conftest import relabelings
+
+# correlators (ab, ab', a'b, a'b') and outcome means (a, a'), (b, b') of the 16 deterministic strategies
+_STRATEGIES = [s for s, _ in enumerate_deterministic()]
+_VERTEX_E = np.array([[s.a_out * s.b_out, s.a_out * s.b_prime_out,
+                       s.a_prime_out * s.b_out, s.a_prime_out * s.b_prime_out] for s in _STRATEGIES], float)
+_VERTEX_MA = np.array([[s.a_out, s.a_prime_out] for s in _STRATEGIES], float)
+_VERTEX_MB = np.array([[s.b_out, s.b_prime_out] for s in _STRATEGIES], float)
 
 
 class TestChshVariants:
@@ -45,8 +56,9 @@ class TestIsLocal:
         t = np.full((2, 2, 2, 2), 0.25)
         t[0, 0] = [[1.0, 0.0], [0.0, 0.0]]
         t[0, 1] = [[0.0, 0.0], [1.0, 0.0]]
-        with pytest.raises(InvalidInputError):
-            is_local(Behavior(t))
+        for oracle in (is_local, local_decomposition):
+            with pytest.raises(InvalidInputError, match="signals"):
+                oracle(Behavior(t))
 
     def test_invariant_under_relabeling(self):
         rng = np.random.default_rng(31)
@@ -86,16 +98,17 @@ class TestLocalDecomposition:
             assert deco is not None
             assert np.max(np.abs(deco.behavior().table - b.table)) <= 1e-7
 
-    def test_solver_failure_raises(self, monkeypatch):
-        from scipy.optimize import OptimizeResult
-
-        import bellkit.polytope
-
-        failed = OptimizeResult(status=4, success=False, x=None,
-                                message="Numerical difficulties encountered.")
-        monkeypatch.setattr(bellkit.polytope, "linprog", lambda *args, **kwargs: failed)
-        with pytest.raises(InternalConsistencyError, match=r"status 4.*Numerical difficulties"):
-            local_decomposition(uniform_behavior())
+    def test_recomposes_criterion_6_draws(self):
+        rng = np.random.default_rng(16180)  # criterion 6's draws
+        local = 0
+        for _ in range(1000):
+            b = random_no_signaling_behavior(rng)
+            deco = local_decomposition(b)
+            if deco is not None:
+                local += 1
+                assert np.count_nonzero(deco.weights) <= 9
+                assert np.max(np.abs(deco.behavior().table - b.table)) <= ROUNDOFF
+        assert local >= 100
 
     def test_weight_validation(self):
         with pytest.raises(InvalidInputError):
@@ -108,6 +121,29 @@ class TestLocalDecomposition:
         weights[3] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
             LocalDecomposition(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    facet=st.integers(0, 7),
+    alpha=st.sampled_from([1.0, 0.05]),
+    push=st.sampled_from([-3.0, -1.5, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 1.5, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracles_agree_across_facets(facet, alpha, push, seed):
+    # a Dirichlet mixture of the 8 vertices on one CHSH facet, moved along its
+    # normal so that this variant reads 2 + push * BOUND_SLACK; push = +-1 is
+    # left out, since there both verdicts rest on round-off
+    signs = np.array([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1],
+                      [1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, 1, -1], [-1, -1, -1, 1]])[facet]
+    on_facet = _VERTEX_E @ signs == 2
+    w = np.random.default_rng(seed).dirichlet(np.full(8, alpha))
+    e = w @ _VERTEX_E[on_facet] + push * BOUND_SLACK * signs / 4.0
+    try:
+        b = behavior_from_correlators(e.reshape(2, 2), w @ _VERTEX_MA[on_facet], w @ _VERTEX_MB[on_facet])
+    except InvalidInputError:  # pushed past a positivity facet
+        return
+    assert (local_decomposition(b) is not None) == is_local(b)
 
 
 def test_oracle_equivalence_sample():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bellkit import (
     InvalidInputError,
     MeasurementSettings,
-    Observable2,
     TwoQubitState,
     UnitVector3,
     basis_state,
@@ -16,7 +15,6 @@ from bellkit import (
     correlation_matrix,
     correlators,
     no_signaling,
-    pauli_dot,
     quantum_behavior,
     random_pure_state,
     random_unit_vector,
@@ -29,6 +27,7 @@ from conftest import (
     kron_behavior_table,
     kron_correlation,
     kron_correlation_matrix,
+    pauli_dot,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -65,10 +64,10 @@ class TestUnitVector3:
 
 class TestPauliDot:
     def test_z_axis_is_sigma_z(self):
-        np.testing.assert_allclose(pauli_dot(Z).m, [[1, 0], [0, -1]], atol=0)
+        np.testing.assert_allclose(pauli_dot(Z), [[1, 0], [0, -1]], atol=0)
 
     def test_x_axis_is_sigma_x(self):
-        np.testing.assert_allclose(pauli_dot(X).m, [[0, 1], [1, 0]], atol=0)
+        np.testing.assert_allclose(pauli_dot(X), [[0, 1], [1, 0]], atol=0)
 
     def test_xy_diagonal(self):
         # (sigma_x + sigma_y)/sqrt(2) written out entrywise
@@ -76,19 +75,13 @@ class TestPauliDot:
         expected = np.array(
             [[0, (1 - 1j) / SQRT2], [(1 + 1j) / SQRT2, 0]], dtype=complex
         )
-        np.testing.assert_allclose(pauli_dot(v).m, expected, atol=1e-15)
+        np.testing.assert_allclose(pauli_dot(v), expected, atol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(unit_vectors())
     def test_squares_to_identity(self, v):
-        m = pauli_dot(v).m
+        m = pauli_dot(v)
         np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-12)
-
-    def test_observable_invariants_enforced(self):
-        with pytest.raises(InvalidInputError):
-            Observable2(np.array([[1.0, 0.0], [0.0, 1.0]]))  # trace 2
-        with pytest.raises(InvalidInputError):
-            Observable2(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
 
 
 class TestSinglet:
@@ -155,8 +148,8 @@ class TestQuantumBehavior:
         b = quantum_behavior(singlet(), settings_vecs)
         for x in range(2):
             for y in range(2):
-                np.testing.assert_allclose(b.alice_marginal(x, y), [0.5, 0.5], atol=1e-12)
-                np.testing.assert_allclose(b.bob_marginal(x, y), [0.5, 0.5], atol=1e-12)
+                np.testing.assert_allclose(b.table[x, y].sum(axis=1), [0.5, 0.5], atol=1e-12)
+                np.testing.assert_allclose(b.table[x, y].sum(axis=0), [0.5, 0.5], atol=1e-12)
 
     def test_singlet_reference_block(self, singlet_behavior):
         # from E = -1/sqrt(2) and uniform marginals: P(A,B) = (1 + A*B*E)/4
