@@ -9,7 +9,10 @@ Randomized commands require an explicit --seed; nothing defaults to the clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -71,9 +74,30 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: a sibling temp file, then ``os.replace``.
+
+    Links in ``path`` are followed first, so the file a link names is replaced
+    and the link stays; a replaced file keeps its permission bits.  An existing
+    file that is not a regular file (a directory, device or pipe) is refused,
+    since ``os.replace`` would swap it out.  On failure the temp file is
+    removed and the old file is left as it was.
+    """
+    target = Path(os.path.realpath(path))
+    tmp = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        # lexists, so that a link loop reaches stat() and fails there
+        old_mode = target.stat().st_mode if os.path.lexists(target) else None
+        if old_mode is not None and not stat.S_ISREG(old_mode):
+            raise _IOFailure(f"cannot write {path}: not a regular file")
+        # "x" creates tmp and never opens an existing file or a link there
+        with open(tmp, "x", encoding="utf-8", newline="") as f:
+            f.write(text)
+        if old_mode is not None:
+            os.chmod(tmp, stat.S_IMODE(old_mode))
+        os.replace(tmp, target)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise _IOFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 

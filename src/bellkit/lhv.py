@@ -9,6 +9,7 @@ magnitude, while the deterministic strategies realize exactly |S| = 2.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,10 @@ class DeterministicStrategy:
                 + self.a_prime_out * self.b_out - self.a_prime_out * self.b_prime_out)
 
 
+# characters a hidden-value label may not contain
+_CSV_UNSAFE = re.compile('[,"\r\n]')
+
+
 @dataclass(frozen=True, eq=False)
 class LHVModel:
     """Finite hidden-variable model: prior over labels plus local response tables.
@@ -47,6 +52,8 @@ class LHVModel:
     ``alice_response[k, x]`` is P(A=+1 | setting x, hidden value k) with x = 0
     for a and 1 for a'; ``bob_response`` likewise for b, b'.  The prior must
     pass ``probability_vector`` and is renormalized to exact unit mass on input.
+    Labels must be distinct and free of commas, double quotes, CR and LF, since
+    each is written unquoted as one field of a sampled CSV row.
     """
 
     labels: tuple[str, ...]
@@ -59,6 +66,13 @@ class LHVModel:
         n = len(labels)
         if n == 0:
             raise InvalidInputError("hidden-variable domain is empty")
+        unsafe = next(filter(_CSV_UNSAFE.search, labels), None)
+        if unsafe is not None:
+            raise InvalidInputError(
+                f"label {unsafe!r} contains a comma, double quote, CR or LF")
+        if len(set(labels)) != n:
+            repeated = next(s for s in labels if labels.count(s) > 1)
+            raise InvalidInputError(f"label {repeated!r} names more than one hidden value")
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (n,):
             raise InvalidInputError(f"prior must have shape ({n},), got {prior.shape}")

@@ -10,7 +10,6 @@ on a joint table (from a spec or hand-built, so that violations are testable);
 
 from __future__ import annotations
 
-import io as _io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,9 @@ from .tolerance import ROUNDOFF, probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
+
+# records per gather in SampleDataset.to_csv; bounds its temporary arrays
+_CSV_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,12 +176,24 @@ class SampleDataset:
         return int(self.lam.shape[0])
 
     def to_csv(self) -> str:
-        """CSV text with header ``lambda,x,y,A,B`` and one row per record."""
-        buf = _io.StringIO()
-        buf.write("lambda,x,y,A,B\n")
-        for k, x, y, a, b in zip(self.lam, self.x, self.y, self.a, self.b):
-            buf.write(f"{self.labels[k]},{SETTING_LABELS_A[x]},{SETTING_LABELS_B[y]},{a:+d},{b:+d}\n")
-        return buf.getvalue()
+        """CSV text with header ``lambda,x,y,A,B`` and one row per record.
+
+        Record i has the code 16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1]; the
+        row text of each code that occurs is formatted once, and the rows are
+        gathered by code ``_CSV_CHUNK`` records at a time.
+        """
+        # intp: bincount takes integers only, and an empty record array may be float
+        code = (self.lam * 16 + self.x * 8 + self.y * 4
+                + (self.a < 0) * 2 + (self.b < 0)).astype(np.intp, copy=False)
+        rows = np.empty(16 * len(self.labels), dtype=object)
+        for c in np.flatnonzero(np.bincount(code, minlength=rows.size)).tolist():
+            rows[c] = (f"{self.labels[c >> 4]},{SETTING_LABELS_A[c >> 3 & 1]},"
+                       f"{SETTING_LABELS_B[c >> 2 & 1]},{'-1' if c & 2 else '+1'},"
+                       f"{'-1' if c & 1 else '+1'}\n")
+        parts = ["lambda,x,y,A,B\n"]
+        for s in range(0, code.size, _CSV_CHUNK):
+            parts.append("".join(rows[code[s:s + _CSV_CHUNK]].tolist()))
+        return "".join(parts)
 
 
 def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:

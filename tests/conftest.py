@@ -14,6 +14,7 @@ from bellkit import (
     singlet,
     tsirelson_settings,
 )
+from bellkit.behavior import SETTING_LABELS_A, SETTING_LABELS_B
 
 
 @pytest.fixture(scope="session")
@@ -144,3 +145,14 @@ def loop_screening_residuals(joint: np.ndarray) -> tuple[float, float]:
             qxa = q.sum(axis=2)                # (x, A)
             res_b = max(res_b, float(np.max(np.abs(q - np.einsum("j,xi->xij", qb, qxa)))))
     return res_a, res_b
+
+
+# Independent oracle for SampleDataset.to_csv: one f-string per record, the
+# writer that the per-code row table replaced.
+
+def loop_csv(dataset) -> str:
+    """The CSV text of a ``SampleDataset``, formatted record by record."""
+    out = ["lambda,x,y,A,B\n"]
+    for k, x, y, a, b in zip(dataset.lam, dataset.x, dataset.y, dataset.a, dataset.b):
+        out.append(f"{dataset.labels[k]},{SETTING_LABELS_A[x]},{SETTING_LABELS_B[y]},{a:+d},{b:+d}\n")
+    return "".join(out)

@@ -72,11 +72,12 @@ def test_criterion_1_deterministic_bound():
 
 def test_criterion_2_stochastic_bound():
     rng = np.random.default_rng(20250811)
-    t0 = time.perf_counter()
+    # CPU time of this process: wall time also counts whatever else shares the CPUs
+    t0 = time.process_time()
     worst = 0.0
     for _ in range(10_000):
         worst = max(worst, abs(model_chsh(random_model(rng))))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     ok = worst <= 2.0 + 1e-12 and elapsed < 1.0
     _verdict(2, "stochastic models: |S| <= 2 + 1e-12 over 10000 draws", ok,
              f"worst |S| = {worst:.12f}, runtime {elapsed:.2f} s")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,8 @@ from bellkit.io import behavior_to_json, model_to_json, network_to_json
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
@@ -253,6 +256,64 @@ class TestSampleCommand:
                            "--seed", "1", "--out", str(tmp_path / "no_dir" / "x.csv"))
         assert code == 4
         assert "x.csv" in err
+
+    def test_failed_replace_leaves_old_file(self, capsys, monkeypatch, det_network_file, tmp_path):
+        out_csv = tmp_path / "data.csv"
+        out_csv.write_text("old contents\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run(capsys, "sample", det_network_file, "-n", "10",
+                             "--seed", "1", "--out", str(out_csv))
+        assert code == 4
+        assert out == ""
+        assert "data.csv" in err and "No space left" in err
+        assert out_csv.read_text() == "old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "network.json"]
+
+    def test_out_through_link_keeps_link_and_mode(self, capsys, det_network_file, tmp_path):
+        target = tmp_path / "data.csv"
+        target.write_text("old contents\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        code, _, _ = run(capsys, "sample", det_network_file, "-n", "10",
+                         "--seed", "1", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("lambda,x,y,A,B\n")
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("entry", [e for e in GOLDEN if e["n"] == 2000],
+                             ids=lambda e: f"seed{e['seed']}")
+    def test_golden_csv_digest(self, capsys, tmp_path, entry):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(entry["network"]))
+        out_csv = tmp_path / "d.csv"
+        code, _, _ = run(capsys, "sample", str(path), "-n", str(entry["n"]),
+                         "--seed", str(entry["seed"]), "--out", str(out_csv))
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.parametrize("labels", [("x,y", "x,y"), ("l0", "l0"), ('say "hi"', "l1"),
+                                    ("l0\r", "l1"), ("l0", "l\n1")])
+@pytest.mark.parametrize("command", ["sample", "chsh"])
+def test_labels_that_break_the_csv_exit_2(capsys, tmp_path, labels, command):
+    data = model_to_json(random_model(np.random.default_rng(4), n_lambda=2))
+    for entry, label in zip(data["lambda"], labels):
+        entry["label"] = label
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "d.csv"
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: label ")
+    assert not out_csv.exists()
 
 
 class TestTaxonomyCommand:

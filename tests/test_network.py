@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bellkit import network
 from bellkit import (
     DeterministicStrategy,
     InsufficientDataError,
@@ -22,7 +27,7 @@ from bellkit import (
     verify_markov,
 )
 from bellkit.tolerance import probability_vector
-from conftest import loop_screening_residuals
+from conftest import loop_csv, loop_screening_residuals
 
 
 def det_spec(outs=(1, 1, 1, 1)) -> NetworkSpec:
@@ -182,6 +187,33 @@ class TestSample:
         assert lines[0] == "lambda,x,y,A,B"
         assert len(lines) == 4
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    def test_empty_dataset_csv_is_header(self):
+        empty = np.array([])
+        dataset = SampleDataset(labels=("l0",), lam=empty, x=empty, y=empty, a=empty, b=empty, seed=0)
+        assert dataset.to_csv() == "lambda,x,y,A,B\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_lambda=st.integers(1, 2100),
+    n=st.integers(1, 5000),
+    stem=st.text(max_size=4),
+    chunk=st.sampled_from([1, 7, network._CSV_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_lambda=1, n=1, stem="", chunk=network._CSV_CHUNK, seed=0)
+@example(n_lambda=2000, n=2000, stem="λé", chunk=7, seed=1)
+def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, seed):
+    # every (label, x, y, A, B) combination can occur, including n < 16 * n_lambda,
+    # and chunks of 1 and 7 records put chunk edges inside the data
+    rng = np.random.default_rng(seed)
+    dataset = SampleDataset(labels=tuple(f"{stem}{k}" for k in range(n_lambda)),
+                            lam=rng.integers(0, n_lambda, n), x=rng.integers(0, 2, n),
+                            y=rng.integers(0, 2, n), a=rng.choice([1, -1], n),
+                            b=rng.choice([1, -1], n), seed=seed)
+    with mock.patch.object(network, "_CSV_CHUNK", chunk):
+        assert dataset.to_csv() == loop_csv(dataset)
 
 
 class TestEstimateChsh:
