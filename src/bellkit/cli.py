@@ -31,7 +31,7 @@ from .io import (
     sweep_rows_to_csv,
 )
 from .lhv import chsh, enumerate_deterministic, lhv_behavior
-from .network import estimate_chsh, exact_chsh, sample, verify_markov
+from .network import GENERATOR_NAME, GENERATOR_VERSION, estimate_chsh, exact_chsh, sample, verify_markov
 from .optimize import TSIRELSON, seesaw_maximize, sweep
 from .polytope import LOCAL_BOUND, chsh_variants
 from .quantum import TwoQubitState, basis_state, singlet
@@ -207,7 +207,7 @@ def cmd_sample(args) -> RunReport:
                 "alice screening": markov.alice_screening,
                 "bob screening": markov.bob_screening,
             },
-            "generator": f"{dataset.generator} (numpy {dataset.generator_version})",
+            "generator": f"{GENERATOR_NAME} (numpy {GENERATOR_VERSION})",
         },
     )
 

@@ -24,6 +24,9 @@ GENERATOR_VERSION = np.__version__
 
 # records per gather in SampleDataset.to_csv; bounds its temporary arrays
 _CSV_CHUNK = 1 << 16
+# largest record count sample() draws: the records and their CSV text are held
+# whole in memory, ~50 bytes per record at peak (measured at -n 3e6)
+MAX_RECORDS = 10 ** 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,62 +140,44 @@ def _screening_residual(joint: np.ndarray) -> float:
 class SampleDataset:
     """Ancestrally sampled records, immutable after creation.
 
-    ``lam`` holds indices into ``labels``; ``x`` and ``y`` are setting indices
-    (0 = unprimed); ``a`` and ``b`` hold the +/-1 outcomes.  Metadata records
-    the seed and the generator identity/version the stream depends on.
+    Record i is the code 16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1]: ``lam``
+    indexes ``labels``, ``x`` and ``y`` are setting indices (0 = unprimed),
+    and the low two bits flag a -1 outcome.  Every code in
+    [0, 16*len(labels)) is a valid record.
     """
 
     labels: tuple[str, ...]
-    lam: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    seed: int
-    generator: str = GENERATOR_NAME
-    generator_version: str = GENERATOR_VERSION
+    code: np.ndarray
 
     def __post_init__(self):
-        for name in ("lam", "x", "y", "a", "b"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.lam.shape[0]
-        if any(getattr(self, name).shape != (n,) for name in ("x", "y", "a", "b")):
-            raise InvalidInputError("record arrays must share one length")
-        if n and (self.lam.min() < 0 or self.lam.max() >= len(self.labels)):
-            raise InvalidInputError("lambda index out of range")
-        for name in ("x", "y"):
-            arr = getattr(self, name)
-            if n and not np.all((arr == 0) | (arr == 1)):
-                raise InvalidInputError(f"{name} values must be 0 or 1")
-        for name in ("a", "b"):
-            arr = getattr(self, name)
-            if n and not np.all(np.abs(arr) == 1):
-                raise InvalidInputError(f"{name} values must be +1 or -1")
+        code = np.asarray(self.code)
+        if code.ndim != 1 or code.dtype.kind not in "iu":
+            raise InvalidInputError(
+                f"record codes must be a 1-d integer array, got {code.dtype} of shape {code.shape}")
+        if code.size and (code.min() < 0 or code.max() >= 16 * len(self.labels)):
+            raise InvalidInputError(f"record codes must lie in [0, {16 * len(self.labels)})")
+        code = code.astype(np.intp, copy=False).view()  # a view: the caller's array stays writable
+        code.setflags(write=False)
+        object.__setattr__(self, "code", code)
 
     @property
     def count(self) -> int:
-        return int(self.lam.shape[0])
+        return int(self.code.size)
 
     def to_csv(self) -> str:
         """CSV text with header ``lambda,x,y,A,B`` and one row per record.
 
-        Record i has the code 16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1]; the
-        row text of each code that occurs is formatted once, and the rows are
-        gathered by code ``_CSV_CHUNK`` records at a time.
+        The row text of each code that occurs is formatted once, and the rows
+        are gathered by code ``_CSV_CHUNK`` records at a time.
         """
-        # intp: bincount takes integers only, and an empty record array may be float
-        code = (self.lam * 16 + self.x * 8 + self.y * 4
-                + (self.a < 0) * 2 + (self.b < 0)).astype(np.intp, copy=False)
         rows = np.empty(16 * len(self.labels), dtype=object)
-        for c in np.flatnonzero(np.bincount(code, minlength=rows.size)).tolist():
+        for c in np.flatnonzero(np.bincount(self.code, minlength=rows.size)).tolist():
             rows[c] = (f"{self.labels[c >> 4]},{SETTING_LABELS_A[c >> 3 & 1]},"
                        f"{SETTING_LABELS_B[c >> 2 & 1]},{'-1' if c & 2 else '+1'},"
                        f"{'-1' if c & 1 else '+1'}\n")
         parts = ["lambda,x,y,A,B\n"]
-        for s in range(0, code.size, _CSV_CHUNK):
-            parts.append("".join(rows[code[s:s + _CSV_CHUNK]].tolist()))
+        for s in range(0, self.code.size, _CSV_CHUNK):
+            parts.append("".join(rows[self.code[s:s + _CSV_CHUNK]].tolist()))
         return "".join(parts)
 
 
@@ -203,18 +188,20 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
     each field is bit-reproducible for a fixed (spec, n, seed) and generator
     version regardless of intermediate consumption.
     """
-    if n < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_RECORDS:
+        raise InvalidInputError(f"sample count -n must be between 1 and {MAX_RECORDS}, got {n}")
     streams = [np.random.Generator(np.random.PCG64(child))
                for child in np.random.SeedSequence(seed).spawn(5)]
     model = spec.model
     lam = np.searchsorted(np.cumsum(model.prior), streams[0].random(n), side="right")
     lam = np.minimum(lam, model.size - 1)  # guard against cumsum rounding at 1.0
-    x = (streams[1].random(n) >= spec.setting_prior_a[0]).astype(np.int64)
-    y = (streams[2].random(n) >= spec.setting_prior_b[0]).astype(np.int64)
-    a = np.where(streams[3].random(n) < model.alice_response[lam, x], 1, -1).astype(np.int64)
-    b = np.where(streams[4].random(n) < model.bob_response[lam, y], 1, -1).astype(np.int64)
-    return SampleDataset(labels=model.labels, lam=lam, x=x, y=y, a=a, b=b, seed=int(seed))
+    # settings as 0/1 integers, since a boolean array would index as a mask
+    x = (streams[1].random(n) >= spec.setting_prior_a[0]).view(np.uint8)
+    y = (streams[2].random(n) >= spec.setting_prior_b[0]).view(np.uint8)
+    code = 16 * lam + 8 * x + 4 * y
+    code += 2 * (streams[3].random(n) >= model.alice_response[lam, x])  # A = -1
+    code += streams[4].random(n) >= model.bob_response[lam, y]          # B = -1
+    return SampleDataset(labels=model.labels, code=code)
 
 
 @dataclass(frozen=True)
@@ -233,13 +220,15 @@ def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
     stderr = sqrt(sum_blocks var_hat / n_block), with the unbiased variance
     estimate.  Every block must contain at least 2 records.
     """
-    products = (dataset.a * dataset.b).astype(float)
+    code = dataset.code
+    pair = code >> 2 & 3  # 2x + y
+    products = 1.0 - 2.0 * ((code ^ code >> 1) & 1)  # A*B = -1 iff exactly one outcome is -1
     means = np.empty((2, 2))
     var_of_mean = np.empty((2, 2))
     counts = np.empty((2, 2), dtype=int)
     for x in range(2):
         for y in range(2):
-            mask = (dataset.x == x) & (dataset.y == y)
+            mask = pair == 2 * x + y
             m = int(mask.sum())
             counts[x, y] = m
             if m < 2:

@@ -107,6 +107,10 @@ def sweep(
         raise InvalidInputError(f"steps must be >= 2, got {steps}")
     thetas = [theta_start_deg + (theta_end_deg - theta_start_deg) * i / (steps - 1)
               for i in range(steps)]
+    # a non-finite bound, or bounds whose difference overflows, gives inf or nan angles
+    if not np.all(np.isfinite(thetas)):
+        raise InvalidInputError(
+            f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
     rad = np.radians(thetas)[:, None, None]
     c, s = np.cos(rad), np.sin(rad)
     z = np.array([0.0, 0.0, 1.0])

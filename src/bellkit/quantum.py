@@ -65,11 +65,7 @@ class TwoQubitState:
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amp, dtype=complex)
-        if amp.shape != (4,):
-            raise InvalidInputError(f"state needs 4 amplitudes, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise InvalidInputError("state amplitudes contain non-finite values")
+        amp = _amplitudes(self.amp)
         norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > ROUNDOFF:
             raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
@@ -80,13 +76,22 @@ class TwoQubitState:
     @classmethod
     def from_amplitudes(cls, amp) -> "TwoQubitState":
         """Build from possibly-unnormalized amplitudes, rejecting beyond AMPLITUDE_SLACK."""
-        a = np.asarray(amp, dtype=complex)
-        if a.shape != (4,):
-            raise InvalidInputError(f"state needs 4 amplitudes, got shape {a.shape}")
-        norm = float(np.linalg.norm(a))
+        a = _amplitudes(amp)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused just below
+            norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > AMPLITUDE_SLACK:
             raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
         return cls(a / norm)
+
+
+def _amplitudes(amp) -> np.ndarray:
+    """``amp`` as 4 complex amplitudes, checked finite before any arithmetic on them."""
+    a = np.asarray(amp, dtype=complex)
+    if a.shape != (4,):
+        raise InvalidInputError(f"state needs 4 amplitudes, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("state amplitudes contain non-finite values")
+    return a
 
 
 def singlet() -> TwoQubitState:

@@ -147,12 +147,47 @@ def loop_screening_residuals(joint: np.ndarray) -> tuple[float, float]:
     return res_a, res_b
 
 
-# Independent oracle for SampleDataset.to_csv: one f-string per record, the
-# writer that the per-code row table replaced.
+# Independent oracles for the record code: the sampler and estimator that kept
+# five arrays per dataset, and the writer that the per-code row table replaced.
 
-def loop_csv(dataset) -> str:
-    """The CSV text of a ``SampleDataset``, formatted record by record."""
+def five_array_sample(spec, n: int, seed: int):
+    """(lam, x, y, a, b) drawn from the same five PCG64 streams as ``bellkit.sample``."""
+    streams = [np.random.Generator(np.random.PCG64(child))
+               for child in np.random.SeedSequence(seed).spawn(5)]
+    model = spec.model
+    lam = np.searchsorted(np.cumsum(model.prior), streams[0].random(n), side="right")
+    lam = np.minimum(lam, model.size - 1)
+    x = (streams[1].random(n) >= spec.setting_prior_a[0]).astype(np.int64)
+    y = (streams[2].random(n) >= spec.setting_prior_b[0]).astype(np.int64)
+    a = np.where(streams[3].random(n) < model.alice_response[lam, x], 1, -1).astype(np.int64)
+    b = np.where(streams[4].random(n) < model.bob_response[lam, y], 1, -1).astype(np.int64)
+    return lam, x, y, a, b
+
+
+def five_array_estimate(x, y, a, b):
+    """(S, stderr, per-block counts) from per-block means of A*B, blocks masked on x and y."""
+    products = (a * b).astype(float)
+    means = np.empty((2, 2))
+    var_of_mean = np.empty((2, 2))
+    counts = []
+    for xi in range(2):
+        for yi in range(2):
+            block = products[(x == xi) & (y == yi)]
+            counts.append(block.size)
+            means[xi, yi] = block.mean()
+            var_of_mean[xi, yi] = block.var(ddof=1) / block.size
+    s = chsh(np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1]]))
+    return s, float(np.sqrt(var_of_mean.sum())), tuple(counts)
+
+
+def record_code(lam, x, y, a, b) -> np.ndarray:
+    """16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1], record by record."""
+    return 16 * lam + 8 * x + 4 * y + 2 * (a < 0) + (b < 0)
+
+
+def loop_csv(labels, lam, x, y, a, b) -> str:
+    """The CSV text of records given as five arrays, formatted record by record."""
     out = ["lambda,x,y,A,B\n"]
-    for k, x, y, a, b in zip(dataset.lam, dataset.x, dataset.y, dataset.a, dataset.b):
-        out.append(f"{dataset.labels[k]},{SETTING_LABELS_A[x]},{SETTING_LABELS_B[y]},{a:+d},{b:+d}\n")
+    for k, xi, yi, ai, bi in zip(lam, x, y, a, b):
+        out.append(f"{labels[k]},{SETTING_LABELS_A[xi]},{SETTING_LABELS_B[yi]},{ai:+d},{bi:+d}\n")
     return "".join(out)

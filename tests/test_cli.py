@@ -181,6 +181,18 @@ class TestOptimizeCommand:
         assert code == 2
         assert "norm" in err
 
+    @pytest.mark.parametrize("spec, error", [
+        ("nan,0,0,0,0,0,1,0", "state amplitudes contain non-finite values"),
+        ("1e200,0,0,0,0,0,0,0", "amplitude norm inf deviates from 1 beyond 1e-06"),
+    ], ids=["nan", "norm_overflows"])
+    def test_bad_amplitudes_stderr_is_one_error_line(self, spec, error):
+        # a fresh interpreter, so that a numpy warning would reach stderr as it does for a user
+        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "optimize", spec, "--seed", "1"],
+                              env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {error}\n"
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["optimize", "singlet"])
@@ -286,6 +298,22 @@ class TestSampleCommand:
         assert target.read_text().startswith("lambda,x,y,A,B\n")
         assert target.stat().st_mode & 0o777 == 0o640
 
+    @pytest.mark.parametrize("n", [2 ** 70, 10 ** 15])
+    def test_huge_n_exits_2_without_csv(self, capsys, monkeypatch, det_network_file, tmp_path, n):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("records were drawn")
+
+        # the count is refused before any generator, and so any record array, exists
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        out_csv = tmp_path / "d.csv"
+        code, out, err = run(capsys, "sample", det_network_file, "-n", str(n),
+                             "--seed", "1", "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "-n" in err and str(n) in err
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("entry", [e for e in GOLDEN if e["n"] == 2000],
                              ids=lambda e: f"seed{e['seed']}")
     def test_golden_csv_digest(self, capsys, tmp_path, entry):
@@ -365,13 +393,32 @@ class TestSweepCommand:
         assert code == 2
         assert "steps" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("bounds", [("nan", "360"), ("0", "inf"), ("-inf", "0"),
+                                        ("1e308", "-1e308")])
+    def test_non_finite_angles_exit_2_without_csv(self, capsys, tmp_path, fmt, bounds):
+        # the last pair is finite, but the sweep's range overflows to -inf
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "--format", fmt, "sweep", "singlet", "--steps", "3",
+                             f"--theta-start={bounds[0]}", f"--theta-end={bounds[1]}",
+                             "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep angles must be finite")
+        assert not out_csv.exists()
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
 
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so that modules the rest of the suite imported do not count
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, bellkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"
 
 

@@ -27,7 +27,13 @@ from bellkit import (
     verify_markov,
 )
 from bellkit.tolerance import probability_vector
-from conftest import loop_csv, loop_screening_residuals
+from conftest import (
+    five_array_estimate,
+    five_array_sample,
+    loop_csv,
+    loop_screening_residuals,
+    record_code,
+)
 
 
 def det_spec(outs=(1, 1, 1, 1)) -> NetworkSpec:
@@ -151,8 +157,7 @@ class TestSample:
         spec = NetworkSpec(model=random_model(np.random.default_rng(1)))
         d1 = sample(spec, 500, seed=99)
         d2 = sample(spec, 500, seed=99)
-        for name in ("lam", "x", "y", "a", "b"):
-            np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name))
+        np.testing.assert_array_equal(d1.code, d2.code)
         assert d1.to_csv() == d2.to_csv()
 
     def test_different_seed_differs(self):
@@ -163,11 +168,11 @@ class TestSample:
 
     def test_strategy_outputs_match(self):
         outs = (1, -1, -1, 1)
-        dataset = sample(det_spec(outs), 2000, seed=7)
-        a_expected = np.where(dataset.x == 0, outs[0], outs[1])
-        b_expected = np.where(dataset.y == 0, outs[2], outs[3])
-        np.testing.assert_array_equal(dataset.a, a_expected)
-        np.testing.assert_array_equal(dataset.b, b_expected)
+        code = sample(det_spec(outs), 2000, seed=7).code
+        x, y = code >> 3 & 1, code >> 2 & 1
+        a, b = 1 - 2 * (code >> 1 & 1), 1 - 2 * (code & 1)
+        np.testing.assert_array_equal(a, np.where(x == 0, outs[0], outs[1]))
+        np.testing.assert_array_equal(b, np.where(y == 0, outs[2], outs[3]))
 
     def test_block_counts_within_five_sigma(self):
         n = 100_000
@@ -180,6 +185,8 @@ class TestSample:
     def test_invalid_count(self):
         with pytest.raises(InvalidInputError):
             sample(coin_spec(), 0, seed=1)
+        with pytest.raises(InvalidInputError, match="-n"):
+            sample(coin_spec(), network.MAX_RECORDS + 1, seed=1)  # refused before any draw
 
     def test_csv_shape(self):
         dataset = sample(det_spec(), 3, seed=0)
@@ -189,9 +196,44 @@ class TestSample:
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
     def test_empty_dataset_csv_is_header(self):
-        empty = np.array([])
-        dataset = SampleDataset(labels=("l0",), lam=empty, x=empty, y=empty, a=empty, b=empty, seed=0)
+        dataset = SampleDataset(labels=("l0",), code=np.array([], dtype=np.intp))
         assert dataset.to_csv() == "lambda,x,y,A,B\n"
+
+
+class TestSampleDatasetValidation:
+    @pytest.mark.parametrize("code", [[-1, 0], [0, 32], [0.0, 1.0], [[0, 1], [2, 3]], 3, [True, False]],
+                             ids=["negative", "past_last_label", "float", "2d", "0d", "bool"])
+    def test_refused(self, code):
+        with pytest.raises(InvalidInputError, match="record codes"):
+            SampleDataset(labels=("l0", "l1"), code=np.array(code))
+
+    @pytest.mark.parametrize("values", [[0, 5, 31], []], ids=["codes", "empty"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+    def test_integer_codes_accepted_as_read_only_intp(self, dtype, values):
+        dataset = SampleDataset(labels=("l0", "l1"), code=np.array(values, dtype=dtype))
+        assert dataset.code.dtype == np.intp
+        assert dataset.code.tolist() == values
+        assert not dataset.code.flags.writeable
+        assert dataset.count == len(values)
+
+
+@pytest.mark.parametrize("n_lambda", [1, 3, 2000])
+@pytest.mark.parametrize("priors", [((0.5, 0.5), (0.5, 0.5)), ((0.7, 0.3), (0.2, 0.8))],
+                         ids=["uniform", "uneven"])
+def test_code_pipeline_matches_five_array_route(n_lambda, priors):
+    # same streams, same record order: codes, CSV bytes and the estimate agree exactly
+    spec = NetworkSpec(model=random_model(np.random.default_rng(n_lambda), n_lambda=n_lambda),
+                       setting_prior_a=np.array(priors[0]), setting_prior_b=np.array(priors[1]))
+    for seed in (0, 7, 2**63):
+        dataset = sample(spec, 5000, seed=seed)
+        arrays = five_array_sample(spec, 5000, seed)
+        np.testing.assert_array_equal(dataset.code, record_code(*arrays))
+        assert dataset.to_csv() == loop_csv(spec.model.labels, *arrays)
+        est = estimate_chsh(dataset)
+        s, stderr, counts = five_array_estimate(*arrays[1:])
+        assert est.s == s
+        assert est.stderr == stderr
+        assert est.per_block_counts == counts
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,12 +250,12 @@ def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, seed):
     # every (label, x, y, A, B) combination can occur, including n < 16 * n_lambda,
     # and chunks of 1 and 7 records put chunk edges inside the data
     rng = np.random.default_rng(seed)
-    dataset = SampleDataset(labels=tuple(f"{stem}{k}" for k in range(n_lambda)),
-                            lam=rng.integers(0, n_lambda, n), x=rng.integers(0, 2, n),
-                            y=rng.integers(0, 2, n), a=rng.choice([1, -1], n),
-                            b=rng.choice([1, -1], n), seed=seed)
+    labels = tuple(f"{stem}{k}" for k in range(n_lambda))
+    arrays = (rng.integers(0, n_lambda, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+              rng.choice([1, -1], n), rng.choice([1, -1], n))
+    dataset = SampleDataset(labels=labels, code=record_code(*arrays))
     with mock.patch.object(network, "_CSV_CHUNK", chunk):
-        assert dataset.to_csv() == loop_csv(dataset)
+        assert dataset.to_csv() == loop_csv(labels, *arrays)
 
 
 class TestEstimateChsh:
@@ -224,14 +266,11 @@ class TestEstimateChsh:
         assert est.stderr == 0.0
 
     def test_missing_block_errors(self):
+        zeros, ones = np.zeros(8, dtype=int), np.ones(8, dtype=int)
         dataset = SampleDataset(
             labels=("l0",),
-            lam=np.zeros(8, dtype=int),
-            x=np.zeros(8, dtype=int),  # setting a' never occurs
-            y=np.tile([0, 1], 4),
-            a=np.ones(8, dtype=int),
-            b=np.ones(8, dtype=int),
-            seed=0,
+            # x = 0 throughout, so setting a' never occurs
+            code=record_code(lam=zeros, x=zeros, y=np.tile([0, 1], 4), a=ones, b=ones),
         )
         with pytest.raises(InsufficientDataError, match=r"\(a',b\)"):
             estimate_chsh(dataset)
