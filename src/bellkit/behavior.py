@@ -38,7 +38,8 @@ def _clean_table(p) -> np.ndarray:
         raise InvalidInputError(f"behavior entry {np.min(table):.3e} below -{ROUNDOFF:g}")
     # float round-off in computed tables may leave entries slightly below 0
     table = np.clip(table, 0.0, None)
-    block_sums = table.sum(axis=(2, 3))
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
+        block_sums = table.sum(axis=(2, 3))
     if np.max(np.abs(block_sums - 1.0)) > PROBABILITY_SLACK:
         worst = np.unravel_index(np.argmax(np.abs(block_sums - 1.0)), (2, 2))
         raise InvalidInputError(

@@ -43,6 +43,10 @@ EXIT_PARSE = 2
 EXIT_LOOKUP = 3
 EXIT_IO = 4
 
+# characters per write in _write_text: one write would encode the whole text
+# into a second, bytes copy of it
+_WRITE_CHUNK = 1 << 20
+
 _STATE_KEYWORDS = {"singlet": singlet, "00": lambda: basis_state(0),
                    "01": lambda: basis_state(1), "10": lambda: basis_state(2),
                    "11": lambda: basis_state(3)}
@@ -91,7 +95,8 @@ def _write_text(path: str, text: str) -> None:
             raise _IOFailure(f"cannot write {path}: not a regular file")
         # "x" creates tmp and never opens an existing file or a link there
         with open(tmp, "x", encoding="utf-8", newline="") as f:
-            f.write(text)
+            for s in range(0, len(text), _WRITE_CHUNK):
+                f.write(text[s:s + _WRITE_CHUNK])
         if old_mode is not None:
             os.chmod(tmp, stat.S_IMODE(old_mode))
         os.replace(tmp, target)

@@ -22,10 +22,11 @@ from .tolerance import ROUNDOFF, probability_vector
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
 
-# records per gather in SampleDataset.to_csv; bounds its temporary arrays
-_CSV_CHUNK = 1 << 16
-# largest record count sample() draws: the records and their CSV text are held
-# whole in memory, ~50 bytes per record at peak (measured at -n 3e6)
+# records per step in sample() and SampleDataset.to_csv; bounds their temporary arrays
+_CHUNK = 1 << 16
+# largest record count sample() draws: the record codes and their CSV text are
+# held whole in memory, ~29 bytes per record at peak (a 2-value network: a fresh
+# `bellkit sample` peaks at 64 MB at -n 1e6 and 120 MB at -n 3e6)
 MAX_RECORDS = 10 ** 9
 
 
@@ -144,6 +145,11 @@ class SampleDataset:
     indexes ``labels``, ``x`` and ``y`` are setting indices (0 = unprimed),
     and the low two bits flag a -1 outcome.  Every code in
     [0, 16*len(labels)) is a valid record.
+
+    ``code`` is stored read-only in the smallest signed integer dtype that
+    holds 16*len(labels) - 1 (``_code_dtype``): int8 up to 8 labels, int16 up
+    to 2048, int32 beyond.  The decoding shifts and masks above stay in range
+    in that dtype; cast with ``astype(np.intp)`` before any other arithmetic.
     """
 
     labels: tuple[str, ...]
@@ -156,7 +162,8 @@ class SampleDataset:
                 f"record codes must be a 1-d integer array, got {code.dtype} of shape {code.shape}")
         if code.size and (code.min() < 0 or code.max() >= 16 * len(self.labels)):
             raise InvalidInputError(f"record codes must lie in [0, {16 * len(self.labels)})")
-        code = code.astype(np.intp, copy=False).view()  # a view: the caller's array stays writable
+        # a view, so that the caller's array stays writable
+        code = code.astype(_code_dtype(len(self.labels)), copy=False).view()
         code.setflags(write=False)
         object.__setattr__(self, "code", code)
 
@@ -168,7 +175,7 @@ class SampleDataset:
         """CSV text with header ``lambda,x,y,A,B`` and one row per record.
 
         The row text of each code that occurs is formatted once, and the rows
-        are gathered by code ``_CSV_CHUNK`` records at a time.
+        are gathered by code ``_CHUNK`` records at a time.
         """
         rows = np.empty(16 * len(self.labels), dtype=object)
         for c in np.flatnonzero(np.bincount(self.code, minlength=rows.size)).tolist():
@@ -176,9 +183,14 @@ class SampleDataset:
                        f"{SETTING_LABELS_B[c >> 2 & 1]},{'-1' if c & 2 else '+1'},"
                        f"{'-1' if c & 1 else '+1'}\n")
         parts = ["lambda,x,y,A,B\n"]
-        for s in range(0, self.code.size, _CSV_CHUNK):
-            parts.append("".join(rows[self.code[s:s + _CSV_CHUNK]].tolist()))
+        for s in range(0, self.code.size, _CHUNK):
+            parts.append("".join(rows[self.code[s:s + _CHUNK]].tolist()))
         return "".join(parts)
+
+
+def _code_dtype(n_labels: int) -> np.dtype:
+    """The smallest signed dtype holding codes below 16 * n_labels; signed, so ``1 - 2 * bit`` cannot wrap."""
+    return np.min_scalar_type(-16 * n_labels)
 
 
 def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
@@ -186,21 +198,28 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
 
     One child stream of the seed sequence per sampled field, so the draw for
     each field is bit-reproducible for a fixed (spec, n, seed) and generator
-    version regardless of intermediate consumption.
+    version regardless of intermediate consumption.  Records are drawn
+    ``_CHUNK`` at a time into one preallocated code array; PCG64 yields the
+    same doubles in chunks as in one call, so the chunk size changes no record.
     """
     if not 1 <= n <= MAX_RECORDS:
         raise InvalidInputError(f"sample count -n must be between 1 and {MAX_RECORDS}, got {n}")
     streams = [np.random.Generator(np.random.PCG64(child))
                for child in np.random.SeedSequence(seed).spawn(5)]
     model = spec.model
-    lam = np.searchsorted(np.cumsum(model.prior), streams[0].random(n), side="right")
-    lam = np.minimum(lam, model.size - 1)  # guard against cumsum rounding at 1.0
-    # settings as 0/1 integers, since a boolean array would index as a mask
-    x = (streams[1].random(n) >= spec.setting_prior_a[0]).view(np.uint8)
-    y = (streams[2].random(n) >= spec.setting_prior_b[0]).view(np.uint8)
-    code = 16 * lam + 8 * x + 4 * y
-    code += 2 * (streams[3].random(n) >= model.alice_response[lam, x])  # A = -1
-    code += streams[4].random(n) >= model.bob_response[lam, y]          # B = -1
+    cum_prior = np.cumsum(model.prior)
+    code = np.empty(n, dtype=_code_dtype(model.size))
+    for s in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - s)
+        lam = np.searchsorted(cum_prior, streams[0].random(m), side="right")
+        lam = np.minimum(lam, model.size - 1)  # guard against cumsum rounding at 1.0
+        # settings as 0/1 integers, since a boolean array would index as a mask
+        x = (streams[1].random(m) >= spec.setting_prior_a[0]).view(np.uint8)
+        y = (streams[2].random(m) >= spec.setting_prior_b[0]).view(np.uint8)
+        chunk = 16 * lam + 8 * x + 4 * y
+        chunk += 2 * (streams[3].random(m) >= model.alice_response[lam, x])  # A = -1
+        chunk += streams[4].random(m) >= model.bob_response[lam, y]          # B = -1
+        code[s:s + m] = chunk
     return SampleDataset(labels=model.labels, code=code)
 
 
@@ -222,21 +241,20 @@ def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
     """
     code = dataset.code
     pair = code >> 2 & 3  # 2x + y
-    products = 1.0 - 2.0 * ((code ^ code >> 1) & 1)  # A*B = -1 iff exactly one outcome is -1
     means = np.empty((2, 2))
     var_of_mean = np.empty((2, 2))
     counts = np.empty((2, 2), dtype=int)
     for x in range(2):
         for y in range(2):
-            mask = pair == 2 * x + y
-            m = int(mask.sum())
+            c = code[pair == 2 * x + y]
+            m = c.size
             counts[x, y] = m
             if m < 2:
                 raise InsufficientDataError(
                     f"block ({SETTING_LABELS_A[x]},{SETTING_LABELS_B[y]}) has "
                     f"{m} record(s); need at least 2 per block"
                 )
-            block = products[mask]
+            block = 1.0 - 2.0 * ((c ^ c >> 1) & 1)  # A*B = -1 iff exactly one outcome is -1
             means[x, y] = block.mean()
             var_of_mean[x, y] = block.var(ddof=1) / m
     s = chsh(np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1]]))

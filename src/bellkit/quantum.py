@@ -66,7 +66,8 @@ class TwoQubitState:
 
     def __post_init__(self):
         amp = _amplitudes(self.amp)
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused just below
+            norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > ROUNDOFF:
             raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
         amp = amp / math.sqrt(norm_sq)

@@ -29,7 +29,8 @@ def probability_vector(values, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} has non-finite entries")
     if np.min(p) < -PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} entry {np.min(p):.3e} below -{PROBABILITY_SLACK:g}")
-    total = float(p.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
+        total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} sums to {total:.12g}, not 1 within {PROBABILITY_SLACK:g}")
     p = np.clip(p, 0.0, None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,12 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.behavior import SETTING_LABELS_A, SETTING_LABELS_B
+
+
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,12 @@ class TestBehaviorValidation:
         with pytest.raises(InvalidInputError, match=r"\(a',b\)"):
             Behavior(t)
 
+    def test_overflowing_block_sum_rejected(self):
+        t = np.full((2, 2, 2, 2), 0.25)
+        t[0, 0] = 1e308
+        with pytest.raises(InvalidInputError, match=r"\(a,b\) sums to inf"):
+            Behavior(t)
+
     def test_table_is_immutable(self):
         b = uniform_behavior()
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from bellkit import (
 )
 from bellkit.cli import main
 from bellkit.io import behavior_to_json, model_to_json, network_to_json
+from conftest import src_env
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
@@ -188,7 +189,7 @@ class TestOptimizeCommand:
     def test_bad_amplitudes_stderr_is_one_error_line(self, spec, error):
         # a fresh interpreter, so that a numpy warning would reach stderr as it does for a user
         proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "optimize", spec, "--seed", "1"],
-                              env=_src_env(), capture_output=True, text=True)
+                              env=src_env(), capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {error}\n"
@@ -314,8 +315,8 @@ class TestSampleCommand:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("entry", [e for e in GOLDEN if e["n"] == 2000],
-                             ids=lambda e: f"seed{e['seed']}")
+    # the n = 10^6 entries cross 15 chunk edges in the draw and the gather, 13 in the write
+    @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"seed{e['seed']}")
     def test_golden_csv_digest(self, capsys, tmp_path, entry):
         path = tmp_path / "network.json"
         path.write_text(json.dumps(entry["network"]))
@@ -341,6 +342,29 @@ def test_labels_that_break_the_csv_exit_2(capsys, tmp_path, labels, command):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: label ")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "chsh"])
+def test_overflowing_sum_stderr_is_one_error_line(tmp_path, command):
+    # a fresh interpreter, so that a numpy overflow warning would reach stderr as it does for a user
+    out_csv = tmp_path / "d.csv"
+    if command == "sample":
+        data = model_to_json(random_model(np.random.default_rng(4), n_lambda=2))
+        for entry in data["lambda"]:
+            entry["prob"] = 1e308
+        extra, error = ["-n", "100", "--seed", "1", "--out", str(out_csv)], "prior sums to inf, not 1 within 1e-09"
+    else:
+        data = {"blocks": {key: [[0.25, 0.25], [0.25, 0.25]] for key in ("a,b'", "a',b", "a',b'")}}
+        data["blocks"]["a,b"] = [[1e308, 1e308], [0.0, 0.0]]
+        extra, error = [], "block (a,b) sums to inf, not 1"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "bellkit.cli", command, str(path), *extra],
+                          env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}: {error}\n"
     assert not out_csv.exists()
 
 
@@ -408,16 +432,10 @@ class TestSweepCommand:
         assert not out_csv.exists()
 
 
-def _src_env() -> dict:
-    """The environment with this checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so that modules the rest of the suite imported do not count
     code = "import sys, bellkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
 

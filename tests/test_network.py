@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,7 @@ from conftest import (
     loop_csv,
     loop_screening_residuals,
     record_code,
+    src_env,
 )
 
 
@@ -182,6 +185,20 @@ class TestSample:
         assert np.all(np.abs(counts - n / 4) <= 5 * sigma)
         assert counts.sum() == dataset.count
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_memory_of_a_million_records(self):
+        # a fresh interpreter, so that the peak before the draw is this process's own; the draw
+        # is chunked and the estimator works block by block, so only the codes grow with n
+        code = ("import resource, numpy as np\n"
+                "from bellkit import NetworkSpec, estimate_chsh, random_model, sample\n"
+                "spec = NetworkSpec(model=random_model(np.random.default_rng(0), n_lambda=2))\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "estimate_chsh(sample(spec, 10**6, seed=0))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) / 1024 < 16  # MB
+
     def test_invalid_count(self):
         with pytest.raises(InvalidInputError):
             sample(coin_spec(), 0, seed=1)
@@ -210,30 +227,37 @@ class TestSampleDatasetValidation:
     @pytest.mark.parametrize("values", [[0, 5, 31], []], ids=["codes", "empty"])
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
     def test_integer_codes_accepted_as_read_only_intp(self, dtype, values):
-        dataset = SampleDataset(labels=("l0", "l1"), code=np.array(values, dtype=dtype))
-        assert dataset.code.dtype == np.intp
-        assert dataset.code.tolist() == values
-        assert not dataset.code.flags.writeable
-        assert dataset.count == len(values)
+        # stored in the smallest signed dtype holding 16 * n_labels - 1: 31, 143 and 32783
+        for n_labels, compact in ((2, np.int8), (9, np.int16), (2049, np.int32)):
+            labels = tuple(f"l{k}" for k in range(n_labels))
+            dataset = SampleDataset(labels=labels, code=np.array(values, dtype=dtype))
+            assert dataset.code.dtype == compact
+            assert dataset.code.tolist() == values
+            assert not dataset.code.flags.writeable
+            assert dataset.count == len(values)
 
 
 @pytest.mark.parametrize("n_lambda", [1, 3, 2000])
 @pytest.mark.parametrize("priors", [((0.5, 0.5), (0.5, 0.5)), ((0.7, 0.3), (0.2, 0.8))],
                          ids=["uniform", "uneven"])
 def test_code_pipeline_matches_five_array_route(n_lambda, priors):
-    # same streams, same record order: codes, CSV bytes and the estimate agree exactly
+    # same streams, same record order: codes, CSV bytes and the estimate agree exactly,
+    # also when chunks of 1 and 7 records put chunk edges inside the draw and the CSV gather
     spec = NetworkSpec(model=random_model(np.random.default_rng(n_lambda), n_lambda=n_lambda),
                        setting_prior_a=np.array(priors[0]), setting_prior_b=np.array(priors[1]))
     for seed in (0, 7, 2**63):
-        dataset = sample(spec, 5000, seed=seed)
         arrays = five_array_sample(spec, 5000, seed)
-        np.testing.assert_array_equal(dataset.code, record_code(*arrays))
-        assert dataset.to_csv() == loop_csv(spec.model.labels, *arrays)
-        est = estimate_chsh(dataset)
+        csv = loop_csv(spec.model.labels, *arrays)
         s, stderr, counts = five_array_estimate(*arrays[1:])
-        assert est.s == s
-        assert est.stderr == stderr
-        assert est.per_block_counts == counts
+        for chunk in (1, 7, network._CHUNK):
+            with mock.patch.object(network, "_CHUNK", chunk):
+                dataset = sample(spec, 5000, seed=seed)
+                assert dataset.to_csv() == csv
+            np.testing.assert_array_equal(dataset.code, record_code(*arrays))
+            est = estimate_chsh(dataset)
+            assert est.s == s
+            assert est.stderr == stderr
+            assert est.per_block_counts == counts
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,10 +265,10 @@ def test_code_pipeline_matches_five_array_route(n_lambda, priors):
     n_lambda=st.integers(1, 2100),
     n=st.integers(1, 5000),
     stem=st.text(max_size=4),
-    chunk=st.sampled_from([1, 7, network._CSV_CHUNK]),
+    chunk=st.sampled_from([1, 7, network._CHUNK]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_lambda=1, n=1, stem="", chunk=network._CSV_CHUNK, seed=0)
+@example(n_lambda=1, n=1, stem="", chunk=network._CHUNK, seed=0)
 @example(n_lambda=2000, n=2000, stem="λé", chunk=7, seed=1)
 def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, seed):
     # every (label, x, y, A, B) combination can occur, including n < 16 * n_lambda,
@@ -254,7 +278,7 @@ def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, seed):
     arrays = (rng.integers(0, n_lambda, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
               rng.choice([1, -1], n), rng.choice([1, -1], n))
     dataset = SampleDataset(labels=labels, code=record_code(*arrays))
-    with mock.patch.object(network, "_CSV_CHUNK", chunk):
+    with mock.patch.object(network, "_CHUNK", chunk):
         assert dataset.to_csv() == loop_csv(labels, *arrays)
 
 

@@ -103,6 +103,10 @@ class TestStateValidation:
         with pytest.raises(InvalidInputError):
             TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
+    def test_rejects_overflowing_norm(self):
+        with pytest.raises(InvalidInputError, match="norm"):
+            TwoQubitState(np.array([1e200, 0.0, 0.0, 0.0], dtype=complex))
+
     def test_from_amplitudes_loose_tolerance(self):
         psi = TwoQubitState.from_amplitudes(np.array([1 + 1e-7, 0, 0, 0], dtype=complex))
         assert abs(psi.amp[0]) == pytest.approx(1.0, abs=1e-12)

@@ -31,6 +31,7 @@ class TestProbabilityVector:
         [0.5, 0.5 + 2 * PROBABILITY_SLACK],                     # mass off by more than slack
         [np.inf, 0.0],
         [np.nan, 1.0],
+        [1e308, 1e308],                                         # mass overflows to inf
     ])
     def test_rejected(self, values):
         with pytest.raises(InvalidInputError, match="p "):
