@@ -83,7 +83,7 @@ def _write_text(path: str, text: str) -> None:
     Links in ``path`` are followed first, so the file a link names is replaced
     and the link stays; a replaced file keeps its permission bits.  An existing
     file that is not a regular file (a directory, device or pipe) is refused,
-    since ``os.replace`` would swap it out.  On failure the temp file is
+    since ``os.replace`` would swap it out.  On any exception the temp file is
     removed and the old file is left as it was.
     """
     target = Path(os.path.realpath(path))
@@ -101,9 +101,11 @@ def _write_text(path: str, text: str) -> None:
             os.chmod(tmp, stat.S_IMODE(old_mode))
         os.replace(tmp, target)
     except OSError as exc:
+        raise _IOFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        # gone after os.replace; left behind by any exception before it
         with contextlib.suppress(OSError):
             tmp.unlink()
-        raise _IOFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class _IOFailure(Exception):

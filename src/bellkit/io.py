@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -20,9 +20,6 @@ from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B
 from .errors import InvalidInputError
 from .lhv import LHVModel
 from .network import NetworkSpec
-
-BLOCK_KEYS = tuple(f"{x},{y}" for x in SETTING_LABELS_A for y in SETTING_LABELS_B)
-
 
 class FileFormatError(InvalidInputError):
     """A file failed to parse or validate; message carries position info."""
@@ -183,7 +180,6 @@ class RunReport:
     command: str
     inputs_digest: str
     results: dict
-    tool_version: str = field(default=__version__)
     seed: int | None = None
 
     def to_json(self) -> str:
@@ -191,7 +187,7 @@ class RunReport:
             "command": self.command,
             "inputsDigest": self.inputs_digest,
             "results": self.results,
-            "toolVersion": self.tool_version,
+            "toolVersion": __version__,
         }
         if self.seed is not None:
             body["seed"] = self.seed
@@ -201,38 +197,33 @@ class RunReport:
         lines = [f"command: {self.command}"]
         if self.seed is not None:
             lines.append(f"seed: {self.seed}")
-        lines.extend(_render_result("", key, value)
-                     for key, value in self.results.items())
+        for key, value in self.results.items():
+            lines.extend(_render(key, value))
         lines.append(f"inputs digest: {self.inputs_digest}")
-        lines.append(f"tool version: {self.tool_version}")
-        return "\n".join(_flatten(lines)) + "\n"
+        lines.append(f"tool version: {__version__}")
+        return "\n".join(lines) + "\n"
 
 
-def _render_result(prefix: str, key: str, value) -> list[str] | str:
-    label = f"{prefix}{key}"
+def _render(label: str, value):
+    """The text lines of one result: ``label: value``, or ``label:`` and then indented lines."""
+    first = value[0] if isinstance(value, (list, tuple)) and value else None
     if isinstance(value, bool):
-        return f"{label}: {'yes' if value else 'no'}"
-    if isinstance(value, float):
-        return f"{label}: {fmt(value)}"
-    if isinstance(value, dict):
-        return [f"{label}:"] + [_render_result("  ", k, v) for k, v in value.items()]
-    if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
-        return [f"{label}:"] + [
-            "  " + ", ".join(f"{k}: {v}" for k, v in row.items()) for row in value]
-    if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-        return [f"{label}:"] + ["  " + "  ".join(
-            fmt(v) if isinstance(v, float) else str(v) for v in row) for row in value]
-    if isinstance(value, (list, tuple)):
-        return f"{label}: " + ", ".join(
-            fmt(v) if isinstance(v, float) else str(v) for v in value)
-    return f"{label}: {value}"
+        yield f"{label}: {'yes' if value else 'no'}"
+    elif isinstance(value, dict):
+        yield f"{label}:"
+        for k, v in value.items():
+            yield from _render(f"  {k}", v)
+    elif isinstance(first, dict):
+        yield f"{label}:"
+        yield from ("  " + ", ".join(f"{k}: {v}" for k, v in row.items()) for row in value)
+    elif isinstance(first, (list, tuple)):
+        yield f"{label}:"
+        yield from ("  " + "  ".join(map(_cell, row)) for row in value)
+    elif isinstance(value, (list, tuple)):
+        yield f"{label}: " + ", ".join(map(_cell, value))
+    else:
+        yield f"{label}: {_cell(value)}"
 
 
-def _flatten(items) -> list[str]:
-    out = []
-    for item in items:
-        if isinstance(item, list):
-            out.extend(_flatten(item))
-        else:
-            out.append(item)
-    return out
+def _cell(v) -> str:
+    return fmt(v) if isinstance(v, float) else str(v)

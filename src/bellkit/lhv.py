@@ -43,6 +43,8 @@ class DeterministicStrategy:
 
 # characters a hidden-value label may not contain
 _CSV_UNSAFE = re.compile('[,"\r\n]')
+# lone surrogates, the only code points that a str holds and UTF-8 cannot encode
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +54,8 @@ class LHVModel:
     ``alice_response[k, x]`` is P(A=+1 | setting x, hidden value k) with x = 0
     for a and 1 for a'; ``bob_response`` likewise for b, b'.  The prior must
     pass ``probability_vector`` and is renormalized to exact unit mass on input.
-    Labels must be distinct and free of commas, double quotes, CR and LF, since
-    each is written unquoted as one field of a sampled CSV row.
+    Labels must be distinct UTF-8 text free of commas, double quotes, CR and LF,
+    since each is written unquoted as one field of a sampled CSV row.
     """
 
     labels: tuple[str, ...]
@@ -66,10 +68,11 @@ class LHVModel:
         n = len(labels)
         if n == 0:
             raise InvalidInputError("hidden-variable domain is empty")
-        unsafe = next(filter(_CSV_UNSAFE.search, labels), None)
-        if unsafe is not None:
-            raise InvalidInputError(
-                f"label {unsafe!r} contains a comma, double quote, CR or LF")
+        for label in labels:
+            if _CSV_UNSAFE.search(label):
+                raise InvalidInputError(f"label {label!r} contains a comma, double quote, CR or LF")
+            if _NOT_UTF8.search(label):
+                raise InvalidInputError(f"label {label!r} cannot be encoded as UTF-8")
         if len(set(labels)) != n:
             repeated = next(s for s in labels if labels.count(s) > 1)
             raise InvalidInputError(f"label {repeated!r} names more than one hidden value")

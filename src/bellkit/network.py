@@ -10,6 +10,7 @@ on a joint table (from a spec or hand-built, so that violations are testable);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .tolerance import ROUNDOFF, probability_vector
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
 
-# records per step in sample() and SampleDataset.to_csv; bounds their temporary arrays
+# records per step in sample(), _code_counts() and SampleDataset.to_csv; bounds their temporaries
 _CHUNK = 1 << 16
 # largest record count sample() draws: the record codes and their CSV text are
 # held whole in memory, ~29 bytes per record at peak (a 2-value network: a fresh
@@ -178,7 +179,7 @@ class SampleDataset:
         are gathered by code ``_CHUNK`` records at a time.
         """
         rows = np.empty(16 * len(self.labels), dtype=object)
-        for c in np.flatnonzero(np.bincount(self.code, minlength=rows.size)).tolist():
+        for c in np.flatnonzero(_code_counts(self.code, rows.size)).tolist():
             rows[c] = (f"{self.labels[c >> 4]},{SETTING_LABELS_A[c >> 3 & 1]},"
                        f"{SETTING_LABELS_B[c >> 2 & 1]},{'-1' if c & 2 else '+1'},"
                        f"{'-1' if c & 1 else '+1'}\n")
@@ -186,6 +187,14 @@ class SampleDataset:
         for s in range(0, self.code.size, _CHUNK):
             parts.append("".join(rows[self.code[s:s + _CHUNK]].tolist()))
         return "".join(parts)
+
+
+def _code_counts(code: np.ndarray, size: int) -> np.ndarray:
+    """Occurrences of each code in [0, size) as int64, one ``np.bincount`` per ``_CHUNK`` records."""
+    counts = np.zeros(size, dtype=np.int64)
+    for s in range(0, code.size, _CHUNK):
+        counts += np.bincount(code[s:s + _CHUNK], minlength=size)
+    return counts
 
 
 def _code_dtype(n_labels: int) -> np.dtype:
@@ -233,35 +242,29 @@ class ChshEstimate:
 
 
 def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
-    """Per-block means of A*B combined with the CHSH signs.
+    """Per-block means of A*B combined with the CHSH signs, in closed form from code counts.
 
-    The standard error adds the per-block variances of the block means:
-    stderr = sqrt(sum_blocks var_hat / n_block), with the unbiased variance
-    estimate.  Every block must contain at least 2 records.
+    The counts are summed over the hidden value into a (x, y, A, B) table.
+    In a block of m records of which k have A*B = -1, the mean of A*B is
+    (m - 2k)/m and its unbiased variance estimate is 4k(m - k)/(m(m - 1)), so
+    stderr = sqrt(sum_blocks 4k(m - k) / (m^2 (m - 1))).  The sum is one exact
+    fraction of integers, divided once before the square root, so neither value
+    depends on record order.  Every block must contain at least 2 records.
     """
-    code = dataset.code
-    pair = code >> 2 & 3  # 2x + y
-    means = np.empty((2, 2))
-    var_of_mean = np.empty((2, 2))
-    counts = np.empty((2, 2), dtype=int)
-    for x in range(2):
-        for y in range(2):
-            c = code[pair == 2 * x + y]
-            m = c.size
-            counts[x, y] = m
-            if m < 2:
-                raise InsufficientDataError(
-                    f"block ({SETTING_LABELS_A[x]},{SETTING_LABELS_B[y]}) has "
-                    f"{m} record(s); need at least 2 per block"
-                )
-            block = 1.0 - 2.0 * ((c ^ c >> 1) & 1)  # A*B = -1 iff exactly one outcome is -1
-            means[x, y] = block.mean()
-            var_of_mean[x, y] = block.var(ddof=1) / m
-    s = chsh(np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1]]))
-    stderr = float(np.sqrt(var_of_mean.sum()))
-    return ChshEstimate(s=s, stderr=stderr,
-                        per_block_counts=(int(counts[0, 0]), int(counts[0, 1]),
-                                          int(counts[1, 0]), int(counts[1, 1])))
+    counts = _code_counts(dataset.code, 16 * len(dataset.labels)).reshape(-1, 2, 2, 2, 2).sum(axis=0)
+    m = counts.sum(axis=(2, 3))
+    if m.min() < 2:
+        x, y = np.argwhere(m < 2)[0]
+        raise InsufficientDataError(f"block ({SETTING_LABELS_A[x]},{SETTING_LABELS_B[y]}) has "
+                                    f"{m[x, y]} record(s); need at least 2 per block")
+    k = counts[:, :, 0, 1] + counts[:, :, 1, 0]  # A*B = -1 iff exactly one outcome is -1
+    s = chsh(((m - 2 * k) / m).ravel())
+    num, den = 0, 1
+    for mi, ki in zip(m.ravel().tolist(), k.ravel().tolist()):
+        block_den = mi * mi * (mi - 1)
+        num, den = num * block_den + 4 * ki * (mi - ki) * den, den * block_den
+    return ChshEstimate(s=s, stderr=math.sqrt(num / den),
+                        per_block_counts=tuple(m.ravel().tolist()))
 
 
 def exact_chsh(spec: NetworkSpec) -> float:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -174,19 +176,25 @@ def five_array_sample(spec, n: int, seed: int):
 
 
 def five_array_estimate(x, y, a, b):
-    """(S, stderr, per-block counts) from per-block means of A*B, blocks masked on x and y."""
-    products = (a * b).astype(float)
+    """(S, stderr, per-block counts) from per-block means of A*B, blocks masked on x and y.
+
+    The variances are summed record by record in exact rational arithmetic, and
+    the one float division is the last step before the square root.
+    """
+    products = a * b
     means = np.empty((2, 2))
-    var_of_mean = np.empty((2, 2))
+    var_of_mean = Fraction(0)
     counts = []
     for xi in range(2):
         for yi in range(2):
             block = products[(x == xi) & (y == yi)]
             counts.append(block.size)
-            means[xi, yi] = block.mean()
-            var_of_mean[xi, yi] = block.var(ddof=1) / block.size
+            means[xi, yi] = block.astype(float).mean()
+            mean = Fraction(int(block.sum()), block.size)
+            squares = sum((v - mean) ** 2 for v in block.tolist())
+            var_of_mean += squares / ((block.size - 1) * block.size)
     s = chsh(np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1]]))
-    return s, float(np.sqrt(var_of_mean.sum())), tuple(counts)
+    return s, math.sqrt(float(var_of_mean)), tuple(counts)
 
 
 def record_code(lam, x, y, a, b) -> np.ndarray:

@@ -20,7 +20,7 @@ from bellkit import (
     strategy_to_model,
     tsirelson_settings,
 )
-from bellkit.cli import main
+from bellkit.cli import _write_text, main
 from bellkit.io import behavior_to_json, model_to_json, network_to_json
 from conftest import src_env
 from test_behavior import signaling_table
@@ -343,6 +343,32 @@ def test_labels_that_break_the_csv_exit_2(capsys, tmp_path, labels, command):
     assert out == ""
     assert err.startswith(f"error: {path}: label ")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "chsh"])
+def test_label_not_encodable_as_utf8_exits_2(capsys, tmp_path, command):
+    data = model_to_json(random_model(np.random.default_rng(4), n_lambda=2))
+    data["lambda"][1]["label"] = "\ud800"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))  # ASCII JSON, the label as the escape \ud800
+    out_csv = tmp_path / "d.csv"
+    out_csv.write_text("old contents\n")
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: label '\\ud800' cannot be encoded as UTF-8\n"
+    assert out_csv.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "model.json"]
+
+
+def test_write_text_removes_temp_file_on_any_exception(tmp_path):
+    out_csv = tmp_path / "d.csv"
+    out_csv.write_text("old contents\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(str(out_csv), "lambda,x,y,A,B\n\ud800,a,b,+1,+1\n")
+    assert out_csv.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 @pytest.mark.parametrize("command", ["sample", "chsh"])

@@ -111,6 +111,17 @@ class TestLhvBehavior:
                 bob_response=np.full((1, 2), 0.5),
             )
 
+    @pytest.mark.parametrize("label", ["\ud800", "l\udfff0"], ids=["lone", "inside"])
+    def test_label_not_encodable_as_utf8_rejected(self, label):
+        # a lone surrogate is a valid str but no UTF-8 text, so no CSV row could hold it
+        with pytest.raises(InvalidInputError, match="cannot be encoded as UTF-8"):
+            LHVModel(
+                labels=("l0", label),
+                prior=np.array([0.5, 0.5]),
+                alice_response=np.full((2, 2), 0.5),
+                bob_response=np.full((2, 2), 0.5),
+            )
+
 
 class TestChsh:
     def test_reference_correlators(self):

@@ -299,6 +299,23 @@ class TestEstimateChsh:
         with pytest.raises(InsufficientDataError, match=r"\(a',b\)"):
             estimate_chsh(dataset)
 
+    def test_first_short_block_is_named(self):
+        # (a,b') holds 1 record and (a',b) none: the error names (a,b'), the first in order
+        pairs = [(0, 0)] * 4 + [(0, 1)] + [(1, 1)] * 4
+        x, y = (np.array(v) for v in zip(*pairs))
+        ones = np.ones(x.size, dtype=int)
+        dataset = SampleDataset(labels=("l0",), code=record_code(lam=0 * ones, x=x, y=y, a=ones, b=ones))
+        with pytest.raises(InsufficientDataError, match=r"^block \(a,b'\) has 1 record\(s\)"):
+            estimate_chsh(dataset)
+
+    def test_record_order_leaves_the_estimate_unchanged(self):
+        spec = NetworkSpec(model=random_model(np.random.default_rng(5), n_lambda=3))
+        for seed in range(20):
+            dataset = sample(spec, 20_000, seed=seed)
+            shuffled = SampleDataset(labels=dataset.labels,
+                                     code=np.random.default_rng(seed).permutation(dataset.code))
+            assert estimate_chsh(shuffled) == estimate_chsh(dataset)
+
     def test_estimate_near_exact(self):
         rng = np.random.default_rng(77)
         spec = NetworkSpec(model=random_model(rng, n_lambda=4))

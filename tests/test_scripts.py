@@ -10,7 +10,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.mark.parametrize("name, argv, expected", [
-    ("run_multistart_experiment.py", ["--states", "20", "--seed", "1"], "share above 2"),
+    ("run_max_chsh_experiment.py", ["--states", "20", "--seed", "1"], "share above 2"),
     ("run_sampling_experiment.py",
      ["--trials", "3", "--coarse", "200", "--fine", "2000", "--spec-seed", "8"],
      "fine estimate within 5 stderr"),
