@@ -29,10 +29,8 @@ from .lhv import (
     DeterministicStrategy,
     LHVModel,
     chsh,
-    deterministic_behavior,
     enumerate_deterministic,
     lhv_behavior,
-    mix_models,
     model_chsh,
     random_model,
     strategy_to_model,
@@ -63,11 +61,9 @@ from .quantum import (
     TwoQubitState,
     UnitVector3,
     basis_state,
-    correlation,
     correlation_matrix,
     quantum_behavior,
     random_pure_state,
-    random_unit_vector,
     singlet,
 )
 from .theses import (

@@ -50,14 +50,6 @@ def _as_float(value, what: str, source: str) -> float:
         raise FileFormatError(f"{source}: {what} is not a number: {exc}") from exc
 
 
-def behavior_to_json(b: Behavior) -> dict:
-    blocks = {}
-    for x, lx in enumerate(SETTING_LABELS_A):
-        for y, ly in enumerate(SETTING_LABELS_B):
-            blocks[f"{lx},{ly}"] = [[float(v) for v in row] for row in b.table[x, y]]
-    return {"blocks": blocks}
-
-
 def behavior_from_json(data: Any, source: str = "behavior") -> Behavior:
     if not isinstance(data, dict) or "blocks" not in data:
         raise FileFormatError(f"{source}: expected an object with a \"blocks\" key")
@@ -75,24 +67,6 @@ def behavior_from_json(data: Any, source: str = "behavior") -> Behavior:
         return Behavior(table)
     except InvalidInputError as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
-
-
-def parse_behavior_text(text: str, source: str = "behavior") -> Behavior:
-    return behavior_from_json(load_json(text, source), source)
-
-
-def model_to_json(model: LHVModel) -> dict:
-    entries = []
-    for k, label in enumerate(model.labels):
-        entries.append({
-            "label": label,
-            "prob": float(model.prior[k]),
-            "pA_plus": {"a": float(model.alice_response[k, 0]),
-                        "a'": float(model.alice_response[k, 1])},
-            "pB_plus": {"b": float(model.bob_response[k, 0]),
-                        "b'": float(model.bob_response[k, 1])},
-        })
-    return {"lambda": entries}
 
 
 def _response_pair(entry: dict, key: str, labels: tuple[str, str], source: str) -> list[float]:
@@ -127,15 +101,6 @@ def model_from_json(data: Any, source: str = "model") -> LHVModel:
                         alice_response=np.array(resp_a), bob_response=np.array(resp_b))
     except InvalidInputError as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
-
-
-def network_to_json(spec: NetworkSpec) -> dict:
-    data = model_to_json(spec.model)
-    data["settingPriorA"] = {"a": float(spec.setting_prior_a[0]),
-                             "a'": float(spec.setting_prior_a[1])}
-    data["settingPriorB"] = {"b": float(spec.setting_prior_b[0]),
-                             "b'": float(spec.setting_prior_b[1])}
-    return data
 
 
 def network_from_json(data: Any, source: str = "network") -> NetworkSpec:

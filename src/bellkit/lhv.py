@@ -116,7 +116,8 @@ def chsh(e) -> float:
     e = np.asarray(e, dtype=float)
     if e.shape != (4,):
         raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
-    if np.max(np.abs(e)) > 1.0 + BOUND_SLACK:
+    # negated <= so that a NaN correlator fails the check too
+    if not np.max(np.abs(e)) <= 1.0 + BOUND_SLACK:
         raise InvalidInputError(f"correlator {e[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
     return float(e[0] + e[1] + e[2] - e[3])
 
@@ -161,18 +162,6 @@ def model_chsh(model: LHVModel) -> float:
     return float(model.prior @ s_k)
 
 
-def mix_models(m1: LHVModel, m2: LHVModel, w: float) -> LHVModel:
-    """Prior mixture w*m1 + (1-w)*m2 on the disjoint union of the domains."""
-    if not 0.0 <= w <= 1.0:
-        raise InvalidInputError(f"mixture weight must be in [0, 1], got {w}")
-    return LHVModel(
-        labels=tuple(f"p.{s}" for s in m1.labels) + tuple(f"q.{s}" for s in m2.labels),
-        prior=np.concatenate([w * m1.prior, (1.0 - w) * m2.prior]),
-        alice_response=np.vstack([m1.alice_response, m2.alice_response]),
-        bob_response=np.vstack([m1.bob_response, m2.bob_response]),
-    )
-
-
 def random_model(rng: np.random.Generator, n_lambda: int | None = None) -> LHVModel:
     """Pseudo-random model: uniform responses, symmetric Dirichlet(1) prior.
 
@@ -196,8 +185,3 @@ def deterministic_vertex_tables() -> np.ndarray:
                        for s, _ in enumerate_deterministic()])
     tables.setflags(write=False)
     return tables
-
-
-def deterministic_behavior(s: DeterministicStrategy) -> Behavior:
-    """The (0/1-valued) behavior realized by a deterministic strategy."""
-    return lhv_behavior(strategy_to_model(s))

@@ -18,7 +18,7 @@ import numpy as np
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, correlators
 from .errors import InsufficientDataError, InvalidInputError
 from .lhv import LHVModel, chsh
-from .tolerance import ROUNDOFF, probability_vector
+from .tolerance import probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
@@ -94,9 +94,6 @@ class MarkovReport:
     @property
     def max_residual(self) -> float:
         return max(self.source_settings, self.alice_screening, self.bob_screening)
-
-    def ok(self) -> bool:
-        return self.max_residual <= ROUNDOFF
 
 
 def verify_markov(spec_or_joint: NetworkSpec | np.ndarray) -> MarkovReport:

@@ -18,6 +18,11 @@ from .quantum import TwoQubitState, UnitVector3, correlation_matrix
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
+# largest row count sweep() computes: the rows and their temporaries peak at
+# ~300 bytes per row (in-process peak RSS 275-355 MB at 10^6 rows on a 2-CPU
+# x86-64 VM), so 10^7 rows need ~3 GB
+MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class MeasurementSettings:
@@ -103,8 +108,8 @@ def sweep(
     Angles are evenly spaced over [theta_start_deg, theta_end_deg] inclusive;
     the first row of the sweep from 0 on the singlet is (0, -2*sqrt(2)).
     """
-    if steps < 2:
-        raise InvalidInputError(f"steps must be >= 2, got {steps}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise InvalidInputError(f"sweep row count --steps must be between 2 and {MAX_STEPS}, got {steps}")
     thetas = [theta_start_deg + (theta_end_deg - theta_start_deg) * i / (steps - 1)
               for i in range(steps)]
     # a non-finite bound, or bounds whose difference overflows, gives inf or nan angles

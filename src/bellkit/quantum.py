@@ -43,19 +43,8 @@ class UnitVector3:
         object.__setattr__(self, "y", v[1] / norm)
         object.__setattr__(self, "z", v[2] / norm)
 
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        """Build from an arbitrary nonzero vector, normalizing first."""
-        norm = math.sqrt(x * x + y * y + z * z)
-        if not 0.0 < norm < math.inf:
-            raise InvalidInputError("cannot normalize a zero or non-finite vector")
-        return cls(x / norm, y / norm, z / norm)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def dot(self, other: "UnitVector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +105,6 @@ def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(amp / np.linalg.norm(amp))
 
 
-def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
-    """Uniformly distributed direction on the sphere."""
-    while True:
-        v = rng.standard_normal(3)
-        n = np.linalg.norm(v)
-        if n > ROUNDOFF:
-            return UnitVector3(*(v / n))
-
-
 def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local Bloch vectors and correlation tensor (a, b, T) of a pure state.
 
@@ -143,13 +123,6 @@ def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.nd
     if imag > BOUND_SLACK:
         raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
     return a.real, b.real, t.real
-
-
-def correlation(psi: TwoQubitState, u: UnitVector3, v: UnitVector3) -> float:
-    """<psi| (u.sigma) (x) (v.sigma) |psi> = u^T T v, the expected product of outcomes."""
-    val = float(u.as_array() @ correlation_matrix(psi) @ v.as_array())
-    # expectation of a +/-1 observable product; clamp float overshoot
-    return min(1.0, max(-1.0, val))
 
 
 def quantum_behavior(
@@ -171,6 +144,6 @@ def quantum_behavior(
 def correlation_matrix(psi: TwoQubitState) -> np.ndarray:
     """3x3 matrix T with T[i, j] = <psi| sigma_i (x) sigma_j |psi>.
 
-    Satisfies correlation(psi, u, v) = u^T T v for all unit u, v.
+    The expected product of outcomes along unit directions u and v is u^T T v.
     """
     return _bloch_and_tensor(psi)[2]

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, OUTCOME_VALUES, correlators, require_no_signaling
+from .behavior import Behavior, OUTCOME_VALUES, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
-from .lhv import chsh
 from .network import _setting_prior, conditional_behavior
 
 
@@ -192,9 +191,6 @@ class NonlocalWitness:
         table = self.p_a_given_x[:, None, :, None] * self.p_b_given_xya
         return Behavior(table)
 
-    def recomposed_chsh(self) -> float:
-        return chsh(correlators(self.recompose()))
-
 
 def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     """Exactly reproduce a no-signaling behavior with a signaling-free-marginal,
@@ -226,8 +222,6 @@ class SuperdeterministicWitness:
 
     atoms: tuple[tuple[int, int, int, int], ...]  # (x, y, A, B) with +/-1 outcomes
     prior: np.ndarray
-    setting_prior_a: np.ndarray
-    setting_prior_b: np.ndarray
 
     def _atom_index(self) -> tuple[np.ndarray, ...]:
         """Each atom's (x, y, A, B) index into a behavior-shaped table."""
@@ -239,9 +233,6 @@ class SuperdeterministicWitness:
         joint = np.zeros((1, 2, 2, 2, 2))
         np.add.at(joint[0], self._atom_index(), self.prior)
         return conditional_behavior(joint)
-
-    def recomposed_chsh(self) -> float:
-        return chsh(correlators(self.induced_behavior()))
 
     def setting_dependence_residual(self) -> float:
         """max |P(value|x,y) - P(value)|: strictly positive, the broken thesis."""
@@ -280,6 +271,4 @@ def superdeterministic_witness(
     return SuperdeterministicWitness(
         atoms=tuple(map(tuple, np.column_stack([index[:, :2], outcomes]).tolist())),
         prior=prior / prior.sum(),
-        setting_prior_a=pa,
-        setting_prior_b=pb,
     )

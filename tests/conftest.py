@@ -81,9 +81,37 @@ def kron_behavior_table(psi, settings) -> np.ndarray:
     return table
 
 
+def random_direction(rng) -> UnitVector3:
+    """A uniformly distributed direction: a standard normal 3-vector, normalized."""
+    v = rng.standard_normal(3)
+    return UnitVector3(*(v / np.linalg.norm(v)))
+
+
 def chsh_via_behavior(psi, settings) -> float:
     """S of ``MeasurementSettings`` through the projector outcome table."""
     return chsh(correlators(Behavior(kron_behavior_table(psi, settings.as_tuple()))))
+
+
+# Writers of the three file formats that bellkit.io reads.
+
+def behavior_json(b) -> dict:
+    """A behavior file's object: each setting pair's 2x2 block keyed "x,y"."""
+    return {"blocks": {f"{lx},{ly}": b.table[x, y].tolist() for x, lx in enumerate(SETTING_LABELS_A)
+                       for y, ly in enumerate(SETTING_LABELS_B)}}
+
+
+def model_json(model) -> dict:
+    """A model file's object: one entry per hidden value."""
+    rows = zip(model.labels, model.prior.tolist(), model.alice_response.tolist(), model.bob_response.tolist())
+    return {"lambda": [{"label": label, "prob": p, "pA_plus": {"a": ra[0], "a'": ra[1]},
+                        "pB_plus": {"b": rb[0], "b'": rb[1]}} for label, p, ra, rb in rows]}
+
+
+def network_json(spec) -> dict:
+    """A network file's object: the model's, plus both setting priors."""
+    pa, pb = spec.setting_prior_a.tolist(), spec.setting_prior_b.tolist()
+    return {**model_json(spec.model), "settingPriorA": {"a": pa[0], "a'": pa[1]},
+            "settingPriorB": {"b": pb[0], "b'": pb[1]}}
 
 
 def relabelings():

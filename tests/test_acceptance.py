@@ -14,9 +14,11 @@ from bellkit import (
     Stance,
     Thesis,
     classical,
+    chsh,
     chsh_of_settings,
     conditional_behavior,
-    correlation,
+    correlation_matrix,
+    correlators,
     enumerate_deterministic,
     estimate_chsh,
     exact_joint,
@@ -40,7 +42,7 @@ from bellkit import (
     uniform_behavior,
     verify_markov,
 )
-from bellkit.quantum import random_unit_vector
+from conftest import random_direction
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -85,12 +87,12 @@ def test_criterion_2_stochastic_bound():
 
 def test_criterion_3_singlet_law():
     rng = np.random.default_rng(3141)
-    psi = singlet()
+    t = correlation_matrix(singlet())
     worst = 0.0
     for _ in range(1000):
-        u = random_unit_vector(rng)
-        v = random_unit_vector(rng)
-        worst = max(worst, abs(correlation(psi, u, v) + u.dot(v)))
+        u = random_direction(rng).as_array()
+        v = random_direction(rng).as_array()
+        worst = max(worst, abs(u @ t @ v + u @ v))
     _verdict(3, "singlet correlations equal -u.v within 1e-12", worst <= 1e-12,
              f"worst residual {worst:.2e}")
 
@@ -172,10 +174,10 @@ def test_criterion_8_witness_reproduction():
                     float(np.max(np.abs(w1.table - b.table))),
                     float(np.max(np.abs(w2.table - b.table))))
     singlet_b = quantum_behavior(singlet(), tsirelson_settings().as_tuple())
-    s_nonlocal = nonlocal_witness(singlet_b).recomposed_chsh()
-    s_superdet = superdeterministic_witness(singlet_b).recomposed_chsh()
-    pr_nonlocal = nonlocal_witness(pr_box()).recomposed_chsh()
-    pr_superdet = superdeterministic_witness(pr_box()).recomposed_chsh()
+    s_nonlocal = chsh(correlators(nonlocal_witness(singlet_b).recompose()))
+    s_superdet = chsh(correlators(superdeterministic_witness(singlet_b).induced_behavior()))
+    pr_nonlocal = chsh(correlators(nonlocal_witness(pr_box()).recompose()))
+    pr_superdet = chsh(correlators(superdeterministic_witness(pr_box()).induced_behavior()))
     ok = (
         worst <= 1e-12
         and abs(s_nonlocal + TSIRELSON) <= 1e-9

@@ -9,10 +9,11 @@ from bellkit import (
     InvalidInputError,
     behavior_from_correlators,
     correlators,
-    deterministic_behavior,
+    lhv_behavior,
     no_signaling,
     pr_box,
     random_no_signaling_behavior,
+    strategy_to_model,
     uniform_behavior,
 )
 
@@ -71,7 +72,7 @@ class TestCorrelators:
         )
 
     def test_deterministic_all_plus(self):
-        b = deterministic_behavior(DeterministicStrategy(1, 1, 1, 1))
+        b = lhv_behavior(strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
         np.testing.assert_allclose(correlators(b), [1.0, 1.0, 1.0, 1.0], atol=0)
 
 
@@ -87,6 +88,11 @@ class TestNoSignaling:
         report = no_signaling(Behavior(signaling_table()))
         assert not report.ok
         assert report.alice_residuals[0] == pytest.approx(1.0)
+
+    def test_truth_value_is_the_verdict(self):
+        # without __bool__ a report would be truthy, so `if no_signaling(b):` would pass this table
+        assert bool(no_signaling(Behavior(signaling_table()))) is False
+        assert bool(no_signaling(uniform_behavior())) is True
 
     def test_quantum_behavior_passes(self, singlet_behavior):
         assert no_signaling(singlet_behavior).max_residual <= 1e-12

@@ -21,8 +21,7 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.cli import _write_text, main
-from bellkit.io import behavior_to_json, model_to_json, network_to_json
-from conftest import src_env
+from conftest import behavior_json, model_json, network_json, src_env
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
@@ -33,7 +32,7 @@ GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "gol
 @pytest.fixture()
 def singlet_behavior_file(tmp_path, singlet_behavior):
     path = tmp_path / "singlet_behavior.json"
-    path.write_text(json.dumps(behavior_to_json(singlet_behavior)))
+    path.write_text(json.dumps(behavior_json(singlet_behavior)))
     return str(path)
 
 
@@ -42,7 +41,7 @@ def uniform_behavior_file(tmp_path):
     from bellkit import uniform_behavior
 
     path = tmp_path / "uniform.json"
-    path.write_text(json.dumps(behavior_to_json(uniform_behavior())))
+    path.write_text(json.dumps(behavior_json(uniform_behavior())))
     return str(path)
 
 
@@ -50,7 +49,7 @@ def uniform_behavior_file(tmp_path):
 def det_network_file(tmp_path):
     spec = NetworkSpec(model=strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
     path = tmp_path / "network.json"
-    path.write_text(json.dumps(network_to_json(spec)))
+    path.write_text(json.dumps(network_json(spec)))
     return str(path)
 
 
@@ -78,7 +77,7 @@ class TestChshCommand:
         # S = 0 here, but another CHSH sign variant reaches 4
         box = behavior_from_correlators(np.array([[-1.0, 1.0], [1.0, 1.0]]))
         path = tmp_path / "box.json"
-        path.write_text(json.dumps(behavior_to_json(box)))
+        path.write_text(json.dumps(behavior_json(box)))
         code, out, _ = run(capsys, "chsh", str(path))
         assert code == 0
         assert "S: 0.0000000" in out
@@ -87,7 +86,7 @@ class TestChshCommand:
 
     def test_signaling_table_refused(self, capsys, tmp_path):
         path = tmp_path / "signaling.json"
-        path.write_text(json.dumps(behavior_to_json(Behavior(signaling_table()))))
+        path.write_text(json.dumps(behavior_json(Behavior(signaling_table()))))
         code, out, err = run(capsys, "chsh", str(path))
         assert code == 2
         assert out == ""
@@ -96,13 +95,13 @@ class TestChshCommand:
     def test_model_file_accepted(self, capsys, tmp_path):
         model = random_model(np.random.default_rng(0), n_lambda=2)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_json(model)))
+        path.write_text(json.dumps(model_json(model)))
         code, out, _ = run(capsys, "chsh", str(path))
         assert code == 0
         assert "input kind: model" in out
 
     def test_missing_block_exits_2(self, capsys, tmp_path, singlet_behavior):
-        data = behavior_to_json(singlet_behavior)
+        data = behavior_json(singlet_behavior)
         del data["blocks"]["a,b'"]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
@@ -116,7 +115,7 @@ class TestChshCommand:
         assert "absent.json" in err
 
     def test_non_numeric_block_exits_2(self, capsys, tmp_path, singlet_behavior):
-        data = behavior_to_json(singlet_behavior)
+        data = behavior_json(singlet_behavior)
         data["blocks"]["a,b"] = [[1, "x"], [0, 0]]
         path = tmp_path / "junk.json"
         path.write_text(json.dumps(data))
@@ -238,7 +237,7 @@ class TestSampleCommand:
     def test_estimate_within_five_stderr(self, capsys, tmp_path):
         model = random_model(np.random.default_rng(21), n_lambda=3)
         path = tmp_path / "model_net.json"
-        path.write_text(json.dumps(model_to_json(model)))
+        path.write_text(json.dumps(model_json(model)))
         out_csv = tmp_path / "d.csv"
         code, out, _ = run(capsys, "--format", "json", "sample", str(path),
                            "-n", "100000", "--seed", "31", "--out", str(out_csv))
@@ -253,7 +252,7 @@ class TestSampleCommand:
         spec = NetworkSpec(model=strategy_to_model(DeterministicStrategy(1, 1, 1, 1)),
                            setting_prior_a=np.array(prior_a))
         path = tmp_path / "network.json"
-        path.write_text(json.dumps(network_to_json(spec)))
+        path.write_text(json.dumps(network_json(spec)))
         out_csv = tmp_path / "x.csv"
         code, out, err = run(capsys, "sample", str(path), "-n", n, "--seed", "1",
                              "--out", str(out_csv))
@@ -331,7 +330,7 @@ class TestSampleCommand:
                                     ("l0\r", "l1"), ("l0", "l\n1")])
 @pytest.mark.parametrize("command", ["sample", "chsh"])
 def test_labels_that_break_the_csv_exit_2(capsys, tmp_path, labels, command):
-    data = model_to_json(random_model(np.random.default_rng(4), n_lambda=2))
+    data = model_json(random_model(np.random.default_rng(4), n_lambda=2))
     for entry, label in zip(data["lambda"], labels):
         entry["label"] = label
     path = tmp_path / "model.json"
@@ -347,7 +346,7 @@ def test_labels_that_break_the_csv_exit_2(capsys, tmp_path, labels, command):
 
 @pytest.mark.parametrize("command", ["sample", "chsh"])
 def test_label_not_encodable_as_utf8_exits_2(capsys, tmp_path, command):
-    data = model_to_json(random_model(np.random.default_rng(4), n_lambda=2))
+    data = model_json(random_model(np.random.default_rng(4), n_lambda=2))
     data["lambda"][1]["label"] = "\ud800"
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))  # ASCII JSON, the label as the escape \ud800
@@ -372,11 +371,27 @@ def test_write_text_removes_temp_file_on_any_exception(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["sample", "chsh"])
+def test_file_not_utf8_exits_2_without_csv(capsys, tmp_path, command):
+    # a valid model file but for one 0xff byte in the first label, at byte offset 24
+    text = json.dumps(model_json(random_model(np.random.default_rng(4), n_lambda=2)))
+    assert text.startswith('{"lambda": [{"label": "l0"')
+    path = tmp_path / "model.json"
+    path.write_bytes(text.encode("utf-8").replace(b'"l0"', b'"l\xff"'))
+    out_csv = tmp_path / "d.csv"
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: byte 0xff at offset 24 is not UTF-8\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "chsh"])
 def test_overflowing_sum_stderr_is_one_error_line(tmp_path, command):
     # a fresh interpreter, so that a numpy overflow warning would reach stderr as it does for a user
     out_csv = tmp_path / "d.csv"
     if command == "sample":
-        data = model_to_json(random_model(np.random.default_rng(4), n_lambda=2))
+        data = model_json(random_model(np.random.default_rng(4), n_lambda=2))
         for entry in data["lambda"]:
             entry["prob"] = 1e308
         extra, error = ["-n", "100", "--seed", "1", "--out", str(out_csv)], "prior sums to inf, not 1 within 1e-09"
@@ -443,6 +458,23 @@ class TestSweepCommand:
         assert code == 2
         assert "steps" in err
 
+    def test_steps_above_cap_exit_2_without_rows(self, capsys, monkeypatch, tmp_path):
+        from bellkit import optimize
+
+        def no_rows(*args):
+            raise AssertionError("sweep angles were computed")
+
+        # the count is refused before the angle list, and so any row array, exists;
+        # a module global named range shadows the builtin that the angle list calls
+        monkeypatch.setattr(optimize, "range", no_rows, raising=False)
+        steps = optimize.MAX_STEPS + 1
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "sweep", "singlet", "--steps", str(steps), "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep row count --steps must be between 2 and 10000000, got {steps}\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("bounds", [("nan", "360"), ("0", "inf"), ("-inf", "0"),
                                         ("1e308", "-1e308")])
@@ -470,7 +502,7 @@ def test_behavior_file_roundtrip_through_tool(capsys, tmp_path):
     # the tool re-reads what it would write: same digest twice
     b = quantum_behavior(singlet(), tsirelson_settings().as_tuple())
     path = tmp_path / "b.json"
-    path.write_text(json.dumps(behavior_to_json(b)))
+    path.write_text(json.dumps(behavior_json(b)))
     _, out1, _ = run(capsys, "chsh", str(path))
     _, out2, _ = run(capsys, "chsh", str(path))
     assert out1 == out2

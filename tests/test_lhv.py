@@ -11,11 +11,9 @@ from bellkit import (
     LHVModel,
     chsh,
     correlators,
-    deterministic_behavior,
     enumerate_deterministic,
     is_local,
     lhv_behavior,
-    mix_models,
     model_chsh,
     no_signaling,
     random_model,
@@ -52,11 +50,10 @@ class TestLhvBehavior:
         np.testing.assert_allclose(lhv_behavior(fair_coins_model()).table, 0.25, atol=0)
 
     def test_two_opposite_strategies(self):
-        model = mix_models(
-            strategy_to_model(DeterministicStrategy(1, 1, 1, 1)),
-            strategy_to_model(DeterministicStrategy(-1, -1, -1, -1)),
-            0.5,
-        )
+        # all outcomes +1 or all -1, with equal weight
+        model = LHVModel(labels=("plus", "minus"), prior=np.array([0.5, 0.5]),
+                         alice_response=np.array([[1.0, 1.0], [0.0, 0.0]]),
+                         bob_response=np.array([[1.0, 1.0], [0.0, 0.0]]))
         b = lhv_behavior(model)
         np.testing.assert_allclose(correlators(b), [1.0, 1.0, 1.0, 1.0], atol=1e-15)
         for x in range(2):
@@ -138,6 +135,10 @@ class TestChsh:
         with pytest.raises(InvalidInputError):
             chsh([1.1, 0.0, 0.0, 0.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidInputError, match="correlator nan outside"):
+            chsh([math.nan, 0.0, 0.0, 0.0])
+
 
 class TestEnumerateDeterministic:
     def test_count_and_values(self):
@@ -168,8 +169,10 @@ class TestModelChsh:
         assert model_chsh(fair_coins_model()) == 0.0
 
     def test_mixture_of_maximizers_stays_bounded(self):
-        maximizers = [s for s, v in enumerate_deterministic() if v == 2]
-        model = mix_models(strategy_to_model(maximizers[0]), strategy_to_model(maximizers[1]), 0.5)
+        maximizers = [strategy_to_model(s) for s, v in enumerate_deterministic() if v == 2][:2]
+        model = LHVModel(labels=("l0", "l1"), prior=np.array([0.5, 0.5]),
+                         alice_response=np.vstack([m.alice_response for m in maximizers]),
+                         bob_response=np.vstack([m.bob_response for m in maximizers]))
         assert abs(model_chsh(model)) <= 2.0 + 1e-12
 
     def test_roundtrip_all_sixteen(self):
@@ -216,7 +219,11 @@ def test_convexity_of_behaviors():
         m1 = random_model(rng)
         m2 = random_model(rng)
         w = float(rng.uniform())
-        mixed = lhv_behavior(mix_models(m1, m2, w))
+        mixed = lhv_behavior(LHVModel(
+            labels=tuple(f"p.{s}" for s in m1.labels) + tuple(f"q.{s}" for s in m2.labels),
+            prior=np.concatenate([w * m1.prior, (1.0 - w) * m2.prior]),
+            alice_response=np.vstack([m1.alice_response, m2.alice_response]),
+            bob_response=np.vstack([m1.bob_response, m2.bob_response])))
         pointwise = w * lhv_behavior(m1).table + (1.0 - w) * lhv_behavior(m2).table
         np.testing.assert_allclose(mixed.table, pointwise, atol=1e-12)
 
@@ -230,5 +237,5 @@ def test_triangle_lemma_on_grid():
 
 def test_deterministic_behavior_is_zero_one():
     for strategy, _ in enumerate_deterministic():
-        table = deterministic_behavior(strategy).table
+        table = lhv_behavior(strategy_to_model(strategy)).table
         assert set(np.unique(table)) <= {0.0, 1.0}

@@ -14,7 +14,7 @@ from bellkit import (
     sweep,
     tsirelson_settings,
 )
-from conftest import chsh_via_behavior
+from conftest import chsh_via_behavior, random_direction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,11 +54,10 @@ class TestChshOfSettings:
     def test_agrees_with_behavior_pathway(self):
         rng = np.random.default_rng(19)
         from bellkit import MeasurementSettings
-        from bellkit.quantum import random_unit_vector
 
         for _ in range(25):
             psi = random_pure_state(rng)
-            settings = MeasurementSettings(*(random_unit_vector(rng) for _ in range(4)))
+            settings = MeasurementSettings(*(random_direction(rng) for _ in range(4)))
             assert chsh_of_settings(psi, settings) == pytest.approx(
                 chsh_via_behavior(psi, settings), abs=1e-12
             )

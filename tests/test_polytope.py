@@ -10,7 +10,6 @@ from bellkit import (
     LocalDecomposition,
     behavior_from_correlators,
     chsh_variants,
-    deterministic_behavior,
     enumerate_deterministic,
     is_local,
     lhv_behavior,
@@ -18,6 +17,7 @@ from bellkit import (
     pr_box,
     random_model,
     random_no_signaling_behavior,
+    strategy_to_model,
     uniform_behavior,
 )
 from bellkit.tolerance import BOUND_SLACK, ROUNDOFF
@@ -78,7 +78,7 @@ class TestLocalDecomposition:
         assert err <= 1e-7
 
     def test_deterministic_point_mass(self):
-        b = deterministic_behavior(DeterministicStrategy(1, 1, 1, 1))
+        b = lhv_behavior(strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
         deco = local_decomposition(b)
         assert deco is not None
         assert deco.weights[0] == pytest.approx(1.0, abs=1e-9)

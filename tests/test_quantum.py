@@ -11,13 +11,11 @@ from bellkit import (
     TwoQubitState,
     UnitVector3,
     basis_state,
-    correlation,
     correlation_matrix,
     correlators,
     no_signaling,
     quantum_behavior,
     random_pure_state,
-    random_unit_vector,
     seesaw_maximize,
     singlet,
     tsirelson_settings,
@@ -28,6 +26,7 @@ from conftest import (
     kron_correlation,
     kron_correlation_matrix,
     pauli_dot,
+    random_direction,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -41,7 +40,7 @@ def unit_vectors(min_norm=0.2):
     return (
         st.tuples(coord, coord, coord)
         .filter(lambda v: math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) > min_norm)
-        .map(lambda v: UnitVector3.normalized(*v))
+        .map(lambda v: UnitVector3(*(np.array(v) / np.linalg.norm(v))))
     )
 
 
@@ -116,39 +115,40 @@ class TestStateValidation:
 
 class TestCorrelation:
     def test_singlet_parallel(self):
-        assert correlation(singlet(), Z, Z) == pytest.approx(-1.0, abs=1e-12)
+        z = Z.as_array()
+        assert z @ correlation_matrix(singlet()) @ z == pytest.approx(-1.0, abs=1e-12)
 
     def test_singlet_reference_pair(self):
-        v = UnitVector3(1 / SQRT2, 1 / SQRT2, 0.0)
-        assert correlation(singlet(), X, v) == pytest.approx(-1 / SQRT2, abs=1e-12)
+        v = np.array([1 / SQRT2, 1 / SQRT2, 0.0])
+        assert X.as_array() @ correlation_matrix(singlet()) @ v == pytest.approx(-1 / SQRT2, abs=1e-12)
 
     def test_product_state_parallel(self):
-        assert correlation(basis_state(0), Z, Z) == pytest.approx(1.0, abs=1e-12)
+        z = Z.as_array()
+        assert z @ correlation_matrix(basis_state(0)) @ z == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_law_random_pairs(self):
         rng = np.random.default_rng(20240811)
-        psi = singlet()
+        t = correlation_matrix(singlet())
         for _ in range(100):
-            u = random_unit_vector(rng)
-            v = random_unit_vector(rng)
-            assert abs(correlation(psi, u, v) + u.dot(v)) <= 1e-12
+            u = random_direction(rng).as_array()
+            v = random_direction(rng).as_array()
+            assert abs(u @ t @ v + u @ v) <= 1e-12
 
     def test_matches_bilinear_form(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             psi = random_pure_state(rng)
-            t = correlation_matrix(psi)
-            u = random_unit_vector(rng)
-            v = random_unit_vector(rng)
-            assert correlation(psi, u, v) == pytest.approx(
-                u.as_array() @ t @ v.as_array(), abs=1e-12
+            u = random_direction(rng)
+            v = random_direction(rng)
+            assert kron_correlation(psi, u, v) == pytest.approx(
+                u.as_array() @ correlation_matrix(psi) @ v.as_array(), abs=1e-12
             )
 
 
 class TestQuantumBehavior:
     def test_singlet_marginals_are_half(self):
         rng = np.random.default_rng(3)
-        settings_vecs = tuple(random_unit_vector(rng) for _ in range(4))
+        settings_vecs = tuple(random_direction(rng) for _ in range(4))
         b = quantum_behavior(singlet(), settings_vecs)
         for x in range(2):
             for y in range(2):
@@ -170,22 +170,18 @@ class TestQuantumBehavior:
         rng = np.random.default_rng(11)
         for _ in range(20):
             psi = random_pure_state(rng)
-            vecs = tuple(random_unit_vector(rng) for _ in range(4))
+            vecs = tuple(random_direction(rng) for _ in range(4))
             b = quantum_behavior(psi, vecs)
             e = correlators(b)
-            expected = [
-                correlation(psi, vecs[0], vecs[2]),
-                correlation(psi, vecs[0], vecs[3]),
-                correlation(psi, vecs[1], vecs[2]),
-                correlation(psi, vecs[1], vecs[3]),
-            ]
+            t = correlation_matrix(psi)
+            expected = [u.as_array() @ t @ v.as_array() for u in vecs[:2] for v in vecs[2:]]
             np.testing.assert_allclose(e, expected, atol=1e-12)
 
     def test_no_signaling_within_1e12(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             psi = random_pure_state(rng)
-            vecs = tuple(random_unit_vector(rng) for _ in range(4))
+            vecs = tuple(random_direction(rng) for _ in range(4))
             report = no_signaling(quantum_behavior(psi, vecs))
             assert report.ok
             assert report.max_residual <= 1e-12
@@ -233,7 +229,8 @@ def test_tensor_core_matches_projector_oracle(psi, dirs, other_dirs):
     assert np.max(np.abs(correlation_matrix(psi) - kron_correlation_matrix(psi))) <= 1e-12
     for u in dirs[:2]:
         for v in dirs[2:]:
-            assert abs(correlation(psi, u, v) - kron_correlation(psi, u, v)) <= 1e-12
+            bilinear = u.as_array() @ correlation_matrix(psi) @ v.as_array()
+            assert abs(bilinear - kron_correlation(psi, u, v)) <= 1e-12
     # the closed-form optimum is reached at its settings and beaten by none
     result = seesaw_maximize(psi, seed=0)
     assert abs(chsh_via_behavior(psi, result.settings) - result.best_s) <= 1e-12

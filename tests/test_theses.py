@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 
 from bellkit import (
     Behavior,
+    DeterministicStrategy,
     InvalidInputError,
     Stance,
     Thesis,
     UnknownInterpretationError,
+    chsh,
     classical,
-    deterministic_behavior,
+    correlators,
     enumerate_deterministic,
     escape_route,
     find_interpretation,
+    lhv_behavior,
     nonlocal_witness,
     pr_box,
     qm_compatible,
     random_no_signaling_behavior,
+    strategy_to_model,
     superdeterministic_witness,
     taxonomy,
     uniform_behavior,
@@ -151,12 +155,12 @@ class TestNonlocalWitness:
         witness = nonlocal_witness(singlet_behavior)
         err = np.max(np.abs(witness.recompose().table - singlet_behavior.table))
         assert err <= 1e-12
-        assert witness.recomposed_chsh() == pytest.approx(-2 * SQRT2, abs=1e-9)
+        assert chsh(correlators(witness.recompose())) == pytest.approx(-2 * SQRT2, abs=1e-9)
 
     def test_reproduces_pr_box(self):
         witness = nonlocal_witness(pr_box())
         assert np.max(np.abs(witness.recompose().table - pr_box().table)) <= 1e-12
-        assert witness.recomposed_chsh() == pytest.approx(4.0, abs=1e-12)
+        assert chsh(correlators(witness.recompose())) == pytest.approx(4.0, abs=1e-12)
 
     def test_reproduces_local_behavior(self):
         witness = nonlocal_witness(uniform_behavior())
@@ -173,7 +177,7 @@ class TestNonlocalWitness:
         rng = np.random.default_rng(313)
         # the 16 deterministic behaviors have null events A with P(A|x) = 0
         behaviors = [random_no_signaling_behavior(rng) for _ in range(200)] + [
-            deterministic_behavior(s) for s, _ in enumerate_deterministic()]
+            lhv_behavior(strategy_to_model(s)) for s, _ in enumerate_deterministic()]
         for b in behaviors:
             witness = nonlocal_witness(b)
             assert np.max(np.abs(witness.recompose().table - b.table)) <= 1e-12
@@ -186,17 +190,15 @@ class TestSuperdeterministicWitness:
         witness = superdeterministic_witness(singlet_behavior)
         err = np.max(np.abs(witness.induced_behavior().table - singlet_behavior.table))
         assert err <= 1e-12
-        assert witness.recomposed_chsh() == pytest.approx(-2 * SQRT2, abs=1e-9)
+        assert chsh(correlators(witness.induced_behavior())) == pytest.approx(-2 * SQRT2, abs=1e-9)
 
     def test_reproduces_pr_box(self):
         witness = superdeterministic_witness(pr_box())
         assert np.max(np.abs(witness.induced_behavior().table - pr_box().table)) <= 1e-12
-        assert witness.recomposed_chsh() == pytest.approx(4.0, abs=1e-12)
+        assert chsh(correlators(witness.induced_behavior())) == pytest.approx(4.0, abs=1e-12)
 
     def test_deterministic_behavior_concentrates_on_four_atoms(self):
-        from bellkit import DeterministicStrategy, deterministic_behavior
-
-        b = deterministic_behavior(DeterministicStrategy(1, 1, 1, 1))
+        b = lhv_behavior(strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
         witness = superdeterministic_witness(b)
         assert len(witness.atoms) == 4
         np.testing.assert_allclose(witness.prior, 0.25, atol=1e-15)
