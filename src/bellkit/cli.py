@@ -258,6 +258,7 @@ def cmd_sweep(args) -> RunReport:
     rows = sweep(psi, steps=args.steps,
                  theta_start_deg=args.theta_start, theta_end_deg=args.theta_end)
     _write_text(args.out, sweep_rows_to_csv(rows))
+    s_values = rows[:, 1]
     return RunReport(
         command="sweep",
         inputs_digest=digest_inputs({"state": args.state, "steps": args.steps,
@@ -265,10 +266,11 @@ def cmd_sweep(args) -> RunReport:
         results={
             "rows": len(rows),
             "output": args.out,
-            "first (theta, S)": [rows[0][0], rows[0][1]],
-            "last (theta, S)": [rows[-1][0], rows[-1][1]],
-            "min S": min(s for _, s in rows),
-            "max S": max(s for _, s in rows),
+            "first (theta, S)": rows[0].tolist(),
+            "last (theta, S)": rows[-1].tolist(),
+            # the first extreme row, so that a tie of 0.0 and -0.0 keeps the earlier sign
+            "min S": float(s_values[s_values.argmin()]),
+            "max S": float(s_values[s_values.argmax()]),
         },
     )
 

@@ -19,7 +19,7 @@ from . import __version__
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B
 from .errors import InvalidInputError
 from .lhv import LHVModel
-from .network import NetworkSpec
+from .network import _CHUNK, NetworkSpec
 
 class FileFormatError(InvalidInputError):
     """A file failed to parse or validate; message carries position info."""
@@ -120,11 +120,12 @@ def parse_network_text(text: str, source: str = "network") -> NetworkSpec:
     return network_from_json(load_json(text, source), source)
 
 
-def sweep_rows_to_csv(rows: list[tuple[float, float]]) -> str:
-    """CSV ``theta_degrees,S`` at full double precision."""
-    lines = ["theta_degrees,S"]
-    lines.extend(f"{repr(float(t))},{repr(float(s))}" for t, s in rows)
-    return "\n".join(lines) + "\n"
+def sweep_rows_to_csv(rows: np.ndarray) -> str:
+    """CSV ``theta_degrees,S`` of a ``sweep`` array at full double precision."""
+    parts = ["theta_degrees,S\n"]
+    for k in range(0, len(rows), _CHUNK):
+        parts.append("".join(f"{t!r},{s!r}\n" for t, s in rows[k:k + _CHUNK].tolist()))
+    return "".join(parts)
 
 
 def digest_inputs(descriptor: dict) -> str:

@@ -35,11 +35,6 @@ class DeterministicStrategy:
             if val not in (+1, -1):
                 raise InvalidInputError(f"{name} must be +1 or -1, got {val!r}")
 
-    def chsh_value(self) -> int:
-        """S for this strategy, in exact integer arithmetic."""
-        return (self.a_out * self.b_out + self.a_out * self.b_prime_out
-                + self.a_prime_out * self.b_out - self.a_prime_out * self.b_prime_out)
-
 
 # characters a hidden-value label may not contain
 _CSV_UNSAFE = re.compile('[,"\r\n]')
@@ -102,24 +97,29 @@ class LHVModel:
         return len(self.labels)
 
 
+def _outcome_axis(response: np.ndarray) -> np.ndarray:
+    """P(+1|x,k) and P(-1|x,k) along a new last outcome axis: (k, x) -> (k, x, 2)."""
+    return np.stack([response, 1.0 - response], axis=2)
+
+
 def lhv_behavior(model: LHVModel) -> Behavior:
     """The factorized behavior sum_k P(k) P(A|x,k) P(B|y,k)."""
-    # stack P(A|x,k) for A = +1, -1 along a new outcome axis: shape (k, x, A)
-    pa = np.stack([model.alice_response, 1.0 - model.alice_response], axis=2)
-    pb = np.stack([model.bob_response, 1.0 - model.bob_response], axis=2)
+    pa, pb = _outcome_axis(model.alice_response), _outcome_axis(model.bob_response)
     table = np.einsum("k,kxi,kyj->xyij", model.prior, pa, pb)
     return Behavior(table)
 
 
-def chsh(e) -> float:
-    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
+def chsh(e) -> float | np.ndarray:
+    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b'): a float for 4 correlators, an array for (n, 4)."""
     e = np.asarray(e, dtype=float)
-    if e.shape != (4,):
+    if e.ndim > 2 or e.shape[-1:] != (4,):
         raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
     # negated <= so that a NaN correlator fails the check too
-    if not np.max(np.abs(e)) <= 1.0 + BOUND_SLACK:
-        raise InvalidInputError(f"correlator {e[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
-    return float(e[0] + e[1] + e[2] - e[3])
+    if not np.abs(e).max(initial=0.0) <= 1.0 + BOUND_SLACK:
+        raise InvalidInputError(f"correlator {e.flat[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
+    ab, abp, apb, apbp = e.T
+    s = ab + abp + apb - apbp
+    return s if e.ndim == 2 else float(s)
 
 
 def enumerate_deterministic() -> list[tuple[DeterministicStrategy, int]]:
@@ -128,11 +128,10 @@ def enumerate_deterministic() -> list[tuple[DeterministicStrategy, int]]:
     Order is lexicographic in (a_out, a_prime_out, b_out, b_prime_out) with +1
     before -1; every |S| equals 2.
     """
-    out = []
-    for signs in itertools.product((+1, -1), repeat=4):
-        s = DeterministicStrategy(*signs)
-        out.append((s, s.chsh_value()))
-    return out
+    signs = list(itertools.product((+1, -1), repeat=4))
+    a, ap, b, bp = np.array(signs).T
+    values = chsh(np.stack([a * b, a * bp, ap * b, ap * bp], axis=1))
+    return [(DeterministicStrategy(*sg), int(v)) for sg, v in zip(signs, values)]
 
 
 def strategy_to_model(s: DeterministicStrategy) -> LHVModel:

@@ -17,13 +17,13 @@ import numpy as np
 
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, correlators
 from .errors import InsufficientDataError, InvalidInputError
-from .lhv import LHVModel, chsh
+from .lhv import LHVModel, _outcome_axis, chsh
 from .tolerance import probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
 
-# records per step in sample(), _code_counts() and SampleDataset.to_csv; bounds their temporaries
+# rows per step in sample(), _code_counts() and both CSV writers; bounds their temporaries
 _CHUNK = 1 << 16
 # largest record count sample() draws: the record codes and their CSV text are
 # held whole in memory, ~29 bytes per record at peak (a 2-value network: a fresh
@@ -62,8 +62,7 @@ def exact_joint(spec: NetworkSpec) -> np.ndarray:
     Outcome axes use index 0 for +1 and 1 for -1, as in behavior tables.
     """
     model = spec.model
-    pa = np.stack([model.alice_response, 1.0 - model.alice_response], axis=2)  # (k, x, A)
-    pb = np.stack([model.bob_response, 1.0 - model.bob_response], axis=2)      # (k, y, B)
+    pa, pb = _outcome_axis(model.alice_response), _outcome_axis(model.bob_response)
     return np.einsum("k,x,y,kxi,kyj->kxyij",
                      model.prior, spec.setting_prior_a, spec.setting_prior_b, pa, pb)
 

@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .lhv import chsh
-from .quantum import TwoQubitState, UnitVector3, correlation_matrix
+from .quantum import TwoQubitState, UnitVector3, _directions, correlation_matrix
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-# largest row count sweep() computes: the rows and their temporaries peak at
-# ~300 bytes per row (in-process peak RSS 275-355 MB at 10^6 rows on a 2-CPU
-# x86-64 VM), so 10^7 rows need ~3 GB
+# largest row count sweep() computes: the rows' temporaries peak at ~150 bytes per
+# row (a fresh `bellkit sweep singlet` peaks at 179 MB at 10^6 rows, 34 MB of it
+# start-up, on a 2-CPU x86-64 VM), so 10^7 rows need ~1.5 GB
 MAX_STEPS = 10 ** 7
 
 
@@ -62,15 +62,9 @@ class OptimizationResult:
     converged: ClassVar[bool] = True
 
 
-def _directions(s: MeasurementSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's (u, u') and Bob's (v, v') as the rows of two 2x3 matrices."""
-    dirs = np.array([w.as_array() for w in s.as_tuple()])
-    return dirs[:2], dirs[2:]
-
-
 def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
     """S from the four quantum correlators U T V^T at the given directions."""
-    alice, bob = _directions(s)
+    alice, bob = _directions(s.as_tuple())
     return chsh((alice @ correlation_matrix(psi) @ bob.T).reshape(4))
 
 
@@ -102,25 +96,25 @@ def sweep(
     steps: int,
     theta_start_deg: float = 0.0,
     theta_end_deg: float = 360.0,
-) -> list[tuple[float, float]]:
-    """Table of (angle in degrees, S) as Bob's pair of ``tsirelson_settings`` rotates about z.
+) -> np.ndarray:
+    """(steps, 2) array of (angle in degrees, S) as Bob's pair of ``tsirelson_settings`` rotates about z.
 
     Angles are evenly spaced over [theta_start_deg, theta_end_deg] inclusive;
     the first row of the sweep from 0 on the singlet is (0, -2*sqrt(2)).
     """
     if not 2 <= steps <= MAX_STEPS:
         raise InvalidInputError(f"sweep row count --steps must be between 2 and {MAX_STEPS}, got {steps}")
-    thetas = [theta_start_deg + (theta_end_deg - theta_start_deg) * i / (steps - 1)
-              for i in range(steps)]
     # a non-finite bound, or bounds whose difference overflows, gives inf or nan angles
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = theta_start_deg + (theta_end_deg - theta_start_deg) * np.arange(steps) / (steps - 1)
     if not np.all(np.isfinite(thetas)):
         raise InvalidInputError(
             f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
     rad = np.radians(thetas)[:, None, None]
     c, s = np.cos(rad), np.sin(rad)
     z = np.array([0.0, 0.0, 1.0])
-    alice, bob = _directions(tsirelson_settings())
+    alice, bob = _directions(tsirelson_settings().as_tuple())
     # Rodrigues rotation of both of Bob's directions by every angle: (steps, 2, 3)
     rotated = bob * c + np.cross(z, bob) * s + np.outer(bob @ z, z) * (1.0 - c)
     e = alice @ correlation_matrix(psi) @ rotated.transpose(0, 2, 1)
-    return [(theta, chsh(row)) for theta, row in zip(thetas, e.reshape(steps, 4))]
+    return np.column_stack([thetas, chsh(e.reshape(steps, 4))])

@@ -125,6 +125,12 @@ def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.nd
     return a.real, b.real, t.real
 
 
+def _directions(settings: tuple[UnitVector3, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's (u, u') and Bob's (v, v') as the rows of two 2x3 matrices."""
+    dirs = np.array([w.as_array() for w in settings])
+    return dirs[:2], dirs[2:]
+
+
 def quantum_behavior(
     psi: TwoQubitState,
     settings: tuple[UnitVector3, UnitVector3, UnitVector3, UnitVector3],
@@ -136,8 +142,7 @@ def quantum_behavior(
     means U a and V b.
     """
     a, b, t = _bloch_and_tensor(psi)
-    dirs = np.array([w.as_array() for w in settings])
-    alice, bob = dirs[:2], dirs[2:]
+    alice, bob = _directions(settings)
     return behavior_from_correlators(alice @ t @ bob.T, alice @ a, bob @ b)
 
 

@@ -25,15 +25,15 @@ def probability_vector(values, what: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.size == 0:
         raise InvalidInputError(f"{what} is empty")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise InvalidInputError(f"{what} has non-finite entries")
-    if np.min(p) < -PROBABILITY_SLACK:
-        raise InvalidInputError(f"{what} entry {np.min(p):.3e} below -{PROBABILITY_SLACK:g}")
+    if p.min() < -PROBABILITY_SLACK:
+        raise InvalidInputError(f"{what} entry {p.min():.3e} below -{PROBABILITY_SLACK:g}")
     with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
         total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} sums to {total:.12g}, not 1 within {PROBABILITY_SLACK:g}")
-    p = np.clip(p, 0.0, None)
+    p = p.clip(0.0, None)
     p /= p.sum()
     p.setflags(write=False)
     return p

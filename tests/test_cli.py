@@ -464,9 +464,9 @@ class TestSweepCommand:
         def no_rows(*args):
             raise AssertionError("sweep angles were computed")
 
-        # the count is refused before the angle list, and so any row array, exists;
-        # a module global named range shadows the builtin that the angle list calls
-        monkeypatch.setattr(optimize, "range", no_rows, raising=False)
+        # the count is refused before the angle array, and so any row array, exists;
+        # the angles are the first thing sweep allocates, with np.arange
+        monkeypatch.setattr(optimize.np, "arange", no_rows)
         steps = optimize.MAX_STEPS + 1
         out_csv = tmp_path / "s.csv"
         code, out, err = run(capsys, "sweep", "singlet", "--steps", str(steps), "--out", str(out_csv))
@@ -474,6 +474,34 @@ class TestSweepCommand:
         assert out == ""
         assert err == f"error: sweep row count --steps must be between 2 and 10000000, got {steps}\n"
         assert not out_csv.exists()
+
+    # SHA-256 of the CSV, pinned so that a change of angle or S arithmetic shows;
+    # the last file's first row, 0.0,0.0, also pins the sign of zero
+    @pytest.mark.parametrize("argv, digest", [
+        (["singlet", "--steps", "361"],
+         "c098d94d1f83c1b958848fae12967c5e4106dcb2672a4c32fe0b7b083dc6600b"),
+        (["11", "--steps", "1000", "--theta-start", "-720.5", "--theta-end", "13.25"],
+         "622e4663caad71560ae1c59985ad5700e21123558b25093002fd76f0751f19cd"),
+        (["0.6,0,0.48,0,0,0.64,0,0", "--steps", "91", "--theta-start", "0", "--theta-end", "90"],
+         "c58ad818e16e0de7ef626a3355e2e3d465624a25f9364646fa8d92de5ede97ef"),
+    ])
+    def test_golden_csv_bytes(self, capsys, tmp_path, argv, digest):
+        out_csv = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", *argv, "--out", str(out_csv))
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_memory_of_300000_rows(self, tmp_path):
+        # a fresh process, whose peak covers interpreter start-up, the rows and their CSV text
+        code = ("import resource, subprocess, sys\n"
+                "subprocess.run([sys.executable, '-m', 'bellkit.cli', 'sweep', 'singlet',\n"
+                "                '--steps', '300000', '--out', sys.argv[1]],\n"
+                "               stdout=subprocess.DEVNULL, check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")], env=src_env(),
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout) / 1024 < 100  # MB
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("bounds", [("nan", "360"), ("0", "inf"), ("-inf", "0"),

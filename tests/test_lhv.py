@@ -139,6 +139,35 @@ class TestChsh:
         with pytest.raises(InvalidInputError, match="correlator nan outside"):
             chsh([math.nan, 0.0, 0.0, 0.0])
 
+    def test_single_set_gives_a_float(self):
+        assert type(chsh(np.array([0.5, 0.25, -0.25, 0.5]))) is float
+
+    def test_batch_equals_each_row_bit_for_bit(self):
+        e = np.random.default_rng(404).uniform(-1.0, 1.0, size=(1000, 4))
+        s = chsh(e)
+        assert s.dtype == np.float64 and s.shape == (1000,)
+        assert s.tobytes() == np.array([chsh(row) for row in e]).tobytes()
+
+    def test_empty_batch_gives_empty_array(self):
+        assert chsh(np.zeros((0, 4))).shape == (0,)
+
+    def test_nan_in_one_batch_row_rejected(self):
+        e = np.zeros((50, 4))
+        e[37, 2] = math.nan
+        with pytest.raises(InvalidInputError, match="correlator nan outside"):
+            chsh(e)
+
+    def test_out_of_range_batch_row_named(self):
+        e = np.zeros((5, 4))
+        e[3, 1] = -1.25
+        with pytest.raises(InvalidInputError, match="correlator -1.25 outside"):
+            chsh(e)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (10, 3), (10, 5), (2, 2, 4), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="need 4 correlators"):
+            chsh(np.zeros(shape))
+
 
 class TestEnumerateDeterministic:
     def test_count_and_values(self):

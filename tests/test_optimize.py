@@ -103,7 +103,7 @@ class TestSweep:
 
     def test_two_step_sweep_to_45_degrees(self):
         rows = sweep(singlet(), steps=2, theta_start_deg=0.0, theta_end_deg=45.0)
-        assert len(rows) == 2
+        assert rows.shape == (2, 2) and rows.dtype == np.float64
         assert rows[0][0] == 0.0 and rows[1][0] == 45.0
         assert rows[0][1] == pytest.approx(-2 * SQRT2, abs=1e-12)
         assert rows[1][1] == pytest.approx(-2.0, abs=1e-9)
