@@ -50,6 +50,8 @@ _WRITE_CHUNK = 1 << 20
 _STATE_KEYWORDS = {"singlet": singlet, "00": lambda: basis_state(0),
                    "01": lambda: basis_state(1), "10": lambda: basis_state(2),
                    "11": lambda: basis_state(3)}
+_STATE_HELP = ("'singlet', a basis keyword (00/01/10/11), or 8 reals; a spec starting with '-' "
+               "goes after '--', with the options before it")
 
 
 def _parse_state(spec: str) -> TwoQubitState:
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("optimize", help="maximal |S| of a pure state and the settings reaching it")
-    p.add_argument("state", help="'singlet', a basis keyword (00/01/10/11), or 8 reals")
+    p.add_argument("state", help=_STATE_HELP)
     p.add_argument("--seed", type=_seed_value, required=True,
                    help="64-bit seed, echoed in the report; the maximum does not depend on it")
     p.set_defaults(handler=cmd_optimize)
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_taxonomy)
 
     p = sub.add_parser("sweep", help="S versus rotation angle of Bob's settings, as CSV")
-    p.add_argument("state", help="'singlet', a basis keyword (00/01/10/11), or 8 reals")
+    p.add_argument("state", help=_STATE_HELP)
     p.add_argument("--steps", type=int, required=True, help="number of rows (>= 2)")
     p.add_argument("--theta-start", type=float, default=0.0, help="first angle in degrees")
     p.add_argument("--theta-end", type=float, default=360.0, help="last angle in degrees")

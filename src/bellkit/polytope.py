@@ -9,11 +9,12 @@ Collins-Gisin coordinates (P(A=+|x), P(B=+|y), P(+,+|x,y)) the 16 vertices
 are 0/1 vectors, every affinely independent 9-subset of them spans a simplex
 with an integer inverse, and by Caratheodory's theorem a behavior is local
 iff its barycentric weights in one of these simplices are all nonnegative.
+The 4096 simplices share 384 distinct barycentric functionals, so the
+weights of all of them come from 384 dot products and one index table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,21 +81,35 @@ def _collins_gisin(tables: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _vertex_simplices() -> tuple[np.ndarray, np.ndarray]:
-    """The 4096 vertex 9-subsets spanning a simplex, and the inverses of their coordinate matrices.
+def _vertex_simplices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4096 vertex 9-subsets spanning a simplex, their barycentric functionals, and which is which.
 
-    Every such matrix has determinant +/-1, so its inverse is an integer
-    matrix.  The inverses are stacked as [coordinate, vertex slot, simplex],
-    so that a coordinate vector times them gives the weights of all simplices.
+    Every such simplex's coordinate matrix has determinant +/-1, so its
+    inverse is an integer matrix, and column j of the inverse is the
+    functional that gives vertex slot j its weight.  Across all 36,864
+    (slot, simplex) pairs only 384 functionals are distinct, each with
+    entries in [-2, 2].  They are returned as the columns of a
+    [coordinate, functional] array, with ``which[slot, simplex]`` indexing
+    them, so that ``(coordinates @ functionals)[which]`` gives the weights of
+    all simplices.
     """
-    subsets = np.array(list(itertools.combinations(range(16), 9)))
+    # 16-bit masks counting down, vertex i at bit 15 - i: the 9-subsets come out in lexicographic order
+    bits = np.unpackbits(np.arange(2**16 - 1, -1, -1, dtype=">u2").view(np.uint8).reshape(-1, 2), axis=1)
+    subsets = (np.flatnonzero(bits[bits.sum(axis=1, dtype=np.uint8) == 9]) % 16).reshape(-1, 9)
     matrices = _collins_gisin(deterministic_vertex_tables())[subsets]
     spanning = np.abs(np.linalg.det(matrices)) > 0.5
-    subsets = subsets[spanning]
-    inverses = np.rint(np.linalg.inv(matrices[spanning])).transpose(1, 2, 0).copy()
-    for arr in (subsets, inverses):
+    subsets, matrices = subsets[spanning], matrices[spanning]
+    inverses = np.linalg.inv(matrices)  # [simplex, coordinate, vertex slot]
+    del matrices
+    np.rint(inverses, out=inverses)
+    # balanced base 5 is one-to-one on integer columns with entries in [-2, 2], and exact in float64
+    key = 5.0 ** np.arange(9) @ inverses
+    _, first, which = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    functionals = np.ascontiguousarray(inverses[first // 9, :, first % 9].T)
+    which = np.ascontiguousarray(which.reshape(key.shape).T)
+    for arr in (subsets, functionals, which):
         arr.setflags(write=False)
-    return subsets, inverses
+    return subsets, functionals, which
 
 
 def local_decomposition(b: Behavior) -> LocalDecomposition | None:
@@ -107,8 +122,8 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
     """
     require_no_signaling(b, "local decomposition")
     target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
-    subsets, inverses = _vertex_simplices()
-    weights = np.tensordot(_collins_gisin(target), inverses, axes=1)  # [vertex slot, simplex]
+    subsets, functionals, which = _vertex_simplices()
+    weights = (_collins_gisin(target) @ functionals)[which]  # [vertex slot, simplex]
     best = np.argmax(weights.min(axis=0))
     # a vertex off a CHSH facet has S = -2 there, so its weight is (2 - S)/4: 4 converts to S units
     if -4.0 * weights[:, best].min() > BOUND_SLACK:

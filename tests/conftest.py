@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -12,6 +14,7 @@ import pytest
 
 from bellkit import (
     Behavior,
+    LocalDecomposition,
     UnitVector3,
     chsh,
     correlators,
@@ -20,6 +23,8 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.behavior import SETTING_LABELS_A, SETTING_LABELS_B
+from bellkit.lhv import deterministic_vertex_tables
+from bellkit.tolerance import BOUND_SLACK
 
 
 def src_env() -> dict:
@@ -90,6 +95,42 @@ def random_direction(rng) -> UnitVector3:
 def chsh_via_behavior(psi, settings) -> float:
     """S of ``MeasurementSettings`` through the projector outcome table."""
     return chsh(correlators(Behavior(kron_behavior_table(psi, settings.as_tuple()))))
+
+
+# Independent oracle for the vertex-decomposition table: one inverse per
+# spanning vertex simplex, each taken on its own, in place of the shared functionals.
+
+def collins_gisin(t: np.ndarray) -> np.ndarray:
+    """(1, P(A=+|a), P(A=+|a'), P(B=+|b), P(B=+|b'), P(+,+|x,y) for xy = ab, ab', a'b, a'b')."""
+    return np.array([1.0, t[0, 0, 0].sum(), t[1, 0, 0].sum(), t[0, 0, :, 0].sum(), t[0, 1, :, 0].sum(),
+                     t[0, 0, 0, 0], t[0, 1, 0, 0], t[1, 0, 0, 0], t[1, 1, 0, 0]])
+
+
+@functools.lru_cache(maxsize=1)
+def simplex_inverses() -> tuple[np.ndarray, np.ndarray]:
+    """The spanning vertex 9-subsets in lexicographic order, and their rounded inverses [coordinate, slot, simplex]."""
+    vertices = np.array([collins_gisin(t) for t in deterministic_vertex_tables()])
+    subsets, inverses = [], []
+    for subset in itertools.combinations(range(16), 9):
+        m = vertices[list(subset)]
+        if abs(np.linalg.det(m)) > 0.5:
+            subsets.append(subset)
+            inverses.append(np.rint(np.linalg.inv(m)))
+    return np.array(subsets), np.stack(inverses, axis=-1)
+
+
+def inverse_stack_decomposition(b) -> LocalDecomposition | None:
+    """``local_decomposition`` through the stack of per-simplex inverses, max-min simplex first."""
+    table = np.asarray(b.table)
+    target = table / table.sum(axis=(2, 3), keepdims=True)
+    subsets, inverses = simplex_inverses()
+    weights = np.tensordot(collins_gisin(target), inverses, axes=1)  # [slot, simplex]
+    best = np.argmax(weights.min(axis=0))
+    if -4.0 * weights[:, best].min() > BOUND_SLACK:
+        return None
+    full = np.zeros(16)
+    full[subsets[best]] = weights[:, best]
+    return LocalDecomposition(full)
 
 
 # Writers of the three file formats that bellkit.io reads.

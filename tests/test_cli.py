@@ -27,6 +27,9 @@ from test_behavior import signaling_table
 SQRT2 = math.sqrt(2.0)
 GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
                     .read_text(encoding="utf-8"))
+# one state up to a global phase; argparse takes the first spec for an option unless it follows "--"
+NEGATIVE_SPEC = "-0.6,0,0.48,0,0,0.64,0,0"
+POSITIVE_SPEC = "0.6,0,-0.48,0,0,-0.64,0,0"
 
 
 @pytest.fixture()
@@ -175,6 +178,12 @@ class TestOptimizeCommand:
         code, out, _ = run(capsys, "--format", "json", "optimize", spec, "--seed", "2")
         assert code == 0
         assert abs(json.loads(out)["results"]["best S"] - 2 * SQRT2) <= 1e-6
+
+    def test_negative_first_real_after_double_dash(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "optimize", "--seed", "1", "--", NEGATIVE_SPEC)
+        assert code == 0
+        _, positive, _ = run(capsys, "--format", "json", "optimize", POSITIVE_SPEC, "--seed", "1")
+        assert json.loads(out)["results"]["best S"] == json.loads(positive)["results"]["best S"]
 
     def test_unnormalized_amplitudes_exit_2(self, capsys):
         code, _, err = run(capsys, "optimize", "1,0,1,0,0,0,0,0", "--seed", "1")
@@ -451,6 +460,13 @@ class TestSweepCommand:
         assert (theta0, theta1) == (0.0, 45.0)
         assert abs(s0 + 2 * SQRT2) <= 1e-12
         assert abs(s1 + 2.0) <= 1e-9
+
+    def test_negative_first_real_after_double_dash(self, capsys, tmp_path):
+        negative, positive = tmp_path / "negative.csv", tmp_path / "positive.csv"
+        code, _, _ = run(capsys, "sweep", "--steps", "3", "--out", str(negative), "--", NEGATIVE_SPEC)
+        assert code == 0
+        run(capsys, "sweep", POSITIVE_SPEC, "--steps", "3", "--out", str(positive))
+        assert negative.read_text() == positive.read_text()
 
     def test_single_step_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "singlet", "--steps", "1",

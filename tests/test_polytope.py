@@ -8,6 +8,7 @@ from bellkit import (
     DeterministicStrategy,
     InvalidInputError,
     LocalDecomposition,
+    TwoQubitState,
     behavior_from_correlators,
     chsh_variants,
     enumerate_deterministic,
@@ -15,13 +16,22 @@ from bellkit import (
     lhv_behavior,
     local_decomposition,
     pr_box,
+    quantum_behavior,
     random_model,
     random_no_signaling_behavior,
     strategy_to_model,
     uniform_behavior,
 )
+from bellkit.lhv import deterministic_vertex_tables
+from bellkit.polytope import _vertex_simplices
 from bellkit.tolerance import BOUND_SLACK, ROUNDOFF
-from conftest import relabelings
+from conftest import (
+    collins_gisin,
+    inverse_stack_decomposition,
+    random_direction,
+    relabelings,
+    simplex_inverses,
+)
 
 # correlators (ab, ab', a'b, a'b') and outcome means (a, a'), (b, b') of the 16 deterministic strategies
 _STRATEGIES = [s for s, _ in enumerate_deterministic()]
@@ -121,6 +131,42 @@ class TestLocalDecomposition:
         weights[3] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
             LocalDecomposition(weights)
+
+
+class TestVertexSimplices:
+    def test_table_shapes_and_entries(self):
+        subsets, functionals, which = _vertex_simplices()
+        assert subsets.shape == (4096, 9)
+        assert functionals.shape == (9, 384)
+        assert which.shape == (9, 4096)
+        assert np.array_equal(functionals, np.rint(functionals))
+        assert -2 <= functionals.min() and functionals.max() <= 2
+        assert np.array_equal(np.unique(which), np.arange(384))
+        # the max-min choice breaks ties by simplex order, so the order is part of the answer
+        assert np.array_equal(subsets, simplex_inverses()[0])
+
+    def test_gathered_functionals_invert_each_simplex(self):
+        subsets, functionals, which = _vertex_simplices()
+        vertices = np.array([collins_gisin(t) for t in deterministic_vertex_tables()])
+        products = np.einsum("sjc,cks->sjk", vertices[subsets], functionals[:, which])
+        assert np.array_equal(products, np.broadcast_to(np.eye(9), products.shape))
+
+    def test_weights_match_inverse_stack(self):
+        rng = np.random.default_rng(16180)  # criterion 6's draws
+        behaviors = [random_no_signaling_behavior(rng) for _ in range(1000)]
+        rng = np.random.default_rng(577)
+        for _ in range(200):
+            amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi = TwoQubitState.from_amplitudes(amp / np.linalg.norm(amp))
+            behaviors.append(quantum_behavior(psi, tuple(random_direction(rng) for _ in range(4))))
+        local = 0
+        for b in behaviors:
+            deco, reference = local_decomposition(b), inverse_stack_decomposition(b)
+            assert (deco is None) == (reference is None)
+            if deco is not None:
+                local += 1
+                assert np.array_equal(deco.weights, reference.weights)
+        assert 100 <= local <= len(behaviors) - 100  # both answers must actually occur
 
 
 @settings(max_examples=300, deadline=None)
