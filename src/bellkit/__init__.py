@@ -26,14 +26,12 @@ from .errors import (
     UnknownInterpretationError,
 )
 from .lhv import (
-    DeterministicStrategy,
     LHVModel,
     chsh,
     enumerate_deterministic,
     lhv_behavior,
     model_chsh,
     random_model,
-    strategy_to_model,
 )
 from .network import (
     ChshEstimate,

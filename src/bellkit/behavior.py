@@ -9,7 +9,9 @@ index 1 meaning -1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +24,10 @@ OUTCOME_VALUES = (+1, -1)
 
 # outcome values by index, used to form expectation weights
 _VALS = np.array(OUTCOME_VALUES, dtype=float)
+
+# the 16 deterministic strategies: outcomes (a, a', b, b'), lexicographic with +1 first
+DETERMINISTIC_OUTCOMES = np.array(list(itertools.product(OUTCOME_VALUES, repeat=4)))
+DETERMINISTIC_OUTCOMES.setflags(write=False)
 
 # random_no_signaling_behavior's jitter on each mean value, and its cap on redraws
 _PERTURBATION = 0.2
@@ -145,6 +151,15 @@ def require_no_signaling(b: Behavior, what: str) -> None:
         )
 
 
+@lru_cache(maxsize=1)
+def deterministic_vertex_tables() -> np.ndarray:
+    """(16, 2, 2, 2, 2) array: the tables of DETERMINISTIC_OUTCOMES, the vertices of the local polytope."""
+    one_hot = (DETERMINISTIC_OUTCOMES[:, :, None] == _VALS).astype(float)  # [strategy, setting, outcome]
+    tables = one_hot[:, :2, None, :, None] * one_hot[:, None, 2:, None, :]
+    tables.setflags(write=False)
+    return tables
+
+
 def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
     """Draw a pseudo-random no-signaling behavior, local or not.
 
@@ -155,8 +170,6 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
     outcome means per party plus four correlators) is rejection-sampled until
     every table entry is nonnegative.
     """
-    from .lhv import deterministic_vertex_tables  # local import; lhv builds on this module
-
     weights = rng.dirichlet(np.ones(16))
     base = np.tensordot(weights, deterministic_vertex_tables(), axes=(0, 0))
     if rng.random() < 0.5:

@@ -163,8 +163,7 @@ def cmd_chsh(args) -> RunReport:
 
 
 def cmd_enumerate(args) -> RunReport:
-    rows = [[s.a_out, s.a_prime_out, s.b_out, s.b_prime_out, value]
-            for s, value in enumerate_deterministic()]
+    rows = [[*s, value] for s, value in enumerate_deterministic()]
     return RunReport(
         command="enumerate",
         inputs_digest=digest_inputs({}),

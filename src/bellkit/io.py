@@ -94,8 +94,8 @@ def model_from_json(data: Any, source: str = "model") -> LHVModel:
         if "prob" not in entry:
             raise FileFormatError(f"{source}: lambda entry {i} is missing \"prob\"")
         prior.append(_as_float(entry["prob"], f"lambda entry {i} \"prob\"", source))
-        resp_a.append(_response_pair(entry, "pA_plus", ("a", "a'"), source))
-        resp_b.append(_response_pair(entry, "pB_plus", ("b", "b'"), source))
+        resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, source))
+        resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, source))
     try:
         return LHVModel(labels=tuple(labels), prior=np.array(prior),
                         alice_response=np.array(resp_a), bob_response=np.array(resp_b))
@@ -106,8 +106,8 @@ def model_from_json(data: Any, source: str = "model") -> LHVModel:
 def network_from_json(data: Any, source: str = "network") -> NetworkSpec:
     model = model_from_json(data, source)
     kwargs = {}
-    for key, labels, arg in (("settingPriorA", ("a", "a'"), "setting_prior_a"),
-                             ("settingPriorB", ("b", "b'"), "setting_prior_b")):
+    for key, labels, arg in (("settingPriorA", SETTING_LABELS_A, "setting_prior_a"),
+                             ("settingPriorB", SETTING_LABELS_B, "setting_prior_b")):
         if key in data:
             kwargs[arg] = np.array(_response_pair(data, key, labels, source))
     try:

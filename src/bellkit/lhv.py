@@ -8,32 +8,14 @@ magnitude, while the deterministic strategies realize exactly |S| = 2.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import DETERMINISTIC_OUTCOMES, Behavior
 from .errors import InvalidInputError
 from .tolerance import BOUND_SLACK, ROUNDOFF, probability_vector
-
-
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Fixed +/-1 outcomes for each of the four settings."""
-
-    a_out: int
-    a_prime_out: int
-    b_out: int
-    b_prime_out: int
-
-    def __post_init__(self):
-        for name, val in (("a_out", self.a_out), ("a_prime_out", self.a_prime_out),
-                          ("b_out", self.b_out), ("b_prime_out", self.b_prime_out)):
-            if val not in (+1, -1):
-                raise InvalidInputError(f"{name} must be +1 or -1, got {val!r}")
 
 
 # characters a hidden-value label may not contain
@@ -122,29 +104,14 @@ def chsh(e) -> float | np.ndarray:
     return s if e.ndim == 2 else float(s)
 
 
-def enumerate_deterministic() -> list[tuple[DeterministicStrategy, int]]:
-    """All 16 deterministic strategies with their S values.
+def enumerate_deterministic() -> list[tuple[tuple[int, int, int, int], int]]:
+    """All 16 deterministic strategies as ((a, a', b, b'), S), in DETERMINISTIC_OUTCOMES order.
 
-    Order is lexicographic in (a_out, a_prime_out, b_out, b_prime_out) with +1
-    before -1; every |S| equals 2.
+    Outcomes and S are plain ints; every |S| equals 2.
     """
-    signs = list(itertools.product((+1, -1), repeat=4))
-    a, ap, b, bp = np.array(signs).T
+    a, ap, b, bp = DETERMINISTIC_OUTCOMES.T
     values = chsh(np.stack([a * b, a * bp, ap * b, ap * bp], axis=1))
-    return [(DeterministicStrategy(*sg), int(v)) for sg, v in zip(signs, values)]
-
-
-def strategy_to_model(s: DeterministicStrategy) -> LHVModel:
-    """Embed a deterministic strategy as a single-value model with 0/1 responses."""
-    def plus_prob(out: int) -> float:
-        return 1.0 if out == +1 else 0.0
-
-    return LHVModel(
-        labels=("l0",),
-        prior=np.array([1.0]),
-        alice_response=np.array([[plus_prob(s.a_out), plus_prob(s.a_prime_out)]]),
-        bob_response=np.array([[plus_prob(s.b_out), plus_prob(s.b_prime_out)]]),
-    )
+    return [(tuple(s), int(v)) for s, v in zip(DETERMINISTIC_OUTCOMES.tolist(), values)]
 
 
 def model_chsh(model: LHVModel) -> float:
@@ -175,12 +142,3 @@ def random_model(rng: np.random.Generator, n_lambda: int | None = None) -> LHVMo
         alice_response=rng.uniform(0.0, 1.0, size=(n, 2)),
         bob_response=rng.uniform(0.0, 1.0, size=(n, 2)),
     )
-
-
-@lru_cache(maxsize=1)
-def deterministic_vertex_tables() -> np.ndarray:
-    """(16, 2, 2, 2, 2) array: behavior tables of the strategies in enumeration order."""
-    tables = np.stack([lhv_behavior(strategy_to_model(s)).table
-                       for s, _ in enumerate_deterministic()])
-    tables.setflags(write=False)
-    return tables

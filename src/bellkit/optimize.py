@@ -18,9 +18,9 @@ from .quantum import TwoQubitState, UnitVector3, _directions, correlation_matrix
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-# largest row count sweep() computes: the rows' temporaries peak at ~150 bytes per
-# row (a fresh `bellkit sweep singlet` peaks at 179 MB at 10^6 rows, 34 MB of it
-# start-up, on a 2-CPU x86-64 VM), so 10^7 rows need ~1.5 GB
+# largest row count sweep() computes: the rows' temporaries peak at ~140 bytes per
+# row (a fresh `bellkit sweep singlet` peaks at 171 MB at 10^6 rows, 34 MB of it
+# start-up, on a 2-CPU x86-64 VM), so 10^7 rows need ~1.4 GB
 MAX_STEPS = 10 ** 7
 
 
@@ -110,11 +110,11 @@ def sweep(
     if not np.all(np.isfinite(thetas)):
         raise InvalidInputError(
             f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
-    rad = np.radians(thetas)[:, None, None]
+    rad = np.radians(thetas)[:, None]
     c, s = np.cos(rad), np.sin(rad)
-    z = np.array([0.0, 0.0, 1.0])
     alice, bob = _directions(tsirelson_settings().as_tuple())
-    # Rodrigues rotation of both of Bob's directions by every angle: (steps, 2, 3)
-    rotated = bob * c + np.cross(z, bob) * s + np.outer(bob @ z, z) * (1.0 - c)
+    # both of Bob's directions (x, y, z) rotated about z by every angle: (steps, 2, 3)
+    x, y, z = bob.T
+    rotated = np.stack([x * c - y * s, y * c + x * s, np.broadcast_to(z, (steps, 2))], axis=2)
     e = alice @ correlation_matrix(psi) @ rotated.transpose(0, 2, 1)
     return np.column_stack([thetas, chsh(e.reshape(steps, 4))])

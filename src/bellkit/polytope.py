@@ -20,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .behavior import Behavior, correlators, require_no_signaling
+from .behavior import Behavior, correlators, deterministic_vertex_tables, require_no_signaling
 from .errors import InvalidInputError
-from .lhv import deterministic_vertex_tables
 from .tolerance import BOUND_SLACK, probability_vector
 
 LOCAL_BOUND = 2.0

@@ -14,16 +14,17 @@ import pytest
 
 from bellkit import (
     Behavior,
+    LHVModel,
     LocalDecomposition,
     UnitVector3,
     chsh,
     correlators,
+    lhv_behavior,
     quantum_behavior,
     singlet,
     tsirelson_settings,
 )
 from bellkit.behavior import SETTING_LABELS_A, SETTING_LABELS_B
-from bellkit.lhv import deterministic_vertex_tables
 from bellkit.tolerance import BOUND_SLACK
 
 
@@ -97,6 +98,28 @@ def chsh_via_behavior(psi, settings) -> float:
     return chsh(correlators(Behavior(kron_behavior_table(psi, settings.as_tuple()))))
 
 
+# Independent oracle for the 16 deterministic strategies: one-value models
+# with 0/1 responses, averaged by lhv_behavior, in place of bellkit's one-hot tables.
+
+def deterministic_model(a: int, ap: int, b: int, bp: int) -> LHVModel:
+    """The strategy with outcomes (a, a', b, b') as a single-value model with 0/1 responses."""
+    def plus_prob(out: int) -> float:
+        return 1.0 if out == +1 else 0.0
+
+    return LHVModel(
+        labels=("l0",),
+        prior=np.array([1.0]),
+        alice_response=np.array([[plus_prob(a), plus_prob(ap)]]),
+        bob_response=np.array([[plus_prob(b), plus_prob(bp)]]),
+    )
+
+
+def oracle_vertex_tables() -> np.ndarray:
+    """(16, 2, 2, 2, 2) tables of the strategies, lexicographic in (a, a', b, b') with +1 first."""
+    return np.stack([lhv_behavior(deterministic_model(*s)).table
+                     for s in itertools.product((+1, -1), repeat=4)])
+
+
 # Independent oracle for the vertex-decomposition table: one inverse per
 # spanning vertex simplex, each taken on its own, in place of the shared functionals.
 
@@ -109,7 +132,7 @@ def collins_gisin(t: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def simplex_inverses() -> tuple[np.ndarray, np.ndarray]:
     """The spanning vertex 9-subsets in lexicographic order, and their rounded inverses [coordinate, slot, simplex]."""
-    vertices = np.array([collins_gisin(t) for t in deterministic_vertex_tables()])
+    vertices = np.array([collins_gisin(t) for t in oracle_vertex_tables()])
     subsets, inverses = [], []
     for subset in itertools.combinations(range(16), 9):
         m = vertices[list(subset)]

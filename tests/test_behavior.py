@@ -5,7 +5,6 @@ import pytest
 
 from bellkit import (
     Behavior,
-    DeterministicStrategy,
     InvalidInputError,
     behavior_from_correlators,
     correlators,
@@ -13,9 +12,10 @@ from bellkit import (
     no_signaling,
     pr_box,
     random_no_signaling_behavior,
-    strategy_to_model,
     uniform_behavior,
 )
+from bellkit.behavior import deterministic_vertex_tables
+from conftest import deterministic_model, oracle_vertex_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,7 +72,7 @@ class TestCorrelators:
         )
 
     def test_deterministic_all_plus(self):
-        b = lhv_behavior(strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
+        b = lhv_behavior(deterministic_model(1, 1, 1, 1))
         np.testing.assert_allclose(correlators(b), [1.0, 1.0, 1.0, 1.0], atol=0)
 
 
@@ -126,3 +126,10 @@ class TestRandomNoSignaling:
             b = random_no_signaling_behavior(rng)
             assert b.table.min() >= 0.0
             assert no_signaling(b).max_residual <= 1e-12
+
+
+class TestDeterministicVertexTables:
+    def test_equal_to_one_value_models(self):
+        tables = deterministic_vertex_tables()
+        assert np.array_equal(tables, oracle_vertex_tables())
+        assert not tables.flags.writeable

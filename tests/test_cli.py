@@ -11,17 +11,15 @@ import pytest
 
 from bellkit import (
     Behavior,
-    DeterministicStrategy,
     NetworkSpec,
     behavior_from_correlators,
     quantum_behavior,
     random_model,
     singlet,
-    strategy_to_model,
     tsirelson_settings,
 )
 from bellkit.cli import _write_text, main
-from conftest import behavior_json, model_json, network_json, src_env
+from conftest import behavior_json, deterministic_model, model_json, network_json, src_env
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
@@ -50,7 +48,7 @@ def uniform_behavior_file(tmp_path):
 
 @pytest.fixture()
 def det_network_file(tmp_path):
-    spec = NetworkSpec(model=strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
+    spec = NetworkSpec(model=deterministic_model(1, 1, 1, 1))
     path = tmp_path / "network.json"
     path.write_text(json.dumps(network_json(spec)))
     return str(path)
@@ -158,6 +156,16 @@ class TestEnumerateCommand:
         assert rows[0] == [1, 1, 1, 1, 2]
         assert len(rows) == 16
 
+    # SHA-256 of stdout, pinned so that a change of strategy order, value types or layout shows
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "9686d7a1d76cbbddadc92980b8db674cca35b23f1918b1cdef7fe391519d411c"),
+        ("json", "b714cc197c5f869500221bacb2ca0b03bede49ca8d937471d486ced9076a3b74"),
+    ], ids=["text", "json"])
+    def test_golden_report_bytes(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "--format", fmt, "enumerate")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestOptimizeCommand:
     def test_singlet(self, capsys):
@@ -258,7 +266,7 @@ class TestSampleCommand:
     @pytest.mark.parametrize("n, prior_a, block", [("3", (0.5, 0.5), None),
                                                    ("1000", (1.0, 0.0), "(a',b)")])
     def test_sparse_block_exits_2_without_csv(self, capsys, tmp_path, n, prior_a, block):
-        spec = NetworkSpec(model=strategy_to_model(DeterministicStrategy(1, 1, 1, 1)),
+        spec = NetworkSpec(model=deterministic_model(1, 1, 1, 1),
                            setting_prior_a=np.array(prior_a))
         path = tmp_path / "network.json"
         path.write_text(json.dumps(network_json(spec)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
-    DeterministicStrategy,
     InvalidInputError,
     LHVModel,
     chsh,
@@ -17,8 +17,8 @@ from bellkit import (
     model_chsh,
     no_signaling,
     random_model,
-    strategy_to_model,
 )
+from conftest import deterministic_model
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,7 +27,7 @@ EXPECTED_S = [2, 2, -2, -2, 2, -2, 2, -2, -2, 2, -2, 2, -2, -2, 2, 2]
 
 
 def all_plus_model() -> LHVModel:
-    return strategy_to_model(DeterministicStrategy(1, 1, 1, 1))
+    return deterministic_model(1, 1, 1, 1)
 
 
 def fair_coins_model() -> LHVModel:
@@ -177,17 +177,9 @@ class TestEnumerateDeterministic:
         assert all(isinstance(v, int) and abs(v) == 2 for _, v in entries)
 
     def test_lexicographic_order(self):
-        entries = enumerate_deterministic()
-        first, _ = entries[0]
-        assert (first.a_out, first.a_prime_out, first.b_out, first.b_prime_out) == (1, 1, 1, 1)
-        second, _ = entries[1]
-        assert (second.a_out, second.a_prime_out, second.b_out, second.b_prime_out) == (1, 1, 1, -1)
-        last, _ = entries[-1]
-        assert (last.a_out, last.a_prime_out, last.b_out, last.b_prime_out) == (-1, -1, -1, -1)
-
-    def test_strategy_validation(self):
-        with pytest.raises(InvalidInputError):
-            DeterministicStrategy(1, 1, 1, 0)
+        strategies = [s for s, _ in enumerate_deterministic()]
+        assert strategies == list(itertools.product((1, -1), repeat=4))
+        assert all(type(out) is int for s in strategies for out in s)
 
 
 class TestModelChsh:
@@ -198,7 +190,7 @@ class TestModelChsh:
         assert model_chsh(fair_coins_model()) == 0.0
 
     def test_mixture_of_maximizers_stays_bounded(self):
-        maximizers = [strategy_to_model(s) for s, v in enumerate_deterministic() if v == 2][:2]
+        maximizers = [deterministic_model(*s) for s, v in enumerate_deterministic() if v == 2][:2]
         model = LHVModel(labels=("l0", "l1"), prior=np.array([0.5, 0.5]),
                          alice_response=np.vstack([m.alice_response for m in maximizers]),
                          bob_response=np.vstack([m.bob_response for m in maximizers]))
@@ -206,7 +198,7 @@ class TestModelChsh:
 
     def test_roundtrip_all_sixteen(self):
         for strategy, s_value in enumerate_deterministic():
-            assert model_chsh(strategy_to_model(strategy)) == float(s_value)
+            assert model_chsh(deterministic_model(*strategy)) == float(s_value)
 
     def test_two_paths_agree(self):
         rng = np.random.default_rng(101)
@@ -266,5 +258,5 @@ def test_triangle_lemma_on_grid():
 
 def test_deterministic_behavior_is_zero_one():
     for strategy, _ in enumerate_deterministic():
-        table = lhv_behavior(strategy_to_model(strategy)).table
+        table = lhv_behavior(deterministic_model(*strategy)).table
         assert set(np.unique(table)) <= {0.0, 1.0}

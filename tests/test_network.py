@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bellkit import network
 from bellkit import (
-    DeterministicStrategy,
     InsufficientDataError,
     InvalidInputError,
     LHVModel,
@@ -25,11 +24,11 @@ from bellkit import (
     model_chsh,
     random_model,
     sample,
-    strategy_to_model,
     verify_markov,
 )
 from bellkit.tolerance import ROUNDOFF, probability_vector
 from conftest import (
+    deterministic_model,
     five_array_estimate,
     five_array_sample,
     loop_csv,
@@ -40,7 +39,7 @@ from conftest import (
 
 
 def det_spec(outs=(1, 1, 1, 1)) -> NetworkSpec:
-    return NetworkSpec(model=strategy_to_model(DeterministicStrategy(*outs)))
+    return NetworkSpec(model=deterministic_model(*outs))
 
 
 def coin_spec() -> NetworkSpec:

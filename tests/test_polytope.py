@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from bellkit import (
     Behavior,
-    DeterministicStrategy,
     InvalidInputError,
     LocalDecomposition,
     TwoQubitState,
@@ -19,26 +18,24 @@ from bellkit import (
     quantum_behavior,
     random_model,
     random_no_signaling_behavior,
-    strategy_to_model,
     uniform_behavior,
 )
-from bellkit.lhv import deterministic_vertex_tables
 from bellkit.polytope import _vertex_simplices
 from bellkit.tolerance import BOUND_SLACK, ROUNDOFF
 from conftest import (
     collins_gisin,
+    deterministic_model,
     inverse_stack_decomposition,
+    oracle_vertex_tables,
     random_direction,
     relabelings,
     simplex_inverses,
 )
 
 # correlators (ab, ab', a'b, a'b') and outcome means (a, a'), (b, b') of the 16 deterministic strategies
-_STRATEGIES = [s for s, _ in enumerate_deterministic()]
-_VERTEX_E = np.array([[s.a_out * s.b_out, s.a_out * s.b_prime_out,
-                       s.a_prime_out * s.b_out, s.a_prime_out * s.b_prime_out] for s in _STRATEGIES], float)
-_VERTEX_MA = np.array([[s.a_out, s.a_prime_out] for s in _STRATEGIES], float)
-_VERTEX_MB = np.array([[s.b_out, s.b_prime_out] for s in _STRATEGIES], float)
+_STRATEGIES = np.array([s for s, _ in enumerate_deterministic()], float)
+_VERTEX_E = _STRATEGIES[:, [0, 0, 1, 1]] * _STRATEGIES[:, [2, 3, 2, 3]]
+_VERTEX_MA, _VERTEX_MB = _STRATEGIES[:, :2], _STRATEGIES[:, 2:]
 
 
 class TestChshVariants:
@@ -88,7 +85,7 @@ class TestLocalDecomposition:
         assert err <= 1e-7
 
     def test_deterministic_point_mass(self):
-        b = lhv_behavior(strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
+        b = lhv_behavior(deterministic_model(1, 1, 1, 1))
         deco = local_decomposition(b)
         assert deco is not None
         assert deco.weights[0] == pytest.approx(1.0, abs=1e-9)
@@ -147,7 +144,7 @@ class TestVertexSimplices:
 
     def test_gathered_functionals_invert_each_simplex(self):
         subsets, functionals, which = _vertex_simplices()
-        vertices = np.array([collins_gisin(t) for t in deterministic_vertex_tables()])
+        vertices = np.array([collins_gisin(t) for t in oracle_vertex_tables()])
         products = np.einsum("sjc,cks->sjk", vertices[subsets], functionals[:, which])
         assert np.array_equal(products, np.broadcast_to(np.eye(9), products.shape))
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bellkit import (
     Behavior,
-    DeterministicStrategy,
     InvalidInputError,
     Stance,
     Thesis,
@@ -16,7 +15,6 @@ from bellkit import (
     chsh,
     classical,
     correlators,
-    enumerate_deterministic,
     escape_route,
     find_interpretation,
     lhv_behavior,
@@ -24,11 +22,11 @@ from bellkit import (
     pr_box,
     qm_compatible,
     random_no_signaling_behavior,
-    strategy_to_model,
     superdeterministic_witness,
     taxonomy,
     uniform_behavior,
 )
+from conftest import deterministic_model, oracle_vertex_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -177,7 +175,7 @@ class TestNonlocalWitness:
         rng = np.random.default_rng(313)
         # the 16 deterministic behaviors have null events A with P(A|x) = 0
         behaviors = [random_no_signaling_behavior(rng) for _ in range(200)] + [
-            lhv_behavior(strategy_to_model(s)) for s, _ in enumerate_deterministic()]
+            Behavior(t) for t in oracle_vertex_tables()]
         for b in behaviors:
             witness = nonlocal_witness(b)
             assert np.max(np.abs(witness.recompose().table - b.table)) <= 1e-12
@@ -198,7 +196,7 @@ class TestSuperdeterministicWitness:
         assert chsh(correlators(witness.induced_behavior())) == pytest.approx(4.0, abs=1e-12)
 
     def test_deterministic_behavior_concentrates_on_four_atoms(self):
-        b = lhv_behavior(strategy_to_model(DeterministicStrategy(1, 1, 1, 1)))
+        b = lhv_behavior(deterministic_model(1, 1, 1, 1))
         witness = superdeterministic_witness(b)
         assert len(witness.atoms) == 4
         np.testing.assert_allclose(witness.prior, 0.25, atol=1e-15)
