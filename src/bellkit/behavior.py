@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,15 +38,15 @@ def _clean_table(p) -> np.ndarray:
     table = np.asarray(p, dtype=float)
     if table.shape != (2, 2, 2, 2):
         raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
-    if not np.all(np.isfinite(table)):
+    if not np.isfinite(table).all():
         raise InvalidInputError("behavior table contains non-finite entries")
-    if np.min(table) < -ROUNDOFF:
-        raise InvalidInputError(f"behavior entry {np.min(table):.3e} below -{ROUNDOFF:g}")
+    if table.min() < -ROUNDOFF:
+        raise InvalidInputError(f"behavior entry {table.min():.3e} below -{ROUNDOFF:g}")
     # float round-off in computed tables may leave entries slightly below 0
-    table = np.clip(table, 0.0, None)
+    table = table.clip(0.0, None)
     with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
         block_sums = table.sum(axis=(2, 3))
-    if np.max(np.abs(block_sums - 1.0)) > PROBABILITY_SLACK:
+    if abs(block_sums - 1.0).max() > PROBABILITY_SLACK:
         worst = np.unravel_index(np.argmax(np.abs(block_sums - 1.0)), (2, 2))
         raise InvalidInputError(
             f"block ({SETTING_LABELS_A[worst[0]]},{SETTING_LABELS_B[worst[1]]}) "
@@ -67,6 +67,18 @@ class Behavior:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Behavior) and np.array_equal(self.table, other.table)
+
+    @cached_property
+    def _no_signaling(self) -> NoSignalingReport:
+        """``no_signaling``'s report, computed on first use."""
+        p_a = self.table.sum(axis=3)  # P(A|x,y), indexed [x, y, A]
+        p_b = self.table.sum(axis=2)  # P(B|x,y), indexed [x, y, B]
+        alice = abs(p_a[:, 0] - p_a[:, 1]).max(axis=1)
+        bob = abs(p_b[0] - p_b[1]).max(axis=1)
+        alice.setflags(write=False)
+        bob.setflags(write=False)
+        ok = bool(alice.max() <= PROBABILITY_SLACK and bob.max() <= PROBABILITY_SLACK)
+        return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
 
 
 def uniform_behavior() -> Behavior:
@@ -116,7 +128,7 @@ class NoSignalingReport:
     """Verdict plus the max residual for each of the four marginal constraints.
 
     ``alice_residuals[x]`` is max_A |P(A|x,b) - P(A|x,b')|; ``bob_residuals[y]``
-    likewise with the roles swapped.
+    likewise with the roles swapped.  Both arrays are read-only.
     """
 
     ok: bool
@@ -132,13 +144,12 @@ class NoSignalingReport:
 
 
 def no_signaling(b: Behavior) -> NoSignalingReport:
-    """Check that each party's outcome marginals ignore the other's setting within PROBABILITY_SLACK."""
-    p_a = b.table.sum(axis=3)  # P(A|x,y), indexed [x, y, A]
-    p_b = b.table.sum(axis=2)  # P(B|x,y), indexed [x, y, B]
-    alice = np.max(np.abs(p_a[:, 0] - p_a[:, 1]), axis=1)
-    bob = np.max(np.abs(p_b[0] - p_b[1]), axis=1)
-    ok = bool(alice.max() <= PROBABILITY_SLACK and bob.max() <= PROBABILITY_SLACK)
-    return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
+    """Check that each party's outcome marginals ignore the other's setting within PROBABILITY_SLACK.
+
+    The report is computed once per behavior and shared by every later call;
+    its residual arrays are read-only.
+    """
+    return b._no_signaling
 
 
 def require_no_signaling(b: Behavior, what: str) -> None:

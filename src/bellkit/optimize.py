@@ -8,19 +8,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .lhv import chsh
-from .quantum import TwoQubitState, UnitVector3, _directions, correlation_matrix
+from .network import _CHUNK
+from .quantum import TwoQubitState, UnitVector3, _directions
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-# largest row count sweep() computes: the rows' temporaries peak at ~140 bytes per
-# row (a fresh `bellkit sweep singlet` peaks at 171 MB at 10^6 rows, 34 MB of it
-# start-up, on a 2-CPU x86-64 VM), so 10^7 rows need ~1.4 GB
+# largest row count sweep() computes: the rows take 16 bytes each, their temporaries
+# are bounded by the _CHUNK-row blocks, and the CSV text of the rows is the larger
+# part (a fresh `bellkit sweep singlet` peaks at 123 MB at 10^6 rows, 34 MB of it
+# start-up, and at 0.91 GB at 10^7 rows, on a 2-CPU x86-64 VM)
 MAX_STEPS = 10 ** 7
 
 
@@ -37,11 +40,13 @@ class MeasurementSettings:
         return (self.alice_u, self.alice_u_prime, self.bob_v, self.bob_v_prime)
 
 
+@lru_cache(maxsize=1)
 def tsirelson_settings() -> MeasurementSettings:
     """The xy-plane configuration achieving the maximal singlet violation.
 
     Alice measures along x and y; Bob along the two diagonals between them.
-    On the singlet these give S = -2*sqrt(2).
+    On the singlet these give S = -2*sqrt(2).  Built once; every call returns
+    the same frozen value.
     """
     r = 1.0 / math.sqrt(2.0)
     return MeasurementSettings(
@@ -65,7 +70,7 @@ class OptimizationResult:
 def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
     """S from the four quantum correlators U T V^T at the given directions."""
     alice, bob = _directions(s.as_tuple())
-    return chsh((alice @ correlation_matrix(psi) @ bob.T).reshape(4))
+    return chsh((alice @ psi.correlations[2] @ bob.T).reshape(4))
 
 
 def seesaw_maximize(psi: TwoQubitState, seed: int) -> OptimizationResult:
@@ -79,7 +84,7 @@ def seesaw_maximize(psi: TwoQubitState, seed: int) -> OptimizationResult:
     ``best_s`` is therefore always positive.  ``seed`` is accepted for
     compatibility with the former seeded seesaw and does not affect the result.
     """
-    left, sv, right_t = np.linalg.svd(correlation_matrix(psi))
+    left, sv, right_t = np.linalg.svd(psi.correlations[2])
     theta = math.atan2(sv[1], sv[0])
     c, s = math.cos(theta), math.sin(theta)
     settings = MeasurementSettings(
@@ -104,17 +109,24 @@ def sweep(
     """
     if not 2 <= steps <= MAX_STEPS:
         raise InvalidInputError(f"sweep row count --steps must be between 2 and {MAX_STEPS}, got {steps}")
-    # a non-finite bound, or bounds whose difference overflows, gives inf or nan angles
-    with np.errstate(over="ignore", invalid="ignore"):
-        thetas = theta_start_deg + (theta_end_deg - theta_start_deg) * np.arange(steps) / (steps - 1)
-    if not np.all(np.isfinite(thetas)):
-        raise InvalidInputError(
-            f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
-    rad = np.radians(thetas)[:, None]
-    c, s = np.cos(rad), np.sin(rad)
+    rows = np.empty((steps, 2))
     alice, bob = _directions(tsirelson_settings().as_tuple())
-    # both of Bob's directions (x, y, z) rotated about z by every angle: (steps, 2, 3)
     x, y, z = bob.T
-    rotated = np.stack([x * c - y * s, y * c + x * s, np.broadcast_to(z, (steps, 2))], axis=2)
-    e = alice @ correlation_matrix(psi) @ rotated.transpose(0, 2, 1)
-    return np.column_stack([thetas, chsh(e.reshape(steps, 4))])
+    at = alice @ psi.correlations[2]
+    # rows in blocks of _CHUNK, so that the temporaries stay bounded whatever the row count
+    for start in range(0, steps, _CHUNK):
+        n = min(_CHUNK, steps - start)
+        k = np.arange(start, start + n)
+        # a non-finite bound, or bounds whose difference overflows, gives inf or nan angles
+        with np.errstate(over="ignore", invalid="ignore"):
+            thetas = theta_start_deg + (theta_end_deg - theta_start_deg) * k / (steps - 1)
+        if not np.isfinite(thetas).all():
+            raise InvalidInputError(
+                f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
+        rad = np.radians(thetas)[:, None]
+        c, s = np.cos(rad), np.sin(rad)
+        # both of Bob's directions (x, y, z) rotated about z by every angle: (n, 2, 3)
+        rotated = np.stack([x * c - y * s, y * c + x * s, np.broadcast_to(z, (n, 2))], axis=2)
+        rows[start:start + n, 0] = thetas
+        rows[start:start + n, 1] = chsh((at @ rotated.transpose(0, 2, 1)).reshape(n, 4))
+    return rows

@@ -48,7 +48,7 @@ def is_local(b: Behavior) -> bool:
     characterization presupposes no-signaling); signaling input is rejected.
     """
     require_no_signaling(b, "local-polytope membership")
-    return bool(np.max(chsh_variants(correlators(b))) <= LOCAL_BOUND + BOUND_SLACK)
+    return bool(chsh_variants(correlators(b)).max() <= LOCAL_BOUND + BOUND_SLACK)
 
 
 @dataclass(frozen=True, eq=False)

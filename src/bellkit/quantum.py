@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,29 @@ class TwoQubitState:
             raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
         return cls(a / norm)
 
+    @cached_property
+    def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Local Bloch vectors and correlation tensor (a, b, T), computed on first use; read-only.
+
+        a[i] = <sigma_i (x) 1>, b[j] = <1 (x) sigma_j>, T[i, j] = <sigma_i (x) sigma_j>.
+        With the amplitudes as a 2x2 matrix m (Alice's index first), sigma_i (x) 1
+        maps m to sigma_i m and 1 (x) sigma_j maps it to m sigma_j^T.  a and b are
+        the overlaps of the state with these vectors, and T[i, j] is the overlap
+        of Alice's i-th vector with Bob's j-th, since both Paulis are Hermitian.
+        """
+        m = self.amp.reshape(2, 2)
+        alice = (_PAULIS @ m).reshape(3, 4)
+        bob = (m @ _PAULIS.transpose(0, 2, 1)).reshape(3, 4)
+        bra = self.amp.conj()
+        a, b, t = alice @ bra, bob @ bra, alice.conj() @ bob.T
+        imag = max(abs(a.imag).max(), abs(b.imag).max(), abs(t.imag).max())
+        if imag > BOUND_SLACK:
+            raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
+        real = a.real, b.real, t.real
+        for arr in real:
+            arr.setflags(write=False)
+        return real
+
 
 def _amplitudes(amp) -> np.ndarray:
     """``amp`` as 4 complex amplitudes, checked finite before any arithmetic on them."""
@@ -105,29 +129,9 @@ def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(amp / np.linalg.norm(amp))
 
 
-def _bloch_and_tensor(psi: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local Bloch vectors and correlation tensor (a, b, T) of a pure state.
-
-    a[i] = <sigma_i (x) 1>, b[j] = <1 (x) sigma_j>, T[i, j] = <sigma_i (x) sigma_j>.
-    With the amplitudes as a 2x2 matrix m (Alice's index first), sigma_i (x) 1
-    maps m to sigma_i m and 1 (x) sigma_j maps it to m sigma_j^T.  a and b are
-    the overlaps of psi with these vectors, and T[i, j] is the overlap of
-    Alice's i-th vector with Bob's j-th, since both Paulis are Hermitian.
-    """
-    m = psi.amp.reshape(2, 2)
-    alice = (_PAULIS @ m).reshape(3, 4)
-    bob = (m @ _PAULIS.transpose(0, 2, 1)).reshape(3, 4)
-    bra = psi.amp.conj()
-    a, b, t = alice @ bra, bob @ bra, alice.conj() @ bob.T
-    imag = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)), np.max(np.abs(t.imag)))
-    if imag > BOUND_SLACK:
-        raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
-    return a.real, b.real, t.real
-
-
 def _directions(settings: tuple[UnitVector3, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Alice's (u, u') and Bob's (v, v') as the rows of two 2x3 matrices."""
-    dirs = np.array([w.as_array() for w in settings])
+    dirs = np.array([(w.x, w.y, w.z) for w in settings])
     return dirs[:2], dirs[2:]
 
 
@@ -141,14 +145,14 @@ def quantum_behavior(
     Alice's and Bob's directions, the correlators are U T V^T and the outcome
     means U a and V b.
     """
-    a, b, t = _bloch_and_tensor(psi)
+    a, b, t = psi.correlations
     alice, bob = _directions(settings)
     return behavior_from_correlators(alice @ t @ bob.T, alice @ a, bob @ b)
 
 
 def correlation_matrix(psi: TwoQubitState) -> np.ndarray:
-    """3x3 matrix T with T[i, j] = <psi| sigma_i (x) sigma_j |psi>.
+    """3x3 matrix T with T[i, j] = <psi| sigma_i (x) sigma_j |psi>, read-only and shared with ``psi``.
 
     The expected product of outcomes along unit directions u and v is u^T T v.
     """
-    return _bloch_and_tensor(psi)[2]
+    return psi.correlations[2]

@@ -489,7 +489,7 @@ class TestSweepCommand:
             raise AssertionError("sweep angles were computed")
 
         # the count is refused before the angle array, and so any row array, exists;
-        # the angles are the first thing sweep allocates, with np.arange
+        # every block of angles that sweep computes starts from np.arange
         monkeypatch.setattr(optimize.np, "arange", no_rows)
         steps = optimize.MAX_STEPS + 1
         out_csv = tmp_path / "s.csv"
