@@ -14,6 +14,7 @@ import hashlib
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,15 @@ from .io import (
     sweep_rows_to_csv,
 )
 from .lhv import chsh, enumerate_deterministic, lhv_behavior
-from .network import GENERATOR_NAME, GENERATOR_VERSION, estimate_chsh, exact_chsh, sample, verify_markov
+from .network import (
+    _CHUNK,
+    GENERATOR_NAME,
+    GENERATOR_VERSION,
+    estimate_chsh,
+    exact_chsh,
+    sample,
+    verify_markov,
+)
 from .optimize import TSIRELSON, seesaw_maximize, sweep
 from .polytope import LOCAL_BOUND, chsh_variants
 from .quantum import TwoQubitState, basis_state, singlet
@@ -42,10 +51,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_LOOKUP = 3
 EXIT_IO = 4
-
-# characters per write in _write_text: one write would encode the whole text
-# into a second, bytes copy of it
-_WRITE_CHUNK = 1 << 20
 
 _STATE_KEYWORDS = {"singlet": singlet, "00": lambda: basis_state(0),
                    "01": lambda: basis_state(1), "10": lambda: basis_state(2),
@@ -82,14 +87,18 @@ def _read_text(path: str) -> str:
             f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not UTF-8") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: a sibling temp file, then ``os.replace``.
+def _write_text(path: str, texts: Iterable[str]) -> None:
+    """Write the pieces ``texts`` to ``path`` whole or not at all: a sibling temp file, then ``os.replace``.
+
+    The pieces are written as they come, so a generator of pieces never has
+    the whole text in memory.
 
     Links in ``path`` are followed first, so the file a link names is replaced
     and the link stays; a replaced file keeps its permission bits.  An existing
     file that is not a regular file (a directory, device or pipe) is refused,
     since ``os.replace`` would swap it out.  On any exception the temp file is
-    removed and the old file is left as it was.
+    removed and the old file is left as it was, also when a piece fails to
+    encode or the iterable raises part-way.
     """
     target = Path(os.path.realpath(path))
     tmp = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
@@ -100,8 +109,7 @@ def _write_text(path: str, text: str) -> None:
             raise _IOFailure(f"cannot write {path}: not a regular file")
         # "x" creates tmp and never opens an existing file or a link there
         with open(tmp, "x", encoding="utf-8", newline="") as f:
-            for s in range(0, len(text), _WRITE_CHUNK):
-                f.write(text[s:s + _WRITE_CHUNK])
+            f.writelines(texts)
         if old_mode is not None:
             os.chmod(tmp, stat.S_IMODE(old_mode))
         os.replace(tmp, target)
@@ -201,7 +209,7 @@ def cmd_sample(args) -> RunReport:
     estimate = estimate_chsh(dataset)
     markov = verify_markov(spec)
     exact_s = exact_chsh(spec)
-    _write_text(args.out, dataset.to_csv())
+    _write_text(args.out, (dataset.to_csv(s, s + _CHUNK) for s in range(0, dataset.count, _CHUNK)))
     return RunReport(
         command="sample",
         inputs_digest=digest_inputs({"file": _file_digest(text), "n": args.n}),
@@ -258,7 +266,7 @@ def cmd_sweep(args) -> RunReport:
     psi = _parse_state(args.state)
     rows = sweep(psi, steps=args.steps,
                  theta_start_deg=args.theta_start, theta_end_deg=args.theta_end)
-    _write_text(args.out, sweep_rows_to_csv(rows))
+    _write_text(args.out, (sweep_rows_to_csv(rows, s, s + _CHUNK) for s in range(0, len(rows), _CHUNK)))
     s_values = rows[:, 1]
     return RunReport(
         command="sweep",

@@ -120,9 +120,14 @@ def parse_network_text(text: str, source: str = "network") -> NetworkSpec:
     return network_from_json(load_json(text, source), source)
 
 
-def sweep_rows_to_csv(rows: np.ndarray) -> str:
-    """CSV ``theta_degrees,S`` of a ``sweep`` array at full double precision."""
-    parts = ["theta_degrees,S\n"]
+def sweep_rows_to_csv(rows: np.ndarray, start: int = 0, stop: int | None = None) -> str:
+    """CSV ``theta_degrees,S`` of rows ``[start, stop)`` of a ``sweep`` array at full double precision.
+
+    The header leads iff ``start == 0``, so the texts of consecutive ranges
+    join to the text of their union.
+    """
+    parts = ["theta_degrees,S\n"] if start == 0 else []
+    rows = rows[start:stop]
     for k in range(0, len(rows), _CHUNK):
         parts.append("".join(f"{t!r},{s!r}\n" for t, s in rows[k:k + _CHUNK].tolist()))
     return "".join(parts)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,11 @@ GENERATOR_VERSION = np.__version__
 
 # rows per step in sample(), _code_counts() and both CSV writers; bounds their temporaries
 _CHUNK = 1 << 16
-# largest record count sample() draws: the record codes and their CSV text are
-# held whole in memory, ~29 bytes per record at peak (a 2-value network: a fresh
-# `bellkit sample` peaks at 64 MB at -n 1e6 and 120 MB at -n 3e6)
+# largest record count sample() draws: the record codes are held whole in memory,
+# 1 byte per record up to 8 hidden values and 2 up to 2048, and `bellkit sample`
+# writes their CSV text _CHUNK rows at a time (a 2-value network: a fresh
+# `bellkit sample` peaks at 39 MB at -n 1e6, 47 MB at -n 1e7 and 133 MB at -n 1e8,
+# ~33 MB of it start-up, on a 2-CPU x86-64 VM)
 MAX_RECORDS = 10 ** 9
 
 
@@ -168,20 +171,28 @@ class SampleDataset:
     def count(self) -> int:
         return int(self.code.size)
 
-    def to_csv(self) -> str:
-        """CSV text with header ``lambda,x,y,A,B`` and one row per record.
-
-        The row text of each code that occurs is formatted once, and the rows
-        are gathered by code ``_CHUNK`` records at a time.
-        """
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Each code's CSV row text, None for a code that does not occur; formatted on first use, read-only."""
         rows = np.empty(16 * len(self.labels), dtype=object)
         for c in np.flatnonzero(_code_counts(self.code, rows.size)).tolist():
             rows[c] = (f"{self.labels[c >> 4]},{SETTING_LABELS_A[c >> 3 & 1]},"
                        f"{SETTING_LABELS_B[c >> 2 & 1]},{'-1' if c & 2 else '+1'},"
                        f"{'-1' if c & 1 else '+1'}\n")
-        parts = ["lambda,x,y,A,B\n"]
-        for s in range(0, self.code.size, _CHUNK):
-            parts.append("".join(rows[self.code[s:s + _CHUNK]].tolist()))
+        rows.setflags(write=False)
+        return rows
+
+    def to_csv(self, start: int = 0, stop: int | None = None) -> str:
+        """CSV text of records ``[start, stop)``, led by the header ``lambda,x,y,A,B`` iff ``start == 0``.
+
+        The texts of consecutive ranges join to the text of their union, so a
+        caller can write the file piece by piece.  The rows are gathered by
+        code from ``_rows``, ``_CHUNK`` records at a time.
+        """
+        rows, code = self._rows, self.code[start:stop]
+        parts = ["lambda,x,y,A,B\n"] if start == 0 else []
+        for s in range(0, code.size, _CHUNK):
+            parts.append("".join(rows[code[s:s + _CHUNK]].tolist()))
         return "".join(parts)
 
 

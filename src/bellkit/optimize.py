@@ -21,9 +21,9 @@ from .quantum import TwoQubitState, UnitVector3, _directions
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 # largest row count sweep() computes: the rows take 16 bytes each, their temporaries
-# are bounded by the _CHUNK-row blocks, and the CSV text of the rows is the larger
-# part (a fresh `bellkit sweep singlet` peaks at 123 MB at 10^6 rows, 34 MB of it
-# start-up, and at 0.91 GB at 10^7 rows, on a 2-CPU x86-64 VM)
+# are bounded by the _CHUNK-row blocks, and `bellkit sweep` writes their CSV text
+# _CHUNK rows at a time (a fresh `bellkit sweep singlet` peaks at 70 MB at 10^6 rows,
+# ~33 MB of it start-up, and at 271 MB at 10^7 rows, on a 2-CPU x86-64 VM)
 MAX_STEPS = 10 ** 7
 
 

@@ -294,6 +294,12 @@ def record_code(lam, x, y, a, b) -> np.ndarray:
     return 16 * lam + 8 * x + 4 * y + 2 * (a < 0) + (b < 0)
 
 
+def piece_bounds(cuts) -> list[tuple[int, int | None]]:
+    """[start, stop) of the consecutive pieces that ``cuts`` (each >= 1) make of a file; the last stop is None."""
+    starts = [0, *sorted(cuts)]
+    return list(zip(starts, starts[1:] + [None]))
+
+
 def loop_csv(labels, lam, x, y, a, b) -> str:
     """The CSV text of records given as five arrays, formatted record by record."""
     out = ["lambda,x,y,A,B\n"]

@@ -60,6 +60,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def peak_rise_mb(*argv) -> float:
+    """The ru_maxrss rise across ``main(argv)`` in a fresh interpreter, after ``import bellkit.cli``.
+
+    That interpreter is started by a small one in between: a child's ru_maxrss
+    starts at its parent's high-water mark, and pytest's own would hide the rise.
+    """
+    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    code = ("import contextlib, io, resource, sys\n"
+            "import bellkit.cli as cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    out = subprocess.run([sys.executable, "-c", launch, "-c", code, *argv], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout) / 1024
+
+
 class TestChshCommand:
     def test_singlet_behavior_verdicts(self, capsys, singlet_behavior_file):
         code, out, _ = run(capsys, "chsh", singlet_behavior_file)
@@ -332,6 +350,17 @@ class TestSampleCommand:
         assert not out_csv.exists()
 
     # the n = 10^6 entries cross 15 chunk edges in the draw and the gather, 13 in the write
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_memory_of_ten_million_records(self, tmp_path):
+        # the CSV goes to the file piece by piece, so only the 1-byte record codes grow with -n
+        network = tmp_path / "network.json"
+        model = random_model(np.random.default_rng(0), n_lambda=2)
+        network.write_text(json.dumps(network_json(NetworkSpec(model=model))))
+        out_csv = tmp_path / "d.csv"
+        assert peak_rise_mb("sample", str(network), "-n", "10000000", "--seed", "1",
+                            "--out", str(out_csv)) < 32
+        out_csv.unlink()
+
     @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"seed{e['seed']}")
     def test_golden_csv_digest(self, capsys, tmp_path, entry):
         path = tmp_path / "network.json"
@@ -382,7 +411,8 @@ def test_write_text_removes_temp_file_on_any_exception(tmp_path):
     out_csv = tmp_path / "d.csv"
     out_csv.write_text("old contents\n")
     with pytest.raises(UnicodeEncodeError):
-        _write_text(str(out_csv), "lambda,x,y,A,B\n\ud800,a,b,+1,+1\n")
+        # the first piece outgrows the write buffer, so it reaches the temp file before the second fails
+        _write_text(str(out_csv), ["lambda,x,y,A,B\n" + "l0,a,b,+1,+1\n" * 10**4, "\ud800,a,b,+1,+1\n"])
     assert out_csv.read_text() == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
@@ -514,6 +544,12 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", *argv, "--out", str(out_csv))
         assert code == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_memory_of_a_million_rows(self, tmp_path):
+        # the rows take 16 MB; their CSV text goes to the file piece by piece
+        assert peak_rise_mb("sweep", "singlet", "--steps", "1000000", "--out",
+                            str(tmp_path / "s.csv")) < 64
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_peak_memory_of_300000_rows(self, tmp_path):

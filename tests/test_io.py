@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit import (
     NetworkSpec,
@@ -22,7 +24,8 @@ from bellkit.io import (
     network_from_json,
     sweep_rows_to_csv,
 )
-from conftest import behavior_json, model_json, network_json
+from bellkit.network import _CHUNK
+from conftest import behavior_json, model_json, network_json, piece_bounds
 
 
 class TestBehaviorFormat:
@@ -121,6 +124,20 @@ class TestCsvAndFormatting:
         assert lines[0] == "theta_degrees,S"
         parsed = float(lines[1].split(",")[1])
         assert abs(parsed + 2 * math.sqrt(2)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.integers(2, 3000), piece=st.sampled_from([1, 7, _CHUNK, None]),
+           cuts=st.lists(st.integers(1, 3000), max_size=12), seed=st.integers(0, 2**32 - 1))
+    def test_sweep_csv_pieces_join_to_the_whole(self, steps, piece, cuts, seed):
+        # pieces of a fixed size, as the CLI cuts them, or cut at random points (None)
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(steps, 2)) * 10.0 ** rng.integers(-300, 300, size=(steps, 2))
+        rows[rng.random((steps, 2)) < 0.1] = -0.0
+        bounds = piece_bounds(range(piece, steps, piece) if piece else [c for c in cuts if c <= steps])
+        pieces = [sweep_rows_to_csv(rows, start, stop) for start, stop in bounds]
+        loop = "theta_degrees,S\n" + "".join(f"{float(t)!r},{float(s)!r}\n" for t, s in rows)
+        assert "".join(pieces) == sweep_rows_to_csv(rows) == loop
+        assert [p.startswith("theta_degrees,S\n") for p in pieces] == [start == 0 for start, _ in bounds]
 
     def test_fmt_seven_decimals(self):
         assert fmt(-2 * math.sqrt(2)) == "-2.8284271"

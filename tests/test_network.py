@@ -33,6 +33,7 @@ from conftest import (
     five_array_sample,
     loop_csv,
     loop_screening_residuals,
+    piece_bounds,
     record_code,
     src_env,
 )
@@ -265,20 +266,33 @@ def test_code_pipeline_matches_five_array_route(n_lambda, priors):
     n=st.integers(1, 5000),
     stem=st.text(max_size=4),
     chunk=st.sampled_from([1, 7, network._CHUNK]),
+    piece=st.sampled_from([1, 7, network._CHUNK, None]),
+    cuts=st.lists(st.integers(1, 5000), max_size=12),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_lambda=1, n=1, stem="", chunk=network._CHUNK, seed=0)
-@example(n_lambda=2000, n=2000, stem="λé", chunk=7, seed=1)
-def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, seed):
-    # every (label, x, y, A, B) combination can occur, including n < 16 * n_lambda,
-    # and chunks of 1 and 7 records put chunk edges inside the data
+@example(n_lambda=1, n=1, stem="", chunk=network._CHUNK, piece=None, cuts=[], seed=0)
+@example(n_lambda=2000, n=2000, stem="λé", chunk=7, piece=7, cuts=[], seed=1)
+def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, piece, cuts, seed):
+    # every (label, x, y, A, B) combination can occur, including n < 16 * n_lambda;
+    # chunks of 1 and 7 records put chunk edges inside the data, and the file is cut
+    # into pieces of a fixed size, as the CLI cuts it, or at random points (None)
     rng = np.random.default_rng(seed)
     labels = tuple(f"{stem}{k}" for k in range(n_lambda))
     arrays = (rng.integers(0, n_lambda, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
               rng.choice([1, -1], n), rng.choice([1, -1], n))
     dataset = SampleDataset(labels=labels, code=record_code(*arrays))
+    bounds = piece_bounds(range(piece, n, piece) if piece else [c for c in cuts if c <= n])
     with mock.patch.object(network, "_CHUNK", chunk):
-        assert dataset.to_csv() == loop_csv(labels, *arrays)
+        pieces = [dataset.to_csv(start, stop) for start, stop in bounds]
+        assert "".join(pieces) == dataset.to_csv() == loop_csv(labels, *arrays)
+    # the header leads the first piece only
+    assert [p.startswith("lambda,x,y,A,B\n") for p in pieces] == [start == 0 for start, _ in bounds]
+
+
+def test_empty_dataset_csv_is_the_header():
+    dataset = SampleDataset(labels=("l0", "l1"), code=np.empty(0, dtype=int))
+    assert dataset.to_csv() == dataset.to_csv(0, 0) == "lambda,x,y,A,B\n"
+    assert dataset.to_csv(1) == ""
 
 
 class TestEstimateChsh:
