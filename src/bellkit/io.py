@@ -19,7 +19,7 @@ from . import __version__
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B
 from .errors import InvalidInputError
 from .lhv import LHVModel
-from .network import _CHUNK, NetworkSpec
+from .network import NetworkSpec
 
 class FileFormatError(InvalidInputError):
     """A file failed to parse or validate; message carries position info."""
@@ -70,8 +70,9 @@ def behavior_from_json(data: Any, source: str = "behavior") -> Behavior:
 
 
 def _response_pair(entry: dict, key: str, labels: tuple[str, str], source: str) -> list[float]:
+    """The two numbers under ``entry[key]``, in ``labels`` order; ``source`` says where ``entry`` is."""
     if key not in entry or not isinstance(entry[key], dict):
-        raise FileFormatError(f"{source}: each lambda entry needs a \"{key}\" object")
+        raise FileFormatError(f"{source}: \"{key}\" must be an object with keys {', '.join(labels)}")
     out = []
     for lbl in labels:
         if lbl not in entry[key]:
@@ -94,8 +95,8 @@ def model_from_json(data: Any, source: str = "model") -> LHVModel:
         if "prob" not in entry:
             raise FileFormatError(f"{source}: lambda entry {i} is missing \"prob\"")
         prior.append(_as_float(entry["prob"], f"lambda entry {i} \"prob\"", source))
-        resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, source))
-        resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, source))
+        resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, f"{source}: lambda entry {i}"))
+        resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, f"{source}: lambda entry {i}"))
     try:
         return LHVModel(labels=tuple(labels), prior=np.array(prior),
                         alice_response=np.array(resp_a), bob_response=np.array(resp_b))
@@ -126,11 +127,8 @@ def sweep_rows_to_csv(rows: np.ndarray, start: int = 0, stop: int | None = None)
     The header leads iff ``start == 0``, so the texts of consecutive ranges
     join to the text of their union.
     """
-    parts = ["theta_degrees,S\n"] if start == 0 else []
-    rows = rows[start:stop]
-    for k in range(0, len(rows), _CHUNK):
-        parts.append("".join(f"{t!r},{s!r}\n" for t, s in rows[k:k + _CHUNK].tolist()))
-    return "".join(parts)
+    header = "theta_degrees,S\n" if start == 0 else ""
+    return header + "".join(f"{t!r},{s!r}\n" for t, s in rows[start:stop].tolist())
 
 
 def digest_inputs(descriptor: dict) -> str:

@@ -24,7 +24,8 @@ from .tolerance import probability_vector
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
 
-# rows per step in sample(), _code_counts() and both CSV writers; bounds their temporaries
+# rows per step in sample(), _code_counts() and sweep(), and per CSV piece that
+# `bellkit sample` and `bellkit sweep` write; bounds their temporaries
 _CHUNK = 1 << 16
 # largest record count sample() draws: the record codes are held whole in memory,
 # 1 byte per record up to 8 hidden values and 2 up to 2048, and `bellkit sample`
@@ -48,15 +49,10 @@ class NetworkSpec:
 
     def __post_init__(self):
         for attr, name in (("setting_prior_a", "settingPriorA"), ("setting_prior_b", "settingPriorB")):
-            object.__setattr__(self, attr, _setting_prior(getattr(self, attr), name))
-
-
-def _setting_prior(values, name: str) -> np.ndarray:
-    """``values`` as one party's distribution over its two settings; ``name`` names it in errors."""
-    p = np.asarray(values, dtype=float)
-    if p.shape != (2,):
-        raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
-    return probability_vector(p, name)
+            p = np.asarray(getattr(self, attr), dtype=float)
+            if p.shape != (2,):
+                raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
+            object.__setattr__(self, attr, probability_vector(p, name))
 
 
 def exact_joint(spec: NetworkSpec) -> np.ndarray:
@@ -187,13 +183,10 @@ class SampleDataset:
 
         The texts of consecutive ranges join to the text of their union, so a
         caller can write the file piece by piece.  The rows are gathered by
-        code from ``_rows``, ``_CHUNK`` records at a time.
+        code from ``_rows``.
         """
-        rows, code = self._rows, self.code[start:stop]
-        parts = ["lambda,x,y,A,B\n"] if start == 0 else []
-        for s in range(0, code.size, _CHUNK):
-            parts.append("".join(rows[code[s:s + _CHUNK]].tolist()))
-        return "".join(parts)
+        header = "lambda,x,y,A,B\n" if start == 0 else ""
+        return header + "".join(self._rows[self.code[start:stop]].tolist())
 
 
 def _code_counts(code: np.ndarray, size: int) -> np.ndarray:

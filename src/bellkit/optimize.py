@@ -23,7 +23,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 # largest row count sweep() computes: the rows take 16 bytes each, their temporaries
 # are bounded by the _CHUNK-row blocks, and `bellkit sweep` writes their CSV text
 # _CHUNK rows at a time (a fresh `bellkit sweep singlet` peaks at 70 MB at 10^6 rows,
-# ~33 MB of it start-up, and at 271 MB at 10^7 rows, on a 2-CPU x86-64 VM)
+# ~33 MB of it start-up, and at 208 MB at 10^7 rows, on a 2-CPU x86-64 VM)
 MAX_STEPS = 10 ** 7
 
 
@@ -109,7 +109,8 @@ def sweep(
     """
     if not 2 <= steps <= MAX_STEPS:
         raise InvalidInputError(f"sweep row count --steps must be between 2 and {MAX_STEPS}, got {steps}")
-    rows = np.empty((steps, 2))
+    # column-major, so that the S column is contiguous and min/max over it copy nothing
+    rows = np.empty((steps, 2), order="F")
     alice, bob = _directions(tsirelson_settings().as_tuple())
     x, y, z = bob.T
     at = alice @ psi.correlations[2]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -92,9 +93,8 @@ def _vertex_simplices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     them, so that ``(coordinates @ functionals)[which]`` gives the weights of
     all simplices.
     """
-    # 16-bit masks counting down, vertex i at bit 15 - i: the 9-subsets come out in lexicographic order
-    bits = np.unpackbits(np.arange(2**16 - 1, -1, -1, dtype=">u2").view(np.uint8).reshape(-1, 2), axis=1)
-    subsets = (np.flatnonzero(bits[bits.sum(axis=1, dtype=np.uint8) == 9]) % 16).reshape(-1, 9)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(16), 9)), np.intp,
+                          count=11440 * 9).reshape(-1, 9)  # C(16, 9) lexicographic 9-subsets
     matrices = _collins_gisin(deterministic_vertex_tables())[subsets]
     spanning = np.abs(np.linalg.det(matrices)) > 0.5
     subsets, matrices = subsets[spanning], matrices[spanning]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .behavior import Behavior, OUTCOME_VALUES, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
-from .network import _setting_prior, conditional_behavior
+from .network import conditional_behavior
 
 
 class Thesis(enum.Enum):
@@ -214,10 +214,10 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
 class SuperdeterministicWitness:
     """Hidden-value model whose values encode (and force) the settings.
 
-    The hidden domain is the set of full experiment transcripts (x, y, A, B);
-    its prior couples to the setting distribution, breaking setting/source
-    independence, while each party's outcome still reads only the hidden value
-    (the local-response discipline is retained).
+    The hidden domain is the set of full experiment transcripts (x, y, A, B),
+    with the four setting pairs equally likely; its prior fixes the settings,
+    breaking setting/source independence, while each party's outcome still
+    reads only the hidden value (the local-response discipline is retained).
     """
 
     atoms: tuple[tuple[int, int, int, int], ...]  # (x, y, A, B) with +/-1 outcomes
@@ -245,26 +245,15 @@ class SuperdeterministicWitness:
         return float(np.max(np.maximum(inflated, self.prior), initial=0.0))
 
 
-def superdeterministic_witness(
-    b: Behavior,
-    setting_prior_a=(0.5, 0.5),
-    setting_prior_b=(0.5, 0.5),
-) -> SuperdeterministicWitness:
+def superdeterministic_witness(b: Behavior) -> SuperdeterministicWitness:
     """Exactly reproduce a behavior by correlating the hidden value with the settings.
 
     Each hidden value is a transcript (x, y, A, B) carrying probability
-    P(x) P(y) P(A,B|x,y); settings and outcomes are then deterministic reads of
-    the hidden value.  Setting priors must be strictly positive so that
-    conditioning on every setting pair is defined.
+    P(A,B|x,y)/4, every setting pair being equally likely as in the standard
+    Bell test; settings and outcomes are then deterministic reads of the
+    hidden value.
     """
-    priors = []
-    for name, p in (("settingPriorA", setting_prior_a), ("settingPriorB", setting_prior_b)):
-        p = _setting_prior(p, name)
-        if np.min(p) <= 0.0:
-            raise InvalidInputError(f"{name} must be strictly positive")
-        priors.append(p)
-    pa, pb = priors
-    mass = np.multiply.outer(pa, pb)[:, :, None, None] * b.table
+    mass = 0.25 * b.table
     index = np.argwhere(mass > 0.0)  # (x, y, A, B) rows in C order
     outcomes = np.array(OUTCOME_VALUES)[index[:, 2:]]
     prior = mass[mass > 0.0]

@@ -6,6 +6,8 @@ import functools
 import itertools
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +34,24 @@ def src_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def peak_rise_mb(setup: str, measured: str, *argv: str) -> float:
+    """The ru_maxrss rise in MB across the code ``measured`` in a fresh interpreter, after ``setup``.
+
+    Both are Python source run with ``sys`` imported and ``argv`` as
+    ``sys.argv[1:]``.  That interpreter is started by a small one in between:
+    a child's ru_maxrss starts at its parent's high-water mark, and pytest's
+    own would hide the rise.  ru_maxrss is in KiB on Linux only.
+    """
+    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    code = (f"import resource, sys\n{setup}\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"{measured}\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    out = subprocess.run([sys.executable, "-c", launch, "-c", code, *argv], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout) / 1024
 
 
 @pytest.fixture(scope="session")
@@ -154,6 +174,21 @@ def inverse_stack_decomposition(b) -> LocalDecomposition | None:
     full = np.zeros(16)
     full[subsets[best]] = weights[:, best]
     return LocalDecomposition(full)
+
+
+# Independent oracle for the superdeterministic witness: one transcript per
+# nonzero table entry, each setting pair of probability 1/4, in a loop.
+
+def transcript_witness(b) -> tuple[tuple[tuple[int, int, int, int], ...], np.ndarray]:
+    """The atoms (x, y, A, B), outcomes +/-1, of mass ``0.25 * b.table`` > 0 in C order, and their prior."""
+    mass = 0.25 * b.table
+    atoms, weights = [], []
+    for x, y, i, j in itertools.product(range(2), repeat=4):
+        if mass[x, y, i, j] > 0.0:
+            atoms.append((x, y, 1 - 2 * i, 1 - 2 * j))
+            weights.append(mass[x, y, i, j])
+    prior = np.array(weights)
+    return tuple(atoms), prior / prior.sum()
 
 
 # Writers of the three file formats that bellkit.io reads.

@@ -19,7 +19,7 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.cli import _write_text, main
-from conftest import behavior_json, deterministic_model, model_json, network_json, src_env
+from conftest import behavior_json, deterministic_model, model_json, network_json, peak_rise_mb, src_env
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
@@ -60,22 +60,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def peak_rise_mb(*argv) -> float:
-    """The ru_maxrss rise across ``main(argv)`` in a fresh interpreter, after ``import bellkit.cli``.
-
-    That interpreter is started by a small one in between: a child's ru_maxrss
-    starts at its parent's high-water mark, and pytest's own would hide the rise.
-    """
-    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
-    code = ("import contextlib, io, resource, sys\n"
-            "import bellkit.cli as cli\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(sys.argv[1:]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-    out = subprocess.run([sys.executable, "-c", launch, "-c", code, *argv], env=src_env(),
-                         capture_output=True, text=True, check=True)
-    return int(out.stdout) / 1024
+# main(sys.argv[1:]) with its report discarded, measured by conftest.peak_rise_mb
+CLI_SETUP = "import contextlib, io\nimport bellkit.cli as cli"
+CLI_MAIN = "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(sys.argv[1:]) == 0"
 
 
 class TestChshCommand:
@@ -281,6 +268,22 @@ class TestSampleCommand:
         gap = abs(body["results"]["estimated S"] - body["results"]["exact S"])
         assert gap <= 5.0 * body["results"]["stderr"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(settingPriorA=[0.5, 0.5]),
+         ': "settingPriorA" must be an object with keys a, a\'\n'),
+        (lambda d: d["lambda"][0].update(pB_plus=[1.0, 1.0]),
+         ': lambda entry 0: "pB_plus" must be an object with keys b, b\'\n'),
+    ])
+    def test_non_object_response_pair_named_in_error(self, capsys, tmp_path, edit, message):
+        data = network_json(NetworkSpec(model=deterministic_model(1, 1, 1, 1)))
+        edit(data)
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "sample", str(path), "-n", "10", "--seed", "1",
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith(message)
+
     @pytest.mark.parametrize("n, prior_a, block", [("3", (0.5, 0.5), None),
                                                    ("1000", (1.0, 0.0), "(a',b)")])
     def test_sparse_block_exits_2_without_csv(self, capsys, tmp_path, n, prior_a, block):
@@ -357,8 +360,8 @@ class TestSampleCommand:
         model = random_model(np.random.default_rng(0), n_lambda=2)
         network.write_text(json.dumps(network_json(NetworkSpec(model=model))))
         out_csv = tmp_path / "d.csv"
-        assert peak_rise_mb("sample", str(network), "-n", "10000000", "--seed", "1",
-                            "--out", str(out_csv)) < 32
+        assert peak_rise_mb(CLI_SETUP, CLI_MAIN, "sample", str(network), "-n", "10000000",
+                            "--seed", "1", "--out", str(out_csv)) < 32
         out_csv.unlink()
 
     @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"seed{e['seed']}")
@@ -548,8 +551,8 @@ class TestSweepCommand:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_peak_memory_of_a_million_rows(self, tmp_path):
         # the rows take 16 MB; their CSV text goes to the file piece by piece
-        assert peak_rise_mb("sweep", "singlet", "--steps", "1000000", "--out",
-                            str(tmp_path / "s.csv")) < 64
+        assert peak_rise_mb(CLI_SETUP, CLI_MAIN, "sweep", "singlet", "--steps", "1000000",
+                            "--out", str(tmp_path / "s.csv")) < 64
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_peak_memory_of_300000_rows(self, tmp_path):

@@ -1,4 +1,3 @@
-import subprocess
 import sys
 from unittest import mock
 
@@ -33,9 +32,9 @@ from conftest import (
     five_array_sample,
     loop_csv,
     loop_screening_residuals,
+    peak_rise_mb,
     piece_bounds,
     record_code,
-    src_env,
 )
 
 
@@ -187,17 +186,11 @@ class TestSample:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_peak_memory_of_a_million_records(self):
-        # a fresh interpreter, so that the peak before the draw is this process's own; the draw
-        # is chunked and the estimator works block by block, so only the codes grow with n
-        code = ("import resource, numpy as np\n"
-                "from bellkit import NetworkSpec, estimate_chsh, random_model, sample\n"
-                "spec = NetworkSpec(model=random_model(np.random.default_rng(0), n_lambda=2))\n"
-                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-                "estimate_chsh(sample(spec, 10**6, seed=0))\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
-                             text=True, check=True)
-        assert int(out.stdout) / 1024 < 16  # MB
+        # the draw is chunked and the estimator works block by block, so only the codes grow with n
+        setup = ("import numpy as np\n"
+                 "from bellkit import NetworkSpec, estimate_chsh, random_model, sample\n"
+                 "spec = NetworkSpec(model=random_model(np.random.default_rng(0), n_lambda=2))")
+        assert peak_rise_mb(setup, "estimate_chsh(sample(spec, 10**6, seed=0))") < 16
 
     def test_invalid_count(self):
         with pytest.raises(InvalidInputError):
@@ -242,7 +235,7 @@ class TestSampleDatasetValidation:
                          ids=["uniform", "uneven"])
 def test_code_pipeline_matches_five_array_route(n_lambda, priors):
     # same streams, same record order: codes, CSV bytes and the estimate agree exactly,
-    # also when chunks of 1 and 7 records put chunk edges inside the draw and the CSV gather
+    # also when chunks of 1 and 7 records put chunk edges inside the draw and the code counts
     spec = NetworkSpec(model=random_model(np.random.default_rng(n_lambda), n_lambda=n_lambda),
                        setting_prior_a=np.array(priors[0]), setting_prior_b=np.array(priors[1]))
     for seed in (0, 7, 2**63):
@@ -274,7 +267,7 @@ def test_code_pipeline_matches_five_array_route(n_lambda, priors):
 @example(n_lambda=2000, n=2000, stem="λé", chunk=7, piece=7, cuts=[], seed=1)
 def test_to_csv_matches_row_loop(n_lambda, n, stem, chunk, piece, cuts, seed):
     # every (label, x, y, A, B) combination can occur, including n < 16 * n_lambda;
-    # chunks of 1 and 7 records put chunk edges inside the data, and the file is cut
+    # chunks of 1 and 7 records put chunk edges inside the code counts, and the file is cut
     # into pieces of a fixed size, as the CLI cuts it, or at random points (None)
     rng = np.random.default_rng(seed)
     labels = tuple(f"{stem}{k}" for k in range(n_lambda))

@@ -108,6 +108,10 @@ class TestSweep:
         assert rows[0][1] == pytest.approx(-2 * SQRT2, abs=1e-12)
         assert rows[1][1] == pytest.approx(-2.0, abs=1e-9)
 
+    def test_s_column_is_contiguous(self):
+        # a strided S column is copied whole by each of cmd_sweep's argmin/argmax
+        assert sweep(singlet(), steps=9)[:, 1].flags.c_contiguous
+
     def test_rejects_single_step(self):
         with pytest.raises(InvalidInputError):
             sweep(singlet(), steps=1)

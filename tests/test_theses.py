@@ -26,7 +26,7 @@ from bellkit import (
     taxonomy,
     uniform_behavior,
 )
-from conftest import deterministic_model, oracle_vertex_tables
+from conftest import deterministic_model, oracle_vertex_tables, transcript_witness
 
 SQRT2 = math.sqrt(2.0)
 
@@ -206,16 +206,16 @@ class TestSuperdeterministicWitness:
         witness = superdeterministic_witness(singlet_behavior)
         assert witness.setting_dependence_residual() > 0.01
 
-    def test_nonuniform_setting_priors(self, singlet_behavior):
-        witness = superdeterministic_witness(
-            singlet_behavior, setting_prior_a=(0.7, 0.3), setting_prior_b=(0.2, 0.8)
-        )
-        err = np.max(np.abs(witness.induced_behavior().table - singlet_behavior.table))
-        assert err <= 1e-12
-
-    def test_zero_setting_prior_rejected(self, singlet_behavior):
-        with pytest.raises(InvalidInputError):
-            superdeterministic_witness(singlet_behavior, setting_prior_a=(1.0, 0.0))
+    def test_equal_to_uniform_setting_transcripts(self, singlet_behavior):
+        rng = np.random.default_rng(627)
+        behaviors = [singlet_behavior, pr_box(), uniform_behavior(),
+                     lhv_behavior(deterministic_model(1, -1, -1, 1)),
+                     *(random_no_signaling_behavior(rng) for _ in range(50))]
+        for b in behaviors:
+            witness = superdeterministic_witness(b)
+            atoms, prior = transcript_witness(b)
+            assert witness.atoms == atoms
+            assert np.array_equal(witness.prior, prior)
 
     def test_random_behaviors_reproduced(self):
         rng = np.random.default_rng(626)
