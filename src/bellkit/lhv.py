@@ -18,10 +18,11 @@ from .errors import InvalidInputError
 from .tolerance import BOUND_SLACK, ROUNDOFF, probability_vector
 
 
-# characters a hidden-value label may not contain
-_CSV_UNSAFE = re.compile('[,"\r\n]')
-# lone surrogates, the only code points that a str holds and UTF-8 cannot encode
-_NOT_UTF8 = re.compile("[\ud800-\udfff]")
+# characters a hidden-value label may not contain: those that would break its
+# CSV field, and the lone surrogates, the only code points that a str holds and
+# UTF-8 cannot encode
+_CSV_UNSAFE = ',"\r\n'
+_UNSAFE_LABEL = re.compile(f"[{_CSV_UNSAFE}\ud800-\udfff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,15 +42,16 @@ class LHVModel:
     bob_response: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(str(s) for s in self.labels)
+        labels = tuple(map(str, self.labels))
         n = len(labels)
         if n == 0:
             raise InvalidInputError("hidden-variable domain is empty")
-        for label in labels:
-            if _CSV_UNSAFE.search(label):
+        # one search over all labels; the loop only picks the message
+        if _UNSAFE_LABEL.search("".join(labels)):
+            label = next(s for s in labels if _UNSAFE_LABEL.search(s))
+            if any(c in label for c in _CSV_UNSAFE):
                 raise InvalidInputError(f"label {label!r} contains a comma, double quote, CR or LF")
-            if _NOT_UTF8.search(label):
-                raise InvalidInputError(f"label {label!r} cannot be encoded as UTF-8")
+            raise InvalidInputError(f"label {label!r} cannot be encoded as UTF-8")
         if len(set(labels)) != n:
             repeated = next(s for s in labels if labels.count(s) > 1)
             raise InvalidInputError(f"label {repeated!r} names more than one hidden value")
@@ -62,13 +64,14 @@ class LHVModel:
         for name, resp in (("alice_response", resp_a), ("bob_response", resp_b)):
             if resp.shape != (n, 2):
                 raise InvalidInputError(f"{name} must have shape ({n}, 2), got {resp.shape}")
-            # negated >= / <= forms so that NaN entries fail the check too
-            if not resp.min() >= -ROUNDOFF or not resp.max() <= 1.0 + ROUNDOFF:
-                raise InvalidInputError(f"{name} entries must lie in [0, 1]")
-        resp_a = resp_a.clip(0.0, 1.0)
-        resp_b = resp_b.clip(0.0, 1.0)
-        for arr in (resp_a, resp_b):
-            arr.setflags(write=False)
+        # both tables checked and clipped as one (2n, 2) array; each stored table is a read-only view of it
+        resp = np.concatenate((resp_a, resp_b))
+        if not _in_unit_interval(resp):
+            name = "bob_response" if _in_unit_interval(resp_a) else "alice_response"
+            raise InvalidInputError(f"{name} entries must lie in [0, 1]")
+        resp = resp.clip(0.0, 1.0)
+        resp.setflags(write=False)
+        resp_a, resp_b = resp[:n], resp[n:]
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "alice_response", resp_a)
@@ -77,6 +80,11 @@ class LHVModel:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+
+def _in_unit_interval(resp: np.ndarray) -> bool:
+    """Every entry within ``ROUNDOFF`` of [0, 1]; a NaN entry fails both comparisons."""
+    return bool(resp.min() >= -ROUNDOFF and resp.max() <= 1.0 + ROUNDOFF)
 
 
 def _outcome_axis(response: np.ndarray) -> np.ndarray:

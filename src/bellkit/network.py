@@ -24,14 +24,15 @@ from .tolerance import probability_vector
 GENERATOR_NAME = "numpy.random.PCG64"
 GENERATOR_VERSION = np.__version__
 
-# rows per step in sample(), _code_counts() and sweep(), and per CSV piece that
+# rows per step in sample(), SampleDataset._code_counts and sweep(), and per CSV piece that
 # `bellkit sample` and `bellkit sweep` write; bounds their temporaries
 _CHUNK = 1 << 16
 # largest record count sample() draws: the record codes are held whole in memory,
 # 1 byte per record up to 8 hidden values and 2 up to 2048, and `bellkit sample`
 # writes their CSV text _CHUNK rows at a time (a 2-value network: a fresh
-# `bellkit sample` peaks at 39 MB at -n 1e6, 47 MB at -n 1e7 and 133 MB at -n 1e8,
-# ~33 MB of it start-up, on a 2-CPU x86-64 VM)
+# `bellkit sample` peaks at 39 MB at -n 1e6, 48 MB at -n 1e7 and 134 MB at -n 1e8,
+# ~33 MB of it start-up, and sample() takes ~25-45 ms per 10^6 records, most of
+# it drawing the five streams' doubles, on a 2-CPU x86-64 VM)
 MAX_RECORDS = 10 ** 9
 
 
@@ -168,10 +169,23 @@ class SampleDataset:
         return int(self.code.size)
 
     @cached_property
+    def _code_counts(self) -> np.ndarray:
+        """Occurrences of each code in [0, 16*len(labels)) as int64; counted on first use, read-only.
+
+        The CSV rows and ``estimate_chsh`` both read it, so the codes are
+        counted once per dataset, one ``np.bincount`` per ``_CHUNK`` records.
+        """
+        counts = np.zeros(16 * len(self.labels), dtype=np.int64)
+        for s in range(0, self.count, _CHUNK):
+            counts += np.bincount(self.code[s:s + _CHUNK], minlength=counts.size)
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
     def _rows(self) -> np.ndarray:
         """Each code's CSV row text, None for a code that does not occur; formatted on first use, read-only."""
         rows = np.empty(16 * len(self.labels), dtype=object)
-        for c in np.flatnonzero(_code_counts(self.code, rows.size)).tolist():
+        for c in np.flatnonzero(self._code_counts).tolist():
             rows[c] = (f"{self.labels[c >> 4]},{SETTING_LABELS_A[c >> 3 & 1]},"
                        f"{SETTING_LABELS_B[c >> 2 & 1]},{'-1' if c & 2 else '+1'},"
                        f"{'-1' if c & 1 else '+1'}\n")
@@ -189,17 +203,35 @@ class SampleDataset:
         return header + "".join(self._rows[self.code[start:stop]].tolist())
 
 
-def _code_counts(code: np.ndarray, size: int) -> np.ndarray:
-    """Occurrences of each code in [0, size) as int64, one ``np.bincount`` per ``_CHUNK`` records."""
-    counts = np.zeros(size, dtype=np.int64)
-    for s in range(0, code.size, _CHUNK):
-        counts += np.bincount(code[s:s + _CHUNK], minlength=size)
-    return counts
-
-
 def _code_dtype(n_labels: int) -> np.dtype:
     """The smallest signed dtype holding codes below 16 * n_labels; signed, so ``1 - 2 * bit`` cannot wrap."""
     return np.min_scalar_type(-16 * n_labels)
+
+
+def _guide_table(cut: np.ndarray, size: int) -> np.ndarray:
+    """Indexed-search table over the nondecreasing cut points ``cut`` in ``size`` equal buckets of [0, 1).
+
+    Entry i counts the cut points <= i/size, or is -1 where a cut point lies
+    strictly inside (i/size, (i+1)/size).  ``size`` must be a power of two, so
+    that ``cut * size`` is exact.
+    """
+    scaled = cut * size
+    table = np.searchsorted(scaled, np.arange(size), side="right")
+    table[scaled[(scaled < size) & (scaled != np.floor(scaled))].astype(np.intp)] = -1
+    return table
+
+
+def _hidden_values(u: np.ndarray, cut: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cut, u, side="right")`` for keys ``u`` in [0, 1), through a ``_guide_table``.
+
+    A key's bucket is i = floor(u * size), exact for a power-of-two size, so
+    i/size <= u < (i+1)/size: the cut points <= u are the table's count, unless
+    one lies inside the bucket.  Only the keys in such buckets are searched.
+    """
+    lam = table.take((u * table.size).astype(np.intp))
+    late = np.flatnonzero(lam < 0)
+    lam[late] = np.searchsorted(cut, u[late], side="right")
+    return lam
 
 
 def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
@@ -210,25 +242,47 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
     version regardless of intermediate consumption.  Records are drawn
     ``_CHUNK`` at a time into one preallocated code array; PCG64 yields the
     same doubles in chunks as in one call, so the chunk size changes no record.
+
+    The hidden value of key u is the number of interior cut points
+    ``cumsum(prior)[:-1]`` that are <= u.  That equals the inverse-CDF index
+    ``min(searchsorted(cumsum(prior), u, "right"), K - 1)``: the cumulative sum
+    of nonnegative terms never decreases, so the last cut point is <= u only
+    when all are.  It is found by indexed search (Chen & Asau, AIIE Trans. 6,
+    163 (1974); Devroye, Non-Uniform Random Variate Generation, III.2.4
+    (1986)), which is exact for any power-of-two table size: the size changes
+    only how many keys fall back to a binary search, never a record.
     """
     if not 1 <= n <= MAX_RECORDS:
         raise InvalidInputError(f"sample count -n must be between 1 and {MAX_RECORDS}, got {n}")
     streams = [np.random.Generator(np.random.PCG64(child))
                for child in np.random.SeedSequence(seed).spawn(5)]
     model = spec.model
-    cum_prior = np.cumsum(model.prior)
+    cut = np.cumsum(model.prior)[:-1]
+    # the table costs ~size to build, and a key falls back to the binary search
+    # with chance at most (K - 1)/size, so a power of two near sqrt(n * K)
+    # balances the two; at most _CHUNK entries, the length of one chunk's keys
+    table = _guide_table(cut, min(_CHUNK, 1 << math.isqrt(n * model.size - 1).bit_length()))
+    # P(+1 | x, k) at flat index 2*k + x
+    alice, bob = model.alice_response.ravel(), model.bob_response.ravel()
     code = np.empty(n, dtype=_code_dtype(model.size))
     for s in range(0, n, _CHUNK):
         m = min(_CHUNK, n - s)
-        lam = np.searchsorted(cum_prior, streams[0].random(m), side="right")
-        lam = np.minimum(lam, model.size - 1)  # guard against cumsum rounding at 1.0
-        # settings as 0/1 integers, since a boolean array would index as a mask
-        x = (streams[1].random(m) >= spec.setting_prior_a[0]).view(np.uint8)
-        y = (streams[2].random(m) >= spec.setting_prior_b[0]).view(np.uint8)
-        chunk = 16 * lam + 8 * x + 4 * y
-        chunk += 2 * (streams[3].random(m) >= model.alice_response[lam, x])  # A = -1
-        chunk += streams[4].random(m) >= model.bob_response[lam, y]          # B = -1
-        code[s:s + m] = chunk
+        alice_index = _hidden_values(streams[0].random(m), cut, table)
+        alice_index <<= 1
+        x = streams[1].random(m) >= spec.setting_prior_a[0]
+        y = streams[2].random(m) >= spec.setting_prior_b[0]
+        bob_index = alice_index + y
+        alice_index += x
+        # 16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1] in Horner form from 2*lam + x,
+        # in the code dtype, where no partial sum exceeds the final code
+        out = code[s:s + m]
+        out[...] = alice_index
+        out <<= 1
+        out += y
+        out <<= 1
+        out += streams[3].random(m) >= alice.take(alice_index)  # A = -1
+        out <<= 1
+        out += streams[4].random(m) >= bob.take(bob_index)      # B = -1
     return SampleDataset(labels=model.labels, code=code)
 
 
@@ -251,7 +305,7 @@ def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
     fraction of integers, divided once before the square root, so neither value
     depends on record order.  Every block must contain at least 2 records.
     """
-    counts = _code_counts(dataset.code, 16 * len(dataset.labels)).reshape(-1, 2, 2, 2, 2).sum(axis=0)
+    counts = dataset._code_counts.reshape(-1, 2, 2, 2, 2).sum(axis=0)
     m = counts.sum(axis=(2, 3))
     if m.min() < 2:
         x, y = np.argwhere(m < 2)[0]

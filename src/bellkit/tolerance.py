@@ -6,6 +6,8 @@ live in one place and no function takes its own tolerance argument.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -25,12 +27,15 @@ def probability_vector(values, what: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.size == 0:
         raise InvalidInputError(f"{what} is empty")
-    if not np.isfinite(p).all():
+    # an inf or NaN entry makes the sum inf or NaN, so only a sum that is not
+    # finite calls for the entrywise check; finite entries whose sum overflows are
+    # refused below as a mass far from 1 (both without a numpy warning)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(p.sum())
+    if not math.isfinite(total) and not np.isfinite(p).all():
         raise InvalidInputError(f"{what} has non-finite entries")
     if p.min() < -PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} entry {p.min():.3e} below -{PROBABILITY_SLACK:g}")
-    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
-        total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} sums to {total:.12g}, not 1 within {PROBABILITY_SLACK:g}")
     p = p.clip(0.0, None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bellkit import (
     no_signaling,
     random_model,
 )
+from bellkit.tolerance import ROUNDOFF
 from conftest import deterministic_model
 
 SQRT2 = math.sqrt(2.0)
@@ -107,6 +109,36 @@ class TestLhvBehavior:
                 alice_response=np.array([[math.nan, 0.5]]),
                 bob_response=np.full((1, 2), 0.5),
             )
+
+    @pytest.mark.parametrize("labels, bad, message", [
+        (("l0", "a,b", "l\ud800"), 1, "contains a comma, double quote, CR or LF"),
+        (("l\ud800", 'a"b'), 0, "cannot be encoded as UTF-8"),
+        (("l0", "\ud800\r"), 1, "contains a comma, double quote, CR or LF"),
+    ], ids=["first_is_csv_unsafe", "first_is_not_utf8", "both_in_one"])
+    def test_first_unsafe_label_named(self, labels, bad, message):
+        # the first offending label is named; a label with both faults gets the CSV message
+        n = len(labels)
+        with pytest.raises(InvalidInputError, match=re.escape(f"label {labels[bad]!r} {message}")):
+            LHVModel(labels=labels, prior=np.full(n, 1 / n),
+                     alice_response=np.full((n, 2), 0.5), bob_response=np.full((n, 2), 0.5))
+
+    @pytest.mark.parametrize("alice, bob, name", [
+        (1.2, 0.5, "alice_response"), (0.5, -0.1, "bob_response"),
+        (math.nan, math.nan, "alice_response"), (0.5, math.nan, "bob_response"),
+    ])
+    def test_out_of_range_response_table_named(self, alice, bob, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} entries must lie in"):
+            LHVModel(labels=("l0", "l1"), prior=np.array([0.5, 0.5]),
+                     alice_response=np.array([[0.5, 0.5], [0.5, alice]]),
+                     bob_response=np.array([[bob, 0.5], [0.5, 0.5]]))
+
+    def test_responses_within_roundoff_clipped_read_only(self):
+        model = LHVModel(labels=("l0", "l1"), prior=np.array([0.5, 0.5]),
+                         alice_response=np.array([[1.0 + 0.5 * ROUNDOFF, 0.25], [0.5, 0.75]]),
+                         bob_response=np.array([[0.125, 0.5], [-0.5 * ROUNDOFF, 1.0]]))
+        assert model.alice_response.tolist() == [[1.0, 0.25], [0.5, 0.75]]
+        assert model.bob_response.tolist() == [[0.125, 0.5], [0.0, 1.0]]
+        assert not model.alice_response.flags.writeable and not model.bob_response.flags.writeable
 
     @pytest.mark.parametrize("label", ["\ud800", "l\udfff0"], ids=["lone", "inside"])
     def test_label_not_encodable_as_utf8_rejected(self, label):

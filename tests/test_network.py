@@ -253,6 +253,80 @@ def test_code_pipeline_matches_five_array_route(n_lambda, priors):
             assert est.per_block_counts == counts
 
 
+def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The hidden value of each key as a binary search over the whole cumulative prior, clamped to the last value."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+def hand_built_keys(cum: np.ndarray, size: int) -> np.ndarray:
+    """Keys in [0, 1): each cumulative mass and bucket edge i/size with its float neighbours, 0 and 1 - 2^-53."""
+    points = np.concatenate([cum, np.arange(size) / size])
+    keys = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0), [0.0, 1.0 - 2.0 ** -53]])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+_LOOKUP_PRIORS = {
+    "one_value": [1.0],
+    "dyadic_pair": [0.5, 0.5],  # the only cut point is a bucket edge
+    "zero_entries": [0.0, 0.25, 0.0, 0.0, 0.1, 0.65, 0.0],  # repeated cumulative masses
+    "mass_below_one": [0.1] * 10,  # the cumulative sum ends at 1 - 2^-53
+    "tiny_entries": [1e-300, 5e-324, 0.5, 0.5 - 1e-17],
+    "two_thousand": np.random.default_rng(2000).dirichlet(np.ones(2000)).tolist(),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 1024, 1 << 16])
+@pytest.mark.parametrize("prior", list(_LOOKUP_PRIORS.values()), ids=list(_LOOKUP_PRIORS))
+def test_hidden_values_match_the_inverse_cdf(prior, size):
+    # indexed search is exact for every power-of-two table size, at and next to each cut point and bucket edge
+    cum = np.cumsum(prior)
+    cut = cum[:-1]
+    table = network._guide_table(cut, size)
+    u = hand_built_keys(cum, size)
+    np.testing.assert_array_equal(network._hidden_values(u, cut, table), inverse_cdf(cum, u))
+    # a cut point leaves at most one bucket unsettled, and a bucket edge none
+    assert np.count_nonzero(table < 0) <= np.count_nonzero(cut * size % 1)
+
+
+def test_mass_below_one_reaches_the_last_value():
+    cum = np.cumsum(_LOOKUP_PRIORS["mass_below_one"])
+    assert cum[-1] < 1.0
+    u = np.array([cum[-1], 1.0 - 2.0 ** -53])
+    assert network._hidden_values(u, cum[:-1], network._guide_table(cum[:-1], 8)).tolist() == [9, 9]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_lambda=st.integers(1, 2100),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+    n=st.sampled_from([network._CHUNK - 1, network._CHUNK, network._CHUNK + 1, 3 * network._CHUNK + 7]),
+    prior_a=st.floats(0.0, 1.0),
+    prior_b=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_matches_the_reference_sampler(n_lambda, zero_share, n, prior_a, prior_b, seed):
+    # random priors with zero entries, uneven setting priors and chunk edges at, before and after n
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_lambda=n_lambda)
+    prior = model.prior * (rng.random(n_lambda) >= zero_share)
+    prior[rng.integers(n_lambda)] += 1.0 - prior.sum()
+    spec = NetworkSpec(model=LHVModel(model.labels, prior, model.alice_response, model.bob_response),
+                       setting_prior_a=np.array([prior_a, 1.0 - prior_a]),
+                       setting_prior_b=np.array([prior_b, 1.0 - prior_b]))
+    np.testing.assert_array_equal(sample(spec, n, seed=seed).code, record_code(*five_array_sample(spec, n, seed)))
+
+
+def test_code_counts_taken_once_per_dataset():
+    # the estimate and the CSV read one cached, read-only table: one np.bincount per chunk in all
+    dataset = sample(coin_spec(), 3 * network._CHUNK + 7, seed=0)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        estimate = estimate_chsh(dataset)
+        dataset.to_csv(0, 10)
+        assert estimate_chsh(dataset) == estimate
+    assert bincount.call_count == 4
+    assert not dataset._code_counts.flags.writeable
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_lambda=st.integers(1, 2100),

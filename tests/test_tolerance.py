@@ -37,6 +37,16 @@ class TestProbabilityVector:
         with pytest.raises(InvalidInputError, match="p "):
             probability_vector(values, "p")
 
+    @pytest.mark.parametrize("values, message", [
+        ([np.inf, -np.inf], "p has non-finite entries"),      # the sum is NaN, with no warning
+        ([np.nan, -1.0], "p has non-finite entries"),         # ahead of the negative entry
+        ([1e308, 1e308], "p sums to inf, not 1"),             # finite entries, overflowing mass
+        ([-0.5, 1.5], "p entry -5.000e-01 below"),
+    ])
+    def test_first_fault_named(self, values, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            probability_vector(values, "p")
+
     def test_setting_prior_slightly_negative_clipped(self):
         # setting priors follow the same rule as every other distribution
         spec = NetworkSpec(model=random_model(np.random.default_rng(0)),
