@@ -36,6 +36,9 @@ def src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+
+
 def peak_rise_mb(setup: str, measured: str, *argv: str) -> float:
     """The ru_maxrss rise in MB across the code ``measured`` in a fresh interpreter, after ``setup``.
 

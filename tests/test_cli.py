@@ -19,7 +19,8 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.cli import _write_text, main
-from conftest import behavior_json, deterministic_model, model_json, network_json, peak_rise_mb, src_env
+from conftest import (behavior_json, deterministic_model, linux_only, model_json, network_json, peak_rise_mb,
+                      src_env)
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
@@ -353,7 +354,7 @@ class TestSampleCommand:
         assert not out_csv.exists()
 
     # the n = 10^6 entries cross 15 chunk edges in the draw and the gather, 13 in the write
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @linux_only
     def test_peak_memory_of_ten_million_records(self, tmp_path):
         # the CSV goes to the file piece by piece, so only the 1-byte record codes grow with -n
         network = tmp_path / "network.json"
@@ -548,13 +549,13 @@ class TestSweepCommand:
         assert code == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @linux_only
     def test_peak_memory_of_a_million_rows(self, tmp_path):
         # the rows take 16 MB; their CSV text goes to the file piece by piece
         assert peak_rise_mb(CLI_SETUP, CLI_MAIN, "sweep", "singlet", "--steps", "1000000",
                             "--out", str(tmp_path / "s.csv")) < 64
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @linux_only
     def test_peak_memory_of_300000_rows(self, tmp_path):
         # a fresh process, whose peak covers interpreter start-up, the rows and their CSV text
         code = ("import resource, subprocess, sys\n"

@@ -1,4 +1,3 @@
-import sys
 from unittest import mock
 
 import numpy as np
@@ -30,6 +29,7 @@ from conftest import (
     deterministic_model,
     five_array_estimate,
     five_array_sample,
+    linux_only,
     loop_csv,
     loop_screening_residuals,
     peak_rise_mb,
@@ -184,7 +184,7 @@ class TestSample:
         assert np.all(np.abs(counts - n / 4) <= 5 * sigma)
         assert counts.sum() == dataset.count
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @linux_only
     def test_peak_memory_of_a_million_records(self):
         # the draw is chunked and the estimator works block by block, so only the codes grow with n
         setup = ("import numpy as np\n"
@@ -230,6 +230,17 @@ class TestSampleDatasetValidation:
             assert dataset.count == len(values)
 
 
+def first_difference(got: str, want: str) -> str | None:
+    """None if two texts are equal, else their first differing line: a short failure message in place of a diff."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            return f"line {i + 1}: {g!r} != {w!r}"
+    return f"{len(got_lines)} lines != {len(want_lines)} lines"
+
+
 @pytest.mark.parametrize("n_lambda", [1, 3, 2000])
 @pytest.mark.parametrize("priors", [((0.5, 0.5), (0.5, 0.5)), ((0.7, 0.3), (0.2, 0.8))],
                          ids=["uniform", "uneven"])
@@ -245,8 +256,10 @@ def test_code_pipeline_matches_five_array_route(n_lambda, priors):
         for chunk in (1, 7, network._CHUNK):
             with mock.patch.object(network, "_CHUNK", chunk):
                 dataset = sample(spec, 5000, seed=seed)
-                assert dataset.to_csv() == csv
+                text = dataset.to_csv()
             np.testing.assert_array_equal(dataset.code, record_code(*arrays))
+            mismatch = first_difference(text, csv)
+            assert mismatch is None, mismatch
             est = estimate_chsh(dataset)
             assert est.s == s
             assert est.stderr == stderr

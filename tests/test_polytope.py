@@ -26,7 +26,9 @@ from conftest import (
     collins_gisin,
     deterministic_model,
     inverse_stack_decomposition,
+    linux_only,
     oracle_vertex_tables,
+    peak_rise_mb,
     random_direction,
     relabelings,
     simplex_inverses,
@@ -147,6 +149,15 @@ class TestVertexSimplices:
         vertices = np.array([collins_gisin(t) for t in oracle_vertex_tables()])
         products = np.einsum("sjc,cks->sjk", vertices[subsets], functionals[:, which])
         assert np.array_equal(products, np.broadcast_to(np.eye(9), products.shape))
+
+    @linux_only
+    def test_first_build_memory(self):
+        # the table is built in blocks of subsets, never as one stack of all 11,440 matrices;
+        # det and inv run once before, so that LAPACK's own start-up is not counted
+        setup = ("import numpy as np\n"
+                 "from bellkit import local_decomposition, uniform_behavior\n"
+                 "np.linalg.det(np.eye(9)[None]), np.linalg.inv(np.eye(9)[None])")
+        assert peak_rise_mb(setup, "local_decomposition(uniform_behavior())") < 5
 
     def test_weights_match_inverse_stack(self):
         rng = np.random.default_rng(16180)  # criterion 6's draws
