@@ -3,21 +3,17 @@
 For two settings and two outcomes per party, a no-signaling behavior is a
 mixture of the 16 deterministic behaviors exactly when all sign variants of
 the CHSH combination stay within 2.  ``is_local`` checks the inequalities;
-``local_decomposition`` finds an explicit convex decomposition instead,
-giving an oracle that does not share code with the inequality test.  In the
-Collins-Gisin coordinates (P(A=+|x), P(B=+|y), P(+,+|x,y)) the 16 vertices
-are 0/1 vectors, every affinely independent 9-subset of them spans a simplex
-with an integer inverse, and by Caratheodory's theorem a behavior is local
-iff its barycentric weights in one of these simplices are all nonnegative.
-The 4096 simplices share 384 distinct barycentric functionals, so the
-weights of all of them come from 384 dot products and one index table.
+``local_decomposition`` builds an explicit convex decomposition instead,
+giving an oracle that does not share code with the inequality test.  It
+follows Fine's theorem (A. Fine, PRL 48, 291 (1982)): the measured pairs form
+the cycle A0-B0-A1-B1, and a joint distribution of (A0, A1, B0, B1) exists iff
+the chord A0-A1 can be completed so that both triangles (A0, A1, B_y) have a
+nonnegative distribution; B0 and B1 are then independent given (A0, A1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -69,69 +65,36 @@ class LocalDecomposition:
         return Behavior(np.tensordot(self.weights, deterministic_vertex_tables(), axes=(0, 0)))
 
 
-def _collins_gisin(tables: np.ndarray) -> np.ndarray:
-    """Homogeneous coordinates (1, P(A=+|x), P(B=+|y), P(+,+|x,y)) of tables [..., x, y, A, B]."""
-    lead = tables.shape[:-4]
-    return np.concatenate([
-        np.ones(lead + (1,)),
-        tables[..., :, 0, 0, :].sum(axis=-1),
-        tables[..., 0, :, :, 0].sum(axis=-1),
-        tables[..., 0, 0].reshape(lead + (4,)),
-    ], axis=-1)
-
-
-@lru_cache(maxsize=1)
-def _vertex_simplices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 4096 vertex 9-subsets spanning a simplex, their barycentric functionals, and which is which.
-
-    Every such simplex's coordinate matrix has determinant +/-1, so its
-    inverse is an integer matrix, and column j of the inverse is the
-    functional that gives vertex slot j its weight.  Across all 36,864
-    (slot, simplex) pairs only 384 functionals are distinct, each with
-    entries in [-2, 2].  They are returned as the columns of a
-    [coordinate, functional] array, with ``which[slot, simplex]`` indexing
-    them, so that ``(coordinates @ functionals)[which]`` gives the weights of
-    all simplices.  The C(16, 9) = 11,440 subsets are walked in blocks that
-    keep only the spanning subsets and a key per inverse column; only the
-    simplices holding each functional's first occurrence are inverted again.
-    The build takes ~50 ms and ~3.5 MB of transient memory, and keeps 0.62 MB.
-    """
-    vertices = _collins_gisin(deterministic_vertex_tables())
-    # balanced base 5 is one-to-one on integer columns with entries in [-2, 2], and exact in float64
-    scale = 5.0 ** np.arange(9)
-    walk = combinations(range(16), 9)  # lexicographic
-    subsets, keys = [], []
-    # 512 subsets are 0.3 MB of matrices: a small transient, and few enough LAPACK calls
-    while (block := np.fromiter(chain.from_iterable(islice(walk, 512)), np.intp).reshape(-1, 9)).size:
-        block = block[np.abs(np.linalg.det(vertices[block])) > 0.5]
-        subsets.append(block)
-        keys.append(scale @ np.rint(np.linalg.inv(vertices[block])))  # [simplex, vertex slot]
-    subsets, key = np.concatenate(subsets), np.concatenate(keys)
-    _, first, which = np.unique(key.ravel(), return_index=True, return_inverse=True)
-    inverses = np.rint(np.linalg.inv(vertices[subsets[first // 9]]))  # [functional, coordinate, vertex slot]
-    functionals = np.ascontiguousarray(inverses[np.arange(first.size), :, first % 9].T)
-    which = np.ascontiguousarray(which.reshape(key.shape).T)
-    for arr in (subsets, functionals, which):
-        arr.setflags(write=False)
-    return subsets, functionals, which
-
-
 def local_decomposition(b: Behavior) -> LocalDecomposition | None:
     """Express ``b`` as a convex combination of deterministic behaviors, or None if it is not local.
 
-    Takes the vertex simplex whose smallest barycentric weight is largest.
-    Block probabilities are renormalized first so that input normalization
-    slack (up to PROBABILITY_SLACK) does not masquerade as a negative weight.
-    Signaling input is rejected, as in ``is_local``.
+    With p_x = P(A_x=+), q_y = P(B_y=+) and r_xy = P(A_x=+, B_y=+), triangle
+    y has a nonnegative completion iff the chord's t = P(A0=+, A1=+) lies in an
+    interval.  For nonlocal b the two leave a gap t_lo - t_hi = (S_max - 2)/4,
+    so the verdict is None iff 4 times the gap exceeds BOUND_SLACK.  Otherwise t
+    and each triangle's u_y = P(+,+,+) sit at the midpoints of their
+    intervals, cells the slack leaves below 0 are clipped, and the weights are
+    w(a0, a1, b0, b1) = P(a0, a1, b0) P(b1 | a0, a1).  Block probabilities are
+    renormalized first so that input normalization slack (up to
+    PROBABILITY_SLACK) does not masquerade as a gap.  Signaling input is
+    rejected, as in ``is_local``.
     """
     require_no_signaling(b, "local decomposition")
     target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
-    subsets, functionals, which = _vertex_simplices()
-    weights = (_collins_gisin(target) @ functionals)[which]  # [vertex slot, simplex]
-    best = np.argmax(weights.min(axis=0))
-    # a vertex off a CHSH facet has S = -2 there, so its weight is (2 - S)/4: 4 converts to S units
-    if -4.0 * weights[:, best].min() > BOUND_SLACK:
+    p0, p1 = target[:, 0, 0].sum(axis=-1)  # P(A_x=+), read in block (x, b)
+    q = target[0, :, :, 0].sum(axis=-1)  # P(B_y=+) over y, read in block (a, y)
+    r0, r1 = target[:, :, 0, 0]  # P(A_x=+, B_y=+) over y, for x = a, a'
+    t_lo = max(0.0, p0 + p1 - 1.0, *(r0 + r1 - q), *(p0 + p1 + q - r0 - r1 - 1.0))
+    t_hi = min(p0, p1, *(p0 - r0 + r1), *(p1 + r0 - r1))
+    if 4.0 * (t_lo - t_hi) > BOUND_SLACK:
         return None
-    full = np.zeros(16)
-    full[subsets[best]] = weights[:, best]
-    return LocalDecomposition(full)
+    t = 0.5 * (t_lo + t_hi)
+    top = 1.0 - p0 - p1 - q + t + r0 + r1  # P(-,-,-) + u_y
+    u = 0.5 * (np.maximum.reduce([np.zeros(2), t + r0 - p0, t + r1 - p1, r0 + r1 - q])
+               + np.minimum.reduce([np.full(2, t), r0, r1, top]))
+    # cells [y, a0, a1, b_y] of both triangles, outcome index 0 meaning +1
+    cells = np.stack([u, t - u, r0 - u, p0 - t - r0 + u, r1 - u, p1 - t - r1 + u,
+                      q - r0 - r1 + u, top - u], axis=-1).reshape(2, 2, 2, 2).clip(0.0, None)
+    pair = cells[1].sum(axis=-1, keepdims=True)  # P(a0, a1), from triangle b'
+    given = np.divide(cells[1], pair, out=np.zeros((2, 2, 2)), where=pair > 0.0)  # P(b1 | a0, a1)
+    return LocalDecomposition((cells[0][..., :, None] * given[..., None, :]).ravel())

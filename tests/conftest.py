@@ -143,8 +143,8 @@ def oracle_vertex_tables() -> np.ndarray:
                      for s in itertools.product((+1, -1), repeat=4)])
 
 
-# Independent oracle for the vertex-decomposition table: one inverse per
-# spanning vertex simplex, each taken on its own, in place of the shared functionals.
+# Independent reference for local_decomposition's verdict: barycentric weights
+# in every spanning vertex simplex, one inverse per simplex, in place of the chord.
 
 def collins_gisin(t: np.ndarray) -> np.ndarray:
     """(1, P(A=+|a), P(A=+|a'), P(B=+|b), P(B=+|b'), P(+,+|x,y) for xy = ab, ab', a'b, a'b')."""
@@ -166,7 +166,7 @@ def simplex_inverses() -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse_stack_decomposition(b) -> LocalDecomposition | None:
-    """``local_decomposition`` through the stack of per-simplex inverses, max-min simplex first."""
+    """A decomposition of ``b`` in the vertex simplex whose smallest weight is largest, or None past BOUND_SLACK."""
     table = np.asarray(b.table)
     target = table / table.sum(axis=(2, 3), keepdims=True)
     subsets, inverses = simplex_inverses()

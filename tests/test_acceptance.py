@@ -138,7 +138,7 @@ def test_criterion_6_membership_oracle_equivalence():
     singlet_infeasible = local_decomposition(singlet_b) is None
     uniform_feasible = local_decomposition(uniform_behavior()) is not None
     ok = disagreements == 0 and singlet_infeasible and uniform_feasible
-    _verdict(6, "inequality test and vertex-decomposition oracle agree", ok,
+    _verdict(6, "inequality test and Fine-decomposition oracle agree", ok,
              f"0 disagreements expected, got {disagreements}; "
              f"split local/nonlocal = {verdicts[True]}/{verdicts[False]}")
 
