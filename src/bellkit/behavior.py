@@ -5,11 +5,15 @@ Alice's settings x in {a, a'} and Bob's settings y in {b, b'} it gives the
 joint distribution of the +/-1 outcomes A and B.  Tables are stored as a
 (2, 2, 2, 2) array indexed [x, y, A, B] with outcome index 0 meaning +1 and
 index 1 meaning -1.
+
+The arithmetic on one table runs on its 16 entries as Python floats, in numpy's
+order of operations: the bytes stay numpy's, without its per-call cost on tiny arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,22 +42,27 @@ def _clean_table(p) -> np.ndarray:
     table = np.asarray(p, dtype=float)
     if table.shape != (2, 2, 2, 2):
         raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
-    if not np.isfinite(table).all():
+    v = table.ravel().tolist()
+    if not all(map(math.isfinite, v)):
         raise InvalidInputError("behavior table contains non-finite entries")
-    if table.min() < -ROUNDOFF:
-        raise InvalidInputError(f"behavior entry {table.min():.3e} below -{ROUNDOFF:g}")
-    # float round-off in computed tables may leave entries slightly below 0
-    table = table.clip(0.0, None)
-    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
-        block_sums = table.sum(axis=(2, 3))
-    if abs(block_sums - 1.0).max() > PROBABILITY_SLACK:
-        worst = np.unravel_index(np.argmax(np.abs(block_sums - 1.0)), (2, 2))
-        raise InvalidInputError(
-            f"block ({SETTING_LABELS_A[worst[0]]},{SETTING_LABELS_B[worst[1]]}) "
-            f"sums to {block_sums[worst]:.12g}, not 1"
-        )
+    if min(v) < -ROUNDOFF:
+        raise InvalidInputError(f"behavior entry {min(v):.3e} below -{ROUNDOFF:g}")
+    # float round-off in computed tables may leave entries slightly below 0; -0.0 becomes +0.0
+    v = [x if x > 0.0 else 0.0 for x in v]
+    sums = _block_sums(v)  # an overflowing sum is inf, refused just below
+    off = [abs(s - 1.0) for s in sums]
+    if max(off) > PROBABILITY_SLACK:
+        k = off.index(max(off))  # the first worst block in C order
+        raise InvalidInputError(f"block ({SETTING_LABELS_A[k >> 1]},{SETTING_LABELS_B[k & 1]}) "
+                                f"sums to {sums[k]:.12g}, not 1")
+    table = np.array(v).reshape(2, 2, 2, 2)
     table.setflags(write=False)
     return table
+
+
+def _block_sums(v: list[float]) -> list[float]:
+    """The four block sums of a flat table, each added left to right as numpy's ``sum(axis=(2, 3))`` does."""
+    return [v[k] + v[k + 1] + v[k + 2] + v[k + 3] for k in (0, 4, 8, 12)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +80,15 @@ class Behavior:
     @cached_property
     def _no_signaling(self) -> NoSignalingReport:
         """``no_signaling``'s report, computed on first use."""
-        p_a = self.table.sum(axis=3)  # P(A|x,y), indexed [x, y, A]
-        p_b = self.table.sum(axis=2)  # P(B|x,y), indexed [x, y, B]
-        alice = abs(p_a[:, 0] - p_a[:, 1]).max(axis=1)
-        bob = abs(p_b[0] - p_b[1]).max(axis=1)
+        v = self.table.ravel().tolist()  # index 8x + 4y + 2A + B
+        p_a = [v[k] + v[k + 1] for k in range(0, 16, 2)]  # P(A|x,y), index 4x + 2y + A
+        p_b = [v[k] + v[k + 2] for k in (0, 1, 4, 5, 8, 9, 12, 13)]  # P(B|x,y), index 4x + 2y + B
+        alice = [max(abs(p_a[k] - p_a[k + 2]), abs(p_a[k + 1] - p_a[k + 3])) for k in (0, 4)]
+        bob = [max(abs(p_b[k] - p_b[k + 4]), abs(p_b[k + 1] - p_b[k + 5])) for k in (0, 2)]
+        ok = max(alice) <= PROBABILITY_SLACK and max(bob) <= PROBABILITY_SLACK
+        alice, bob = np.array(alice), np.array(bob)
         alice.setflags(write=False)
         bob.setflags(write=False)
-        ok = bool(alice.max() <= PROBABILITY_SLACK and bob.max() <= PROBABILITY_SLACK)
         return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
 
 
@@ -106,21 +117,24 @@ def behavior_from_correlators(
     e = np.asarray(e, dtype=float)
     ma = np.zeros(2) if alice_marginals is None else np.asarray(alice_marginals, dtype=float)
     mb = np.zeros(2) if bob_marginals is None else np.asarray(bob_marginals, dtype=float)
+    shapes = (e.shape, ma.shape, mb.shape)
+    if shapes != ((2, 2), (2,), (2,)):
+        raise InvalidInputError(f"need 2x2 correlators and 2 marginals per party, got shapes {shapes}")
     return Behavior(_table_from_means(e, ma, mb))
 
 
 def _table_from_means(e: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x, y]) / 4, unvalidated."""
-    a_term = np.multiply.outer(ma, _VALS)[:, None, :, None]
-    b_term = np.multiply.outer(mb, _VALS)[None, :, None, :]
-    ab_term = np.multiply.outer(e, np.multiply.outer(_VALS, _VALS))
-    return (1.0 + a_term + b_term + ab_term) / 4.0
+    e, ma, mb = e.tolist(), ma.tolist(), mb.tolist()
+    return np.array([(1.0 + ma[x] * va + mb[y] * vb + e[x][y] * (va * vb)) / 4.0 for x, y, va, vb
+                     in itertools.product((0, 1), (0, 1), OUTCOME_VALUES, OUTCOME_VALUES)]).reshape(2, 2, 2, 2)
 
 
 def correlators(b: Behavior) -> np.ndarray:
     """The four expected products (E(a,b), E(a,b'), E(a',b), E(a',b'))."""
-    e = np.einsum("xyij,i,j->xy", b.table, _VALS, _VALS)
-    return np.array([e[0, 0], e[0, 1], e[1, 0], e[1, 1]])
+    v = b.table.ravel().tolist()
+    # P(+,+) - P(+,-) - P(-,+) + P(-,-), added in the order numpy's einsum adds them
+    return np.array([v[k] - v[k + 1] - v[k + 2] + v[k + 3] for k in (0, 4, 8, 12)])
 
 
 @dataclass(frozen=True, eq=False)

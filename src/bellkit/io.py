@@ -33,7 +33,19 @@ def load_json(text: str, source: str) -> Any:
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def _non_number(value):
+    """The first string or boolean in a JSON value or its nested lists; float() would read it as a number."""
+    if isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, list):
+        return next((found for found in map(_non_number, value) if found is not None), None)
+    return None
+
+
 def _as_float_array(value, shape: tuple[int, ...], what: str, source: str) -> np.ndarray:
+    bad = _non_number(value)
+    if bad is not None:
+        raise FileFormatError(f"{source}: {what} is not numeric: {json.dumps(bad)} is not a JSON number")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -44,6 +56,8 @@ def _as_float_array(value, shape: tuple[int, ...], what: str, source: str) -> np
 
 
 def _as_float(value, what: str, source: str) -> float:
+    if isinstance(value, (str, bool)):
+        raise FileFormatError(f"{source}: {what} is not a number: {json.dumps(value)} is not a JSON number")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:

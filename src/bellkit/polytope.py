@@ -9,6 +9,7 @@ follows Fine's theorem (A. Fine, PRL 48, 291 (1982)): the measured pairs form
 the cycle A0-B0-A1-B1, and a joint distribution of (A0, A1, B0, B1) exists iff
 the chord A0-A1 can be completed so that both triangles (A0, A1, B_y) have a
 nonnegative distribution; B0 and B1 are then independent given (A0, A1).
+Like ``behavior``, it works on the 16 entries as Python floats in numpy's order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, correlators, deterministic_vertex_tables, require_no_signaling
+from .behavior import Behavior, _block_sums, correlators, deterministic_vertex_tables, require_no_signaling
 from .errors import InvalidInputError
 from .tolerance import BOUND_SLACK, probability_vector
 
@@ -80,21 +81,26 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
     rejected, as in ``is_local``.
     """
     require_no_signaling(b, "local decomposition")
-    target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
-    p0, p1 = target[:, 0, 0].sum(axis=-1)  # P(A_x=+), read in block (x, b)
-    q = target[0, :, :, 0].sum(axis=-1)  # P(B_y=+) over y, read in block (a, y)
-    r0, r1 = target[:, :, 0, 0]  # P(A_x=+, B_y=+) over y, for x = a, a'
-    t_lo = max(0.0, p0 + p1 - 1.0, *(r0 + r1 - q), *(p0 + p1 + q - r0 - r1 - 1.0))
-    t_hi = min(p0, p1, *(p0 - r0 + r1), *(p1 + r0 - r1))
+    v = b.table.ravel().tolist()  # index 8x + 4y + 2A + B
+    n = [x / s for k, s in zip((0, 4, 8, 12), _block_sums(v)) for x in v[k:k + 4]]  # blocks renormalized
+    p0, p1 = n[0] + n[1], n[8] + n[9]  # P(A_x=+), read in block (x, b)
+    q = (n[0] + n[2], n[4] + n[6])  # P(B_y=+) over y, read in block (a, y)
+    r0, r1 = (n[0], n[4]), (n[8], n[12])  # P(A_x=+, B_y=+) over y, for x = a, a'
+    t_lo = max(0.0, p0 + p1 - 1.0, *[r0[y] + r1[y] - q[y] for y in (0, 1)],
+               *[p0 + p1 + q[y] - r0[y] - r1[y] - 1.0 for y in (0, 1)])
+    t_hi = min(p0, p1, *[p0 - r0[y] + r1[y] for y in (0, 1)], *[p1 + r0[y] - r1[y] for y in (0, 1)])
     if 4.0 * (t_lo - t_hi) > BOUND_SLACK:
         return None
     t = 0.5 * (t_lo + t_hi)
-    top = 1.0 - p0 - p1 - q + t + r0 + r1  # P(-,-,-) + u_y
-    u = 0.5 * (np.maximum.reduce([np.zeros(2), t + r0 - p0, t + r1 - p1, r0 + r1 - q])
-               + np.minimum.reduce([np.full(2, t), r0, r1, top]))
-    # cells [y, a0, a1, b_y] of both triangles, outcome index 0 meaning +1
-    cells = np.stack([u, t - u, r0 - u, p0 - t - r0 + u, r1 - u, p1 - t - r1 + u,
-                      q - r0 - r1 + u, top - u], axis=-1).reshape(2, 2, 2, 2).clip(0.0, None)
-    pair = cells[1].sum(axis=-1, keepdims=True)  # P(a0, a1), from triangle b'
-    given = np.divide(cells[1], pair, out=np.zeros((2, 2, 2)), where=pair > 0.0)  # P(b1 | a0, a1)
-    return LocalDecomposition((cells[0][..., :, None] * given[..., None, :]).ravel())
+    cells = []  # cells[y][4 a0 + 2 a1 + b_y] of both triangles, outcome index 0 meaning +1
+    for y in (0, 1):
+        top = 1.0 - p0 - p1 - q[y] + t + r0[y] + r1[y]  # P(-,-,-) + u_y
+        u = 0.5 * (max(0.0, t + r0[y] - p0, t + r1[y] - p1, r0[y] + r1[y] - q[y]) + min(t, r0[y], r1[y], top))
+        cells.append([c if c > 0.0 else 0.0 for c in (u, t - u, r0[y] - u, p0 - t - r0[y] + u, r1[y] - u,
+                                                      p1 - t - r1[y] + u, q[y] - r0[y] - r1[y] + u, top - u)])
+    weights = []
+    for k in (0, 2, 4, 6):  # k = 2 (2 a0 + a1)
+        pair = cells[1][k] + cells[1][k + 1]  # P(a0, a1), from triangle b'
+        given = [c / pair if pair > 0.0 else 0.0 for c in cells[1][k:k + 2]]  # P(b1 | a0, a1)
+        weights += [c * g for c in cells[0][k:k + 2] for g in given]
+    return LocalDecomposition(np.array(weights))

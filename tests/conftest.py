@@ -16,6 +16,7 @@ import pytest
 
 from bellkit import (
     Behavior,
+    InvalidInputError,
     LHVModel,
     LocalDecomposition,
     UnitVector3,
@@ -26,8 +27,8 @@ from bellkit import (
     singlet,
     tsirelson_settings,
 )
-from bellkit.behavior import SETTING_LABELS_A, SETTING_LABELS_B
-from bellkit.tolerance import BOUND_SLACK
+from bellkit.behavior import _VALS, SETTING_LABELS_A, SETTING_LABELS_B, NoSignalingReport, require_no_signaling
+from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
 
 
 def src_env() -> dict:
@@ -177,6 +178,79 @@ def inverse_stack_decomposition(b) -> LocalDecomposition | None:
     full = np.zeros(16)
     full[subsets[best]] = weights[:, best]
     return LocalDecomposition(full)
+
+
+# References for the 16-entry kernels: the numpy bodies that the Python-float
+# code in behavior.py and polytope.py replaced.  Both must give the same bytes.
+
+def numpy_clean_table(p) -> np.ndarray:
+    table = np.asarray(p, dtype=float)
+    if table.shape != (2, 2, 2, 2):
+        raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
+    if not np.isfinite(table).all():
+        raise InvalidInputError("behavior table contains non-finite entries")
+    if table.min() < -ROUNDOFF:
+        raise InvalidInputError(f"behavior entry {table.min():.3e} below -{ROUNDOFF:g}")
+    # float round-off in computed tables may leave entries slightly below 0
+    table = table.clip(0.0, None)
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused just below
+        block_sums = table.sum(axis=(2, 3))
+    if abs(block_sums - 1.0).max() > PROBABILITY_SLACK:
+        worst = np.unravel_index(np.argmax(np.abs(block_sums - 1.0)), (2, 2))
+        raise InvalidInputError(
+            f"block ({SETTING_LABELS_A[worst[0]]},{SETTING_LABELS_B[worst[1]]}) "
+            f"sums to {block_sums[worst]:.12g}, not 1"
+        )
+    table.setflags(write=False)
+    return table
+
+
+def numpy_no_signaling(b) -> NoSignalingReport:
+    p_a = b.table.sum(axis=3)  # P(A|x,y), indexed [x, y, A]
+    p_b = b.table.sum(axis=2)  # P(B|x,y), indexed [x, y, B]
+    alice = abs(p_a[:, 0] - p_a[:, 1]).max(axis=1)
+    bob = abs(p_b[0] - p_b[1]).max(axis=1)
+    alice.setflags(write=False)
+    bob.setflags(write=False)
+    ok = bool(alice.max() <= PROBABILITY_SLACK and bob.max() <= PROBABILITY_SLACK)
+    return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
+
+
+def numpy_table_from_means(e: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x, y]) / 4, unvalidated."""
+    a_term = np.multiply.outer(ma, _VALS)[:, None, :, None]
+    b_term = np.multiply.outer(mb, _VALS)[None, :, None, :]
+    ab_term = np.multiply.outer(e, np.multiply.outer(_VALS, _VALS))
+    return (1.0 + a_term + b_term + ab_term) / 4.0
+
+
+def numpy_correlators(b) -> np.ndarray:
+    """The four expected products (E(a,b), E(a,b'), E(a',b), E(a',b'))."""
+    e = np.einsum("xyij,i,j->xy", b.table, _VALS, _VALS)
+    return np.array([e[0, 0], e[0, 1], e[1, 0], e[1, 1]])
+
+
+def numpy_local_decomposition(b) -> LocalDecomposition | None:
+    """The Fine-theorem decomposition of ``b`` through the chord A-A', or None if it is not local."""
+    require_no_signaling(b, "local decomposition")
+    target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
+    p0, p1 = target[:, 0, 0].sum(axis=-1)  # P(A_x=+), read in block (x, b)
+    q = target[0, :, :, 0].sum(axis=-1)  # P(B_y=+) over y, read in block (a, y)
+    r0, r1 = target[:, :, 0, 0]  # P(A_x=+, B_y=+) over y, for x = a, a'
+    t_lo = max(0.0, p0 + p1 - 1.0, *(r0 + r1 - q), *(p0 + p1 + q - r0 - r1 - 1.0))
+    t_hi = min(p0, p1, *(p0 - r0 + r1), *(p1 + r0 - r1))
+    if 4.0 * (t_lo - t_hi) > BOUND_SLACK:
+        return None
+    t = 0.5 * (t_lo + t_hi)
+    top = 1.0 - p0 - p1 - q + t + r0 + r1  # P(-,-,-) + u_y
+    u = 0.5 * (np.maximum.reduce([np.zeros(2), t + r0 - p0, t + r1 - p1, r0 + r1 - q])
+               + np.minimum.reduce([np.full(2, t), r0, r1, top]))
+    # cells [y, a0, a1, b_y] of both triangles, outcome index 0 meaning +1
+    cells = np.stack([u, t - u, r0 - u, p0 - t - r0 + u, r1 - u, p1 - t - r1 + u,
+                      q - r0 - r1 + u, top - u], axis=-1).reshape(2, 2, 2, 2).clip(0.0, None)
+    pair = cells[1].sum(axis=-1, keepdims=True)  # P(a0, a1), from triangle b'
+    given = np.divide(cells[1], pair, out=np.zeros((2, 2, 2)), where=pair > 0.0)  # P(b1 | a0, a1)
+    return LocalDecomposition((cells[0][..., :, None] * given[..., None, :]).ravel())
 
 
 # Independent oracle for the superdeterministic witness: one transcript per

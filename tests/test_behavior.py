@@ -48,11 +48,30 @@ class TestBehaviorValidation:
         with pytest.raises(InvalidInputError, match=r"\(a',b\)"):
             Behavior(t)
 
+    def test_two_bad_blocks_name_the_worse(self):
+        t = np.full((2, 2, 2, 2), 0.25)
+        t[0, 0, 0, 0] += 0.05
+        t[1, 1, 0, 0] += 0.2
+        with pytest.raises(InvalidInputError, match=r"block \(a',b'\) sums to 1\.2,"):
+            Behavior(t)
+
+    def test_negative_zero_stored_as_positive_zero(self):
+        t = np.full((2, 2, 2, 2), 0.25)
+        t[0, 1, 1, 0] = -0.0
+        t[0, 1, 1, 1] = 0.5
+        b = Behavior(t)
+        assert not np.signbit(b.table).any()
+
     def test_overflowing_block_sum_rejected(self):
         t = np.full((2, 2, 2, 2), 0.25)
         t[0, 0] = 1e308
-        with pytest.raises(InvalidInputError, match=r"\(a,b\) sums to inf"):
+        with pytest.raises(InvalidInputError, match=r"\(a,b\) sums to inf"):  # pyproject makes a RuntimeWarning fail it
             Behavior(t)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 2, 2, 1), (16,), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=r"must have shape \(2, 2, 2, 2\)"):
+            Behavior(np.full(shape, 0.25))
 
     def test_table_is_immutable(self):
         b = uniform_behavior()
@@ -112,6 +131,11 @@ class TestFromCorrelators:
             assert b.table[x, 0, 0].sum() - b.table[x, 0, 1].sum() == pytest.approx(
                 ma[x], abs=1e-12
             )
+
+    @pytest.mark.parametrize("e, ma", [(0.5, None), (np.zeros(4), None), (np.zeros((2, 2)), np.zeros(3))])
+    def test_wrong_shapes_rejected(self, e, ma):
+        with pytest.raises(InvalidInputError, match="need 2x2 correlators and 2 marginals per party"):
+            behavior_from_correlators(e, ma)
 
     def test_pr_box_blocks(self):
         b = pr_box()

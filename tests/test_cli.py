@@ -29,6 +29,23 @@ GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "gol
 # one state up to a global phase; argparse takes the first spec for an option unless it follows "--"
 NEGATIVE_SPEC = "-0.6,0,0.48,0,0,0.64,0,0"
 POSITIVE_SPEC = "0.6,0,-0.48,0,0,-0.64,0,0"
+# chsh inputs with pinned reports: a random pure state's behavior at four random
+# directions, and a random 3-value model, each written at full double precision
+GOLDEN_BEHAVIOR = (
+    '{"blocks": {"a,b": [[0.20856782416901254, 0.0693747664695817], [0.3172102250530912, 0.4048471843083146]], '
+    '"a,b\'": [[0.19033034732418067, 0.08761224331441356], [0.6805394779742833, 0.04151793138712262]], '
+    '"a\',b": [[0.18057280026779943, 0.1857683298494791], [0.34520524895430427, 0.2884536209284172]], '
+    '"a\',b\'": [[0.3414183539347959, 0.024922776182482665], [0.529451471363668, 0.10420739851905349]]}}')
+GOLDEN_MODEL = (
+    '{"lambda": [{"label": "l0", "prob": 0.0570427685650912, '
+    '"pA_plus": {"a": 0.20266188190391998, "a\'": 0.4581016638760744}, '
+    '"pB_plus": {"b": 0.2585480325719267, "b\'": 0.8692805005091374}}, '
+    '{"label": "l1", "prob": 0.1313229692532282, '
+    '"pA_plus": {"a": 0.6299057472021033, "a\'": 0.5309978365211094}, '
+    '"pB_plus": {"b": 0.46310640377820844, "b\'": 0.9831675456892924}}, '
+    '{"label": "l2", "prob": 0.8116342621816806, '
+    '"pA_plus": {"a": 0.6580784472910715, "a\'": 0.03985587655844125}, '
+    '"pB_plus": {"b": 0.9481108046010519, "b\'": 0.4314493855646584}}]}')
 
 
 @pytest.fixture()
@@ -149,6 +166,21 @@ class TestChshCommand:
         assert code == 0
         body = json.loads(out)
         assert body["results"]["S"] == pytest.approx(-2 * SQRT2, abs=1e-12)
+
+    # SHA-256 of stdout for a quantum behavior at non-axis settings and a 3-value
+    # model, pinned so that a change in the last bit of a correlator shows
+    @pytest.mark.parametrize("text, fmt, digest", [
+        (GOLDEN_BEHAVIOR, "text", "0ff8deabcf9b4b5fd9c34e9bf3195d818d262e96a7faff9a6558e84f71c29c6e"),
+        (GOLDEN_BEHAVIOR, "json", "ea4fb2db3f127340a58ffb8a8311b6b5755452181c375a7a8214531f18ac5754"),
+        (GOLDEN_MODEL, "text", "0d7a5eb450a4e378d0998d6f44070228ce70fdf05774ec752ea98e2674f6e434"),
+        (GOLDEN_MODEL, "json", "d67210bbe98781ea4471871e1b9b9a09a0acb026944a593511ecfa10fef0a73b"),
+    ], ids=["behavior-text", "behavior-json", "model-text", "model-json"])
+    def test_golden_report_bytes(self, capsys, tmp_path, text, fmt, digest):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "--format", fmt, "chsh", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestEnumerateCommand:
@@ -391,6 +423,47 @@ def test_labels_that_break_the_csv_exit_2(capsys, tmp_path, labels, command):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: label ")
+    assert not out_csv.exists()
+
+
+def _quoted_blocks(data):
+    data["blocks"] = {key: [["0.25", "0.25"], ["0.25", "0.25"]] for key in data["blocks"]}
+
+
+def _string_prob(data):
+    data["lambda"][0]["prob"] = "1"
+
+
+def _boolean_response(data):
+    data["lambda"][0]["pA_plus"] = {"a": True, "a'": False}
+
+
+def _string_setting_prior(data):
+    data["settingPriorA"] = {"a": "0.5", "a'": 0.5}
+
+
+# JSON strings and booleans that float() and numpy would read as numbers
+@pytest.mark.parametrize("command, kind, edit, message", [
+    ("chsh", "behavior", _quoted_blocks, 'block "a,b" is not numeric: "0.25" is not a JSON number'),
+    ("chsh", "model", _string_prob,
+     'lambda entry 0 "prob" is not a number: "1" is not a JSON number'),
+    ("chsh", "model", _boolean_response,
+     'lambda entry 0: "pA_plus"["a"] is not a number: true is not a JSON number'),
+    ("sample", "network", _string_setting_prior, '"settingPriorA"["a"] is not a number: "0.5" is not a JSON number'),
+], ids=["behavior-block", "model-prob", "model-response", "network-setting-prior"])
+def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior, command, kind, edit, message):
+    model = deterministic_model(1, 1, 1, 1)
+    data = {"behavior": lambda: behavior_json(singlet_behavior), "model": lambda: model_json(model),
+            "network": lambda: network_json(NetworkSpec(model=model))}[kind]()
+    edit(data)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "d.csv"
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
     assert not out_csv.exists()
 
 

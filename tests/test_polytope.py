@@ -36,6 +36,9 @@ from conftest import (
 _STRATEGIES = np.array([s for s, _ in enumerate_deterministic()], float)
 _VERTEX_E = _STRATEGIES[:, [0, 0, 1, 1]] * _STRATEGIES[:, [2, 3, 2, 3]]
 _VERTEX_MA, _VERTEX_MB = _STRATEGIES[:, :2], _STRATEGIES[:, 2:]
+# the sign patterns of the 8 CHSH facets
+_FACET_SIGNS = np.array([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1],
+                         [1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, 1, -1], [-1, -1, -1, 1]])
 
 
 def assert_recomposes(deco: LocalDecomposition, b: Behavior, tol: float) -> None:
@@ -181,8 +184,7 @@ def test_oracles_agree_across_facets(facet, alpha, push, seed):
     # a Dirichlet mixture of the 8 vertices on one CHSH facet, moved along its
     # normal so that this variant reads 2 + push * BOUND_SLACK; push = +-1 is
     # left out, since there both verdicts rest on round-off
-    signs = np.array([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1],
-                      [1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, 1, -1], [-1, -1, -1, 1]])[facet]
+    signs = _FACET_SIGNS[facet]
     on_facet = _VERTEX_E @ signs == 2
     w = np.random.default_rng(seed).dirichlet(np.full(8, alpha))
     e = w @ _VERTEX_E[on_facet] + push * BOUND_SLACK * signs / 4.0
