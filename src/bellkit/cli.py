@@ -14,7 +14,7 @@ import hashlib
 import os
 import stat
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from .behavior import correlators, require_no_signaling
 from .errors import InsufficientDataError, InvalidInputError, UnknownInterpretationError
 from .io import (
-    FileFormatError,
     RunReport,
     behavior_from_json,
     digest_inputs,
@@ -77,14 +76,19 @@ def _parse_state(spec: str) -> TwoQubitState:
     return TwoQubitState.from_amplitudes(amp)
 
 
-def _read_text(path: str) -> str:
+def _parse_file(path: str, parse: Callable[[str], object]) -> tuple[str, object]:
+    """The text of the UTF-8 file at ``path`` and ``parse(text)``; an input error in either names ``path``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise FileFormatError(
+        raise InvalidInputError(
             f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not UTF-8") from exc
+    try:
+        return text, parse(text)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def _write_text(path: str, texts: Iterable[str]) -> None:
@@ -139,18 +143,19 @@ def _seed_value(raw: str) -> int:
     return value
 
 
-def cmd_chsh(args) -> RunReport:
-    text = _read_text(args.input)
-    data = load_json(text, args.input)
+def _behavior_or_model(text: str) -> tuple[str, object]:
+    """``("behavior", Behavior)`` or ``("model", LHVModel)`` from the text of a ``chsh`` input file."""
+    data = load_json(text)
     if isinstance(data, dict) and "blocks" in data:
-        behavior = behavior_from_json(data, args.input)
-        kind = "behavior"
-    elif isinstance(data, dict) and "lambda" in data:
-        behavior = lhv_behavior(model_from_json(data, args.input))
-        kind = "model"
-    else:
-        raise FileFormatError(
-            f"{args.input}: expected a behavior file (\"blocks\") or a model file (\"lambda\")")
+        return "behavior", behavior_from_json(data)
+    if isinstance(data, dict) and "lambda" in data:
+        return "model", model_from_json(data)
+    raise InvalidInputError("expected a behavior file (\"blocks\") or a model file (\"lambda\")")
+
+
+def cmd_chsh(args) -> RunReport:
+    text, (kind, parsed) = _parse_file(args.input, _behavior_or_model)
+    behavior = lhv_behavior(parsed) if kind == "model" else parsed
     require_no_signaling(behavior, "the CHSH bound verdicts")
     e = correlators(behavior)
     s = chsh(e)
@@ -202,8 +207,7 @@ def cmd_optimize(args) -> RunReport:
 
 
 def cmd_sample(args) -> RunReport:
-    text = _read_text(args.network)
-    spec = parse_network_text(text, args.network)
+    text, spec = _parse_file(args.network, parse_network_text)
     dataset = sample(spec, n=args.n, seed=args.seed)
     # every estimate before the write, so a run that fails leaves no file behind
     estimate = estimate_chsh(dataset)
@@ -302,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximal |S| of a pure state and the settings reaching it")
     p.add_argument("state", help=_STATE_HELP)
-    p.add_argument("--seed", type=_seed_value, required=True,
-                   help="64-bit seed, echoed in the report; the maximum does not depend on it")
+    p.add_argument("--seed", type=_seed_value,
+                   help="optional 64-bit seed, echoed in the report; the maximum does not depend on it")
     p.set_defaults(handler=cmd_optimize)
 
     p = sub.add_parser("sample", help="ancestral sampling from a network file, with CHSH estimate")

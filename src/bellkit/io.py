@@ -2,8 +2,10 @@
 
 All files are UTF-8 JSON.  A behavior file holds the four 2x2 blocks keyed by
 setting pair with outcome order (+1, -1); a model file lists the hidden
-values; a network file is a model file plus optional setting priors.  Reports
-print at 7 decimal places in text mode and full double precision in JSON.
+values; a network file is a model file plus optional setting priors.  The
+parsers read a JSON value or text, not a file: their errors name the place
+inside it, and a caller that read a file adds its path.  Reports print at 7
+decimal places in text mode and full double precision in JSON.
 """
 
 from __future__ import annotations
@@ -21,118 +23,108 @@ from .errors import InvalidInputError
 from .lhv import LHVModel
 from .network import NetworkSpec
 
-class FileFormatError(InvalidInputError):
-    """A file failed to parse or validate; message carries position info."""
 
-
-def load_json(text: str, source: str) -> Any:
+def load_json(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise InvalidInputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def _non_number(value):
-    """The first string or boolean in a JSON value or its nested lists; float() would read it as a number."""
-    if isinstance(value, (str, bool)):
-        return value
+    """The JSON text of the first string, boolean or null in a JSON value or its nested lists; numpy reads those as numbers or nan."""
+    if value is None or isinstance(value, (str, bool)):
+        return json.dumps(value)
     if isinstance(value, list):
-        return next((found for found in map(_non_number, value) if found is not None), None)
+        return next(filter(None, map(_non_number, value)), None)
     return None
 
 
-def _as_float_array(value, shape: tuple[int, ...], what: str, source: str) -> np.ndarray:
+def _as_float_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     bad = _non_number(value)
     if bad is not None:
-        raise FileFormatError(f"{source}: {what} is not numeric: {json.dumps(bad)} is not a JSON number")
+        raise InvalidInputError(f"{what} is not numeric: {bad} is not a JSON number")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{source}: {what} is not numeric: {exc}") from exc
+        raise InvalidInputError(f"{what} is not numeric: {exc}") from exc
     if arr.shape != shape:
-        raise FileFormatError(f"{source}: {what} must have shape {shape}, got {arr.shape}")
+        raise InvalidInputError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
 
 
-def _as_float(value, what: str, source: str) -> float:
-    if isinstance(value, (str, bool)):
-        raise FileFormatError(f"{source}: {what} is not a number: {json.dumps(value)} is not a JSON number")
+def _as_float(value, what: str) -> float:
+    if value is None or isinstance(value, (str, bool)):
+        raise InvalidInputError(f"{what} is not a number: {json.dumps(value)} is not a JSON number")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{source}: {what} is not a number: {exc}") from exc
+        raise InvalidInputError(f"{what} is not a number: {exc}") from exc
 
 
-def behavior_from_json(data: Any, source: str = "behavior") -> Behavior:
+def behavior_from_json(data: Any) -> Behavior:
     if not isinstance(data, dict) or "blocks" not in data:
-        raise FileFormatError(f"{source}: expected an object with a \"blocks\" key")
+        raise InvalidInputError("expected an object with a \"blocks\" key")
     blocks = data["blocks"]
     if not isinstance(blocks, dict):
-        raise FileFormatError(f"{source}: \"blocks\" must be an object")
+        raise InvalidInputError("\"blocks\" must be an object")
     table = np.empty((2, 2, 2, 2))
     for x, lx in enumerate(SETTING_LABELS_A):
         for y, ly in enumerate(SETTING_LABELS_B):
             key = f"{lx},{ly}"
             if key not in blocks:
-                raise FileFormatError(f"{source}: missing block \"{key}\"")
-            table[x, y] = _as_float_array(blocks[key], (2, 2), f"block \"{key}\"", source)
-    try:
-        return Behavior(table)
-    except InvalidInputError as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
+                raise InvalidInputError(f"missing block \"{key}\"")
+            table[x, y] = _as_float_array(blocks[key], (2, 2), f"block \"{key}\"")
+    return Behavior(table)
 
 
-def _response_pair(entry: dict, key: str, labels: tuple[str, str], source: str) -> list[float]:
-    """The two numbers under ``entry[key]``, in ``labels`` order; ``source`` says where ``entry`` is."""
+def _response_pair(entry: dict, key: str, labels: tuple[str, str], where: str = "") -> list[float]:
+    """The two numbers under ``entry[key]``, in ``labels`` order; ``where`` leads each message, naming ``entry``."""
     if key not in entry or not isinstance(entry[key], dict):
-        raise FileFormatError(f"{source}: \"{key}\" must be an object with keys {', '.join(labels)}")
+        raise InvalidInputError(f"{where}\"{key}\" must be an object with keys {', '.join(labels)}")
     out = []
     for lbl in labels:
         if lbl not in entry[key]:
-            raise FileFormatError(f"{source}: \"{key}\" is missing setting \"{lbl}\"")
-        out.append(_as_float(entry[key][lbl], f"\"{key}\"[\"{lbl}\"]", source))
+            raise InvalidInputError(f"{where}\"{key}\" is missing setting \"{lbl}\"")
+        out.append(_as_float(entry[key][lbl], f"{where}\"{key}\"[\"{lbl}\"]"))
     return out
 
 
-def model_from_json(data: Any, source: str = "model") -> LHVModel:
+def model_from_json(data: Any) -> LHVModel:
     if not isinstance(data, dict) or "lambda" not in data:
-        raise FileFormatError(f"{source}: expected an object with a \"lambda\" key")
+        raise InvalidInputError("expected an object with a \"lambda\" key")
     entries = data["lambda"]
     if not isinstance(entries, list) or not entries:
-        raise FileFormatError(f"{source}: \"lambda\" must be a non-empty list")
+        raise InvalidInputError("\"lambda\" must be a non-empty list")
     labels, prior, resp_a, resp_b = [], [], [], []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise FileFormatError(f"{source}: lambda entry {i} must be an object")
-        labels.append(str(entry.get("label", f"l{i}")))
+            raise InvalidInputError(f"lambda entry {i} must be an object")
+        label = entry.get("label", f"l{i}")
+        if not isinstance(label, str):
+            raise InvalidInputError(f"lambda entry {i} \"label\" is not a JSON string: {json.dumps(label)}")
+        labels.append(label)
         if "prob" not in entry:
-            raise FileFormatError(f"{source}: lambda entry {i} is missing \"prob\"")
-        prior.append(_as_float(entry["prob"], f"lambda entry {i} \"prob\"", source))
-        resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, f"{source}: lambda entry {i}"))
-        resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, f"{source}: lambda entry {i}"))
-    try:
-        return LHVModel(labels=tuple(labels), prior=np.array(prior),
-                        alice_response=np.array(resp_a), bob_response=np.array(resp_b))
-    except InvalidInputError as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
+            raise InvalidInputError(f"lambda entry {i} is missing \"prob\"")
+        prior.append(_as_float(entry["prob"], f"lambda entry {i} \"prob\""))
+        resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, f"lambda entry {i}: "))
+        resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, f"lambda entry {i}: "))
+    return LHVModel(labels=tuple(labels), prior=np.array(prior),
+                    alice_response=np.array(resp_a), bob_response=np.array(resp_b))
 
 
-def network_from_json(data: Any, source: str = "network") -> NetworkSpec:
-    model = model_from_json(data, source)
+def network_from_json(data: Any) -> NetworkSpec:
+    model = model_from_json(data)
     kwargs = {}
     for key, labels, arg in (("settingPriorA", SETTING_LABELS_A, "setting_prior_a"),
                              ("settingPriorB", SETTING_LABELS_B, "setting_prior_b")):
         if key in data:
-            kwargs[arg] = np.array(_response_pair(data, key, labels, source))
-    try:
-        return NetworkSpec(model=model, **kwargs)
-    except InvalidInputError as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
+            kwargs[arg] = np.array(_response_pair(data, key, labels))
+    return NetworkSpec(model=model, **kwargs)
 
 
-def parse_network_text(text: str, source: str = "network") -> NetworkSpec:
-    return network_from_json(load_json(text, source), source)
+def parse_network_text(text: str) -> NetworkSpec:
+    return network_from_json(load_json(text))
 
 
 def sweep_rows_to_csv(rows: np.ndarray, start: int = 0, stop: int | None = None) -> str:

@@ -73,7 +73,7 @@ def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
     return chsh((alice @ psi.correlations[2] @ bob.T).reshape(4))
 
 
-def seesaw_maximize(psi: TwoQubitState, seed: int) -> OptimizationResult:
+def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     """The largest S over all measurement directions, in closed form.
 
     With T = M diag(s) N^T the singular value decomposition of the state's

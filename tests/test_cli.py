@@ -248,10 +248,18 @@ class TestOptimizeCommand:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {error}\n"
 
-    def test_seed_required(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["optimize", "singlet"])
-        assert excinfo.value.code == 2
+    def test_seed_optional(self, capsys):
+        # without --seed the report is the seeded one less its seed line (text) or key (JSON)
+        _, seeded_text, _ = run(capsys, "optimize", "singlet", "--seed", "7")
+        _, seeded_json, _ = run(capsys, "--format", "json", "optimize", "singlet", "--seed", "7")
+        code, text, _ = run(capsys, "optimize", "singlet")
+        assert code == 0
+        assert "seed: 7\n" in seeded_text and text == seeded_text.replace("seed: 7\n", "")
+        code, out, _ = run(capsys, "--format", "json", "optimize", "singlet")
+        assert code == 0
+        body = json.loads(seeded_json)
+        assert body.pop("seed") == 7
+        assert out == json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     def test_seed_must_be_u64(self, capsys):
         for bad in ("-1", str(2 ** 64), "1.5"):
@@ -442,7 +450,23 @@ def _string_setting_prior(data):
     data["settingPriorA"] = {"a": "0.5", "a'": 0.5}
 
 
-# JSON strings and booleans that float() and numpy would read as numbers
+def _null_block_entry(data):
+    data["blocks"]["a,b"][1][0] = None
+
+
+def _null_prob(data):
+    data["lambda"][0]["prob"] = None
+
+
+def _null_response(data):
+    data["lambda"][0]["pB_plus"]["b'"] = None
+
+
+def _null_setting_prior(data):
+    data["settingPriorB"]["b"] = None
+
+
+# JSON strings and booleans that float() and numpy would read as numbers, and nulls that numpy reads as nan
 @pytest.mark.parametrize("command, kind, edit, message", [
     ("chsh", "behavior", _quoted_blocks, 'block "a,b" is not numeric: "0.25" is not a JSON number'),
     ("chsh", "model", _string_prob,
@@ -450,7 +474,13 @@ def _string_setting_prior(data):
     ("chsh", "model", _boolean_response,
      'lambda entry 0: "pA_plus"["a"] is not a number: true is not a JSON number'),
     ("sample", "network", _string_setting_prior, '"settingPriorA"["a"] is not a number: "0.5" is not a JSON number'),
-], ids=["behavior-block", "model-prob", "model-response", "network-setting-prior"])
+    ("chsh", "behavior", _null_block_entry, 'block "a,b" is not numeric: null is not a JSON number'),
+    ("sample", "network", _null_prob, 'lambda entry 0 "prob" is not a number: null is not a JSON number'),
+    ("chsh", "model", _null_response,
+     'lambda entry 0: "pB_plus"["b\'"] is not a number: null is not a JSON number'),
+    ("sample", "network", _null_setting_prior, '"settingPriorB"["b"] is not a number: null is not a JSON number'),
+], ids=["behavior-block", "model-prob", "model-response", "network-setting-prior", "behavior-block-null",
+        "network-prob-null", "model-response-null", "network-setting-prior-null"])
 def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior, command, kind, edit, message):
     model = deterministic_model(1, 1, 1, 1)
     data = {"behavior": lambda: behavior_json(singlet_behavior), "model": lambda: model_json(model),
@@ -464,6 +494,22 @@ def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("label", [None, True, 1, ["l1"]], ids=["null", "true", "number", "list"])
+@pytest.mark.parametrize("command", ["sample", "chsh"])
+def test_label_not_a_json_string_exits_2(capsys, tmp_path, command, label):
+    data = model_json(random_model(np.random.default_rng(4), n_lambda=2))
+    data["lambda"][1]["label"] = label
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "d.csv"
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: lambda entry 1 \"label\" is not a JSON string: {json.dumps(label)}\n"
     assert not out_csv.exists()
 
 
@@ -507,6 +553,33 @@ def test_file_not_utf8_exits_2_without_csv(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: byte 0xff at offset 24 is not UTF-8\n"
+    assert not out_csv.exists()
+
+
+_THREE_BLOCKS = json.dumps({"blocks": {key: [[0.25, 0.25], [0.25, 0.25]] for key in ("a,b", "a',b", "a',b'")}})
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("chsh", '{\n  "blocks": oops\n}', "line 2, column 13: Expecting value"),
+    ("sample", '{\n  "lambda": oops\n}', "line 2, column 13: Expecting value"),
+    ("chsh", '{"foo": 1}', 'expected a behavior file ("blocks") or a model file ("lambda")'),
+    ("chsh", "[1, 2]", 'expected a behavior file ("blocks") or a model file ("lambda")'),
+    ("sample", "[1, 2]", 'expected an object with a "lambda" key'),
+    ("chsh", _THREE_BLOCKS, "missing block \"a,b'\""),
+    ("chsh", '{"lambda": []}', '"lambda" must be a non-empty list'),
+    ("sample", '{"lambda": []}', '"lambda" must be a non-empty list'),
+], ids=["chsh-syntax", "sample-syntax", "chsh-neither", "chsh-array", "sample-array", "chsh-missing-block",
+        "chsh-empty-lambda", "sample-empty-lambda"])
+def test_malformed_file_stderr_names_the_path_once(capsys, tmp_path, command, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    out_csv = tmp_path / "d.csv"
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+    assert err.count(str(path)) == 1
     assert not out_csv.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
+    InvalidInputError,
     NetworkSpec,
     lhv_behavior,
     random_model,
@@ -15,7 +17,6 @@ from bellkit import (
     uniform_behavior,
 )
 from bellkit.io import (
-    FileFormatError,
     behavior_from_json,
     digest_inputs,
     fmt,
@@ -28,6 +29,10 @@ from bellkit.network import _CHUNK
 from conftest import behavior_json, model_json, network_json, piece_bounds
 
 
+# one hidden value that always answers +1; its label is absent
+_ONE_ENTRY = {"prob": 1.0, "pA_plus": {"a": 1, "a'": 1}, "pB_plus": {"b": 1, "b'": 1}}
+
+
 class TestBehaviorFormat:
     def test_roundtrip(self, singlet_behavior):
         data = behavior_json(singlet_behavior)
@@ -37,23 +42,23 @@ class TestBehaviorFormat:
     def test_roundtrip_through_text(self, singlet_behavior):
         text = json.dumps(behavior_json(singlet_behavior))
         np.testing.assert_array_equal(
-            behavior_from_json(load_json(text, "behavior")).table, singlet_behavior.table
+            behavior_from_json(load_json(text)).table, singlet_behavior.table
         )
 
     def test_missing_block_named(self):
         data = behavior_json(uniform_behavior())
         del data["blocks"]["a',b"]
-        with pytest.raises(FileFormatError, match=r"missing block \"a',b\""):
+        with pytest.raises(InvalidInputError, match=r"missing block \"a',b\""):
             behavior_from_json(data)
 
     def test_json_syntax_error_carries_line(self):
-        with pytest.raises(FileFormatError, match="line 3"):
-            load_json('{\n "blocks": {\n   oops\n }\n}', "behavior")
+        with pytest.raises(InvalidInputError, match="line 3, column 4: Expecting property name"):
+            load_json('{\n "blocks": {\n   oops\n }\n}')
 
     def test_invalid_probabilities_rejected(self):
         data = behavior_json(uniform_behavior())
         data["blocks"]["a,b"] = [[0.9, 0.4], [0.0, 0.0]]
-        with pytest.raises(FileFormatError):
+        with pytest.raises(InvalidInputError, match=re.escape("block (a,b) sums to 1.3, not 1")):
             behavior_from_json(data)
 
 
@@ -70,12 +75,12 @@ class TestModelFormat:
         )
 
     def test_missing_prob(self):
-        with pytest.raises(FileFormatError, match="prob"):
+        with pytest.raises(InvalidInputError, match='lambda entry 0 is missing "prob"'):
             model_from_json({"lambda": [{"label": "l0", "pA_plus": {"a": 1, "a'": 1},
                                          "pB_plus": {"b": 1, "b'": 1}}]})
 
     def test_missing_setting_in_response(self):
-        with pytest.raises(FileFormatError, match="a'"):
+        with pytest.raises(InvalidInputError, match=re.escape('lambda entry 0: "pA_plus" is missing setting "a\'"')):
             model_from_json({"lambda": [{"label": "l0", "prob": 1.0,
                                          "pA_plus": {"a": 1},
                                          "pB_plus": {"b": 1, "b'": 1}}]})
@@ -83,12 +88,15 @@ class TestModelFormat:
     def test_bad_prior_mass(self):
         entry = {"label": "l0", "prob": 0.5,
                  "pA_plus": {"a": 1, "a'": 1}, "pB_plus": {"b": 1, "b'": 1}}
-        with pytest.raises(FileFormatError):
+        with pytest.raises(InvalidInputError, match="prior sums to 0.5, not 1"):
             model_from_json({"lambda": [entry]})
 
     def test_empty_lambda_list(self):
-        with pytest.raises(FileFormatError):
+        with pytest.raises(InvalidInputError, match='"lambda" must be a non-empty list'):
             model_from_json({"lambda": []})
+
+    def test_absent_label_defaults_to_entry_index(self):
+        assert model_from_json({"lambda": [_ONE_ENTRY]}).labels == ("l0",)
 
 
 class TestNetworkFormat:
@@ -114,6 +122,22 @@ class TestNetworkFormat:
         np.testing.assert_allclose(
             lhv_behavior(spec.model).table, lhv_behavior(model).table, atol=1e-15
         )
+
+
+@pytest.mark.parametrize("parse, data, message", [
+    (behavior_from_json, [], 'expected an object with a "blocks" key'),
+    (model_from_json, {"lambda": [{}]}, 'lambda entry 0 is missing "prob"'),
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "prob": 0.5}]}, "prior sums to 0.5, not 1 within 1e-09"),
+    (network_from_json, {"lambda": 1}, '"lambda" must be a non-empty list'),
+    (network_from_json, {"lambda": [_ONE_ENTRY], "settingPriorA": {"a": 1.5, "a'": 0.5}},
+     "settingPriorA sums to 2, not 1 within 1e-09"),
+])
+def test_parse_errors_name_no_file(parse, data, message):
+    # the parsers read a value, not a file, and the constructors' errors pass through
+    # as they are: a caller that read a file adds its path
+    with pytest.raises(InvalidInputError) as excinfo:
+        parse(data)
+    assert str(excinfo.value) == message
 
 
 class TestCsvAndFormatting:
