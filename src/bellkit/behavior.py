@@ -86,10 +86,9 @@ class Behavior:
         alice = [max(abs(p_a[k] - p_a[k + 2]), abs(p_a[k + 1] - p_a[k + 3])) for k in (0, 4)]
         bob = [max(abs(p_b[k] - p_b[k + 4]), abs(p_b[k + 1] - p_b[k + 5])) for k in (0, 2)]
         ok = max(alice) <= PROBABILITY_SLACK and max(bob) <= PROBABILITY_SLACK
-        alice, bob = np.array(alice), np.array(bob)
-        alice.setflags(write=False)
-        bob.setflags(write=False)
-        return NoSignalingReport(ok=ok, alice_residuals=alice, bob_residuals=bob)
+        residuals = np.array(alice + bob)  # one read-only array; each party's half is a view of it
+        residuals.setflags(write=False)
+        return NoSignalingReport(ok=ok, alice_residuals=residuals[:2], bob_residuals=residuals[2:])
 
 
 def uniform_behavior() -> Behavior:
@@ -124,10 +123,17 @@ def behavior_from_correlators(
 
 
 def _table_from_means(e: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x, y]) / 4, unvalidated."""
+    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x, y]) / 4, unvalidated.
+
+    A product with -1 is a negation and adding a negation is a subtraction, both
+    exact, so each block is written out with its signs.
+    """
     e, ma, mb = e.tolist(), ma.tolist(), mb.tolist()
-    return np.array([(1.0 + ma[x] * va + mb[y] * vb + e[x][y] * (va * vb)) / 4.0 for x, y, va, vb
-                     in itertools.product((0, 1), (0, 1), OUTCOME_VALUES, OUTCOME_VALUES)]).reshape(2, 2, 2, 2)
+    v = []
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        m, n, c = ma[x], mb[y], e[x][y]
+        v += [(1.0 + m + n + c) / 4.0, (1.0 + m - n - c) / 4.0, (1.0 - m + n - c) / 4.0, (1.0 - m - n + c) / 4.0]
+    return np.array(v).reshape(2, 2, 2, 2)
 
 
 def correlators(b: Behavior) -> np.ndarray:

@@ -32,8 +32,12 @@ def load_json(text: str) -> Any:
 
 
 def _non_number(value):
-    """The JSON text of the first string, boolean or null in a JSON value or its nested lists; numpy reads those as numbers or nan."""
-    if value is None or isinstance(value, (str, bool)):
+    """The JSON text of the first string, boolean, null or object in a JSON value or its nested lists.
+
+    numpy reads a string, boolean or null as a number or nan, and Python's
+    ``float()`` would name an object by its Python type.
+    """
+    if value is None or isinstance(value, (str, bool, dict)):
         return json.dumps(value)
     if isinstance(value, list):
         return next(filter(None, map(_non_number, value)), None)
@@ -54,7 +58,7 @@ def _as_float_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def _as_float(value, what: str) -> float:
-    if value is None or isinstance(value, (str, bool)):
+    if isinstance(value, list) or _non_number(value) is not None:
         raise InvalidInputError(f"{what} is not a number: {json.dumps(value)} is not a JSON number")
     try:
         return float(value)
@@ -90,9 +94,23 @@ def _response_pair(entry: dict, key: str, labels: tuple[str, str], where: str = 
     return out
 
 
+def _refuse_unknown_keys(obj: dict, known: tuple[str, ...], where: str = "") -> None:
+    """Raise, naming the first key of ``obj`` not in ``known``; ``where`` leads the message, naming ``obj``."""
+    unknown = next((key for key in obj if key not in known), None)
+    if unknown is not None:
+        expected = ", ".join(map(json.dumps, known[:-1])) + f" or {json.dumps(known[-1])}"
+        raise InvalidInputError(f"{where}unknown key {json.dumps(unknown)}; expected {expected}")
+
+
 def model_from_json(data: Any) -> LHVModel:
+    """The model of a model or network file; setting priors, where present, must pass as in a network file."""
+    return network_from_json(data).model
+
+
+def network_from_json(data: Any) -> NetworkSpec:
     if not isinstance(data, dict) or "lambda" not in data:
         raise InvalidInputError("expected an object with a \"lambda\" key")
+    _refuse_unknown_keys(data, ("lambda", "settingPriorA", "settingPriorB"))
     entries = data["lambda"]
     if not isinstance(entries, list) or not entries:
         raise InvalidInputError("\"lambda\" must be a non-empty list")
@@ -100,6 +118,7 @@ def model_from_json(data: Any) -> LHVModel:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InvalidInputError(f"lambda entry {i} must be an object")
+        _refuse_unknown_keys(entry, ("label", "prob", "pA_plus", "pB_plus"), f"lambda entry {i}: ")
         label = entry.get("label", f"l{i}")
         if not isinstance(label, str):
             raise InvalidInputError(f"lambda entry {i} \"label\" is not a JSON string: {json.dumps(label)}")
@@ -109,12 +128,8 @@ def model_from_json(data: Any) -> LHVModel:
         prior.append(_as_float(entry["prob"], f"lambda entry {i} \"prob\""))
         resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, f"lambda entry {i}: "))
         resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, f"lambda entry {i}: "))
-    return LHVModel(labels=tuple(labels), prior=np.array(prior),
-                    alice_response=np.array(resp_a), bob_response=np.array(resp_b))
-
-
-def network_from_json(data: Any) -> NetworkSpec:
-    model = model_from_json(data)
+    model = LHVModel(labels=tuple(labels), prior=np.array(prior),
+                     alice_response=np.array(resp_a), bob_response=np.array(resp_b))
     kwargs = {}
     for key, labels, arg in (("settingPriorA", SETTING_LABELS_A, "setting_prior_a"),
                              ("settingPriorB", SETTING_LABELS_B, "setting_prior_b")):

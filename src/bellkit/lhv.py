@@ -102,13 +102,18 @@ def lhv_behavior(model: LHVModel) -> Behavior:
 def chsh(e) -> float | np.ndarray:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b'): a float for 4 correlators, an array for (n, 4)."""
     e = np.asarray(e, dtype=float)
+    # Python floats for 4 correlators in range: the same IEEE sums, without numpy's per-scalar
+    # cost; a NaN fails the comparison, and every refusal takes the checks below
+    if e.shape == (4,):
+        ab, abp, apb, apbp = v = e.tolist()
+        if all(abs(x) <= 1.0 + BOUND_SLACK for x in v):
+            return ab + abp + apb - apbp
     if e.ndim > 2 or e.shape[-1:] != (4,):
         raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
     # negated <= so that a NaN correlator fails the check too
     if not np.abs(e).max(initial=0.0) <= 1.0 + BOUND_SLACK:
         raise InvalidInputError(f"correlator {e.flat[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
-    # Python floats for 4 correlators: the same IEEE sums, without numpy's per-scalar cost
-    ab, abp, apb, apbp = e.T if e.ndim == 2 else e.tolist()
+    ab, abp, apb, apbp = e.T
     return ab + abp + apb - apbp
 
 

@@ -85,15 +85,17 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     compatibility with the former seeded seesaw and does not affect the result.
     """
     left, sv, right_t = np.linalg.svd(psi.correlations[2])
-    theta = math.atan2(sv[1], sv[0])
+    # the factors as Python floats: the same IEEE products and sums as numpy's, per component
+    (m1, m2, _), (s1, s2, _), (n1, n2, _) = left.T.tolist(), sv.tolist(), right_t.tolist()
+    theta = math.atan2(s2, s1)
     c, s = math.cos(theta), math.sin(theta)
     settings = MeasurementSettings(
-        alice_u=UnitVector3(*left[:, 0]),
-        alice_u_prime=UnitVector3(*left[:, 1]),
-        bob_v=UnitVector3(*(c * right_t[0] + s * right_t[1])),
-        bob_v_prime=UnitVector3(*(c * right_t[0] - s * right_t[1])),
+        alice_u=UnitVector3(*m1),
+        alice_u_prime=UnitVector3(*m2),
+        bob_v=UnitVector3(*[c * i + s * j for i, j in zip(n1, n2)]),
+        bob_v_prime=UnitVector3(*[c * i - s * j for i, j in zip(n1, n2)]),
     )
-    return OptimizationResult(best_s=2.0 * math.hypot(sv[0], sv[1]), settings=settings)
+    return OptimizationResult(best_s=2.0 * math.hypot(s1, s2), settings=settings)
 
 
 def sweep(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .behavior import Behavior, _block_sums, correlators, deterministic_vertex_tables, require_no_signaling
 from .errors import InvalidInputError
-from .tolerance import BOUND_SLACK, probability_vector
+from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
 
 LOCAL_BOUND = 2.0
 
@@ -49,6 +49,15 @@ def is_local(b: Behavior) -> bool:
     return bool(chsh_variants(correlators(b)).max() <= LOCAL_BOUND + BOUND_SLACK)
 
 
+def _sum16(v: list[float]) -> float:
+    """The sum of 16 floats in the order numpy's pairwise ``sum`` adds 16 contiguous doubles.
+
+    With r_j = v_j + v_(j+8) for j < 8, that is ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).
+    """
+    return ((((v[0] + v[8]) + (v[1] + v[9])) + ((v[2] + v[10]) + (v[3] + v[11])))
+            + (((v[4] + v[12]) + (v[5] + v[13])) + ((v[6] + v[14]) + (v[7] + v[15]))))
+
+
 @dataclass(frozen=True, eq=False)
 class LocalDecomposition:
     """Convex weights over the 16 deterministic strategies, enumeration order."""
@@ -59,7 +68,15 @@ class LocalDecomposition:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (16,):
             raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
-        object.__setattr__(self, "weights", probability_vector(w, "weights"))
+        # probability_vector's checks and renormalisation, on Python floats; a NaN fails both comparisons
+        v = w.tolist()
+        if not (min(v) >= -PROBABILITY_SLACK and abs(_sum16(v) - 1.0) <= PROBABILITY_SLACK):
+            probability_vector(w, "weights")  # refuses, with its message
+        v = [x if x > 0.0 else 0.0 for x in v]
+        total = _sum16(v)
+        weights = np.array([x / total for x in v])
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     def behavior(self) -> Behavior:
         """The mixture behavior these weights produce."""

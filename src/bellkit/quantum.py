@@ -35,10 +35,12 @@ class UnitVector3:
 
     def __post_init__(self):
         v = (float(self.x), float(self.y), float(self.z))
-        if not all(math.isfinite(c) for c in v):
-            raise InvalidInputError(f"direction has non-finite components: {v}")
         norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        if abs(norm - 1.0) > PROBABILITY_SLACK:
+        # a non-finite component makes the norm inf or NaN, and a NaN norm fails the comparison,
+        # so only a refused norm calls for the componentwise check (finite components can overflow it)
+        if not abs(norm - 1.0) <= PROBABILITY_SLACK:
+            if not all(map(math.isfinite, v)):
+                raise InvalidInputError(f"direction has non-finite components: {v}")
             raise InvalidInputError(f"direction norm {norm:.12g} deviates from 1 beyond {PROBABILITY_SLACK:g}")
         object.__setattr__(self, "x", v[0] / norm)
         object.__setattr__(self, "y", v[1] / norm)

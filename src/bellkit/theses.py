@@ -201,13 +201,13 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     well-defined.
     """
     require_no_signaling(b, "Alice's marginal P(A|x)")
-    p_axy = b.table.sum(axis=3)
-    # average the two y-blocks; they agree within the no-signaling tolerance
-    p_a = 0.5 * (p_axy[:, 0, :] + p_axy[:, 1, :])
-    denom = p_a[:, None, :, None]
+    v = b.table.ravel().tolist()  # index 8x + 4y + 2A + B, on Python floats in numpy's order
+    # average the two y-blocks of P(A|x,y); they agree within the no-signaling tolerance
+    p_a = [0.5 * ((v[k] + v[k + 1]) + (v[k + 4] + v[k + 5])) for k in (0, 2, 8, 10)]  # index 2x + A
     # 0.5 is the convention on a null event A; its product with P(A|x) is 0 anyway
-    p_b = np.divide(b.table, denom, out=np.full((2, 2, 2, 2), 0.5), where=denom > 0.0)
-    return NonlocalWitness(p_a_given_x=p_a, p_b_given_xya=p_b)
+    denom = [d for x in (0, 2) for d in (p_a[x], p_a[x], p_a[x + 1], p_a[x + 1]) * 2]  # P(A|x) under each entry
+    p_b = [c / d if d > 0.0 else 0.5 for c, d in zip(v, denom)]
+    return NonlocalWitness(p_a_given_x=np.array(p_a).reshape(2, 2), p_b_given_xya=np.array(p_b).reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ from bellkit import (
     InvalidInputError,
     LHVModel,
     LocalDecomposition,
+    NonlocalWitness,
     UnitVector3,
     chsh,
     correlators,
@@ -28,7 +29,7 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.behavior import _VALS, SETTING_LABELS_A, SETTING_LABELS_B, NoSignalingReport, require_no_signaling
-from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
+from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, probability_vector
 
 
 def src_env() -> dict:
@@ -180,8 +181,9 @@ def inverse_stack_decomposition(b) -> LocalDecomposition | None:
     return LocalDecomposition(full)
 
 
-# References for the 16-entry kernels: the numpy bodies that the Python-float
-# code in behavior.py and polytope.py replaced.  Both must give the same bytes.
+# References for the Python-float kernels: the numpy bodies that the code in
+# behavior.py, polytope.py, theses.py, optimize.py, quantum.py and lhv.py
+# replaced.  Each pair must give the same bytes and refuse with the same message.
 
 def numpy_clean_table(p) -> np.ndarray:
     table = np.asarray(p, dtype=float)
@@ -230,8 +232,16 @@ def numpy_correlators(b) -> np.ndarray:
     return np.array([e[0, 0], e[0, 1], e[1, 0], e[1, 1]])
 
 
-def numpy_local_decomposition(b) -> LocalDecomposition | None:
-    """The Fine-theorem decomposition of ``b`` through the chord A-A', or None if it is not local."""
+def numpy_decomposition_weights(weights) -> np.ndarray:
+    """``LocalDecomposition``'s weights: 16 entries through ``probability_vector``."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (16,):
+        raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
+    return probability_vector(w, "weights")
+
+
+def numpy_local_decomposition(b) -> np.ndarray | None:
+    """The weights of the Fine-theorem decomposition of ``b`` through the chord A-A', or None if it is not local."""
     require_no_signaling(b, "local decomposition")
     target = b.table / b.table.sum(axis=(2, 3), keepdims=True)
     p0, p1 = target[:, 0, 0].sum(axis=-1)  # P(A_x=+), read in block (x, b)
@@ -250,7 +260,46 @@ def numpy_local_decomposition(b) -> LocalDecomposition | None:
                       q - r0 - r1 + u, top - u], axis=-1).reshape(2, 2, 2, 2).clip(0.0, None)
     pair = cells[1].sum(axis=-1, keepdims=True)  # P(a0, a1), from triangle b'
     given = np.divide(cells[1], pair, out=np.zeros((2, 2, 2)), where=pair > 0.0)  # P(b1 | a0, a1)
-    return LocalDecomposition((cells[0][..., :, None] * given[..., None, :]).ravel())
+    return numpy_decomposition_weights((cells[0][..., :, None] * given[..., None, :]).ravel())
+
+
+def numpy_nonlocal_witness(b) -> NonlocalWitness:
+    require_no_signaling(b, "Alice's marginal P(A|x)")
+    p_axy = b.table.sum(axis=3)
+    p_a = 0.5 * (p_axy[:, 0, :] + p_axy[:, 1, :])
+    denom = p_a[:, None, :, None]
+    p_b = np.divide(b.table, denom, out=np.full((2, 2, 2, 2), 0.5), where=denom > 0.0)
+    return NonlocalWitness(p_a_given_x=p_a, p_b_given_xya=p_b)
+
+
+def unit_vector_components(x, y, z) -> tuple[float, float, float]:
+    """``UnitVector3``'s stored components: finite components first, then the norm within PROBABILITY_SLACK."""
+    v = (float(x), float(y), float(z))
+    if not all(math.isfinite(c) for c in v):
+        raise InvalidInputError(f"direction has non-finite components: {v}")
+    norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if abs(norm - 1.0) > PROBABILITY_SLACK:
+        raise InvalidInputError(f"direction norm {norm:.12g} deviates from 1 beyond {PROBABILITY_SLACK:g}")
+    return v[0] / norm, v[1] / norm, v[2] / norm
+
+
+def numpy_seesaw_maximize(psi) -> tuple[float, list[tuple[float, float, float]]]:
+    """``seesaw_maximize``'s best S and its directions (u, u', v, v') through ``unit_vector_components``."""
+    left, sv, right_t = np.linalg.svd(psi.correlations[2])
+    theta = math.atan2(sv[1], sv[0])
+    c, s = math.cos(theta), math.sin(theta)
+    dirs = [left[:, 0], left[:, 1], c * right_t[0] + s * right_t[1], c * right_t[0] - s * right_t[1]]
+    return 2.0 * math.hypot(sv[0], sv[1]), [unit_vector_components(*d) for d in dirs]
+
+
+def numpy_chsh(e) -> float | np.ndarray:
+    e = np.asarray(e, dtype=float)
+    if e.ndim > 2 or e.shape[-1:] != (4,):
+        raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
+    if not np.abs(e).max(initial=0.0) <= 1.0 + BOUND_SLACK:
+        raise InvalidInputError(f"correlator {e.flat[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
+    ab, abp, apb, apbp = e.T if e.ndim == 2 else e.tolist()
+    return ab + abp + apb - apbp
 
 
 # Independent oracle for the superdeterministic witness: one transcript per

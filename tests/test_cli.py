@@ -466,7 +466,16 @@ def _null_setting_prior(data):
     data["settingPriorB"]["b"] = None
 
 
-# JSON strings and booleans that float() and numpy would read as numbers, and nulls that numpy reads as nan
+def _list_prob(data):
+    data["lambda"][0]["prob"] = [0.5]
+
+
+def _object_in_block(data):
+    data["blocks"]["a,b"] = [[{}, 1], [0, 0]]
+
+
+# JSON strings and booleans that float() and numpy would read as numbers, nulls that numpy reads as nan,
+# and lists and objects that float() would name by their Python type
 @pytest.mark.parametrize("command, kind, edit, message", [
     ("chsh", "behavior", _quoted_blocks, 'block "a,b" is not numeric: "0.25" is not a JSON number'),
     ("chsh", "model", _string_prob,
@@ -479,8 +488,11 @@ def _null_setting_prior(data):
     ("chsh", "model", _null_response,
      'lambda entry 0: "pB_plus"["b\'"] is not a number: null is not a JSON number'),
     ("sample", "network", _null_setting_prior, '"settingPriorB"["b"] is not a number: null is not a JSON number'),
+    ("sample", "network", _list_prob, 'lambda entry 0 "prob" is not a number: [0.5] is not a JSON number'),
+    ("chsh", "behavior", _object_in_block, 'block "a,b" is not numeric: {} is not a JSON number'),
 ], ids=["behavior-block", "model-prob", "model-response", "network-setting-prior", "behavior-block-null",
-        "network-prob-null", "model-response-null", "network-setting-prior-null"])
+        "network-prob-null", "model-response-null", "network-setting-prior-null", "network-prob-list",
+        "behavior-block-object"])
 def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior, command, kind, edit, message):
     model = deterministic_model(1, 1, 1, 1)
     data = {"behavior": lambda: behavior_json(singlet_behavior), "model": lambda: model_json(model),
@@ -494,6 +506,41 @@ def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["chsh", "sample"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(settingpriorA={"a": 1.0, "a'": 0.0}),
+     'unknown key "settingpriorA"; expected "lambda", "settingPriorA" or "settingPriorB"'),
+    (lambda d: d["lambda"][1].update(pB_Plus=d["lambda"][1].pop("pB_plus")),
+     'lambda entry 1: unknown key "pB_Plus"; expected "label", "prob", "pA_plus" or "pB_plus"'),
+], ids=["top-level", "entry"])
+def test_unknown_key_exits_2(capsys, tmp_path, command, edit, message):
+    # a misspelled key was dropped without a word: a misspelled setting prior sampled from the uniform default
+    data = network_json(NetworkSpec(model=random_model(np.random.default_rng(8), n_lambda=2)))
+    edit(data)
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "d.csv"
+    extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("prior", [[0.5, 0.5], "a", None, {"a": -0.5, "a'": 1.5}, {"a": 1.5, "a'": 0.5},
+                                   {"a": 1.0}, {"a": "1", "a'": 0.0}],
+                         ids=["list", "string", "null", "negative", "sums-to-2", "missing-setting", "string-entry"])
+def test_chsh_refuses_the_setting_priors_sample_refuses(capsys, tmp_path, prior):
+    data = network_json(NetworkSpec(model=deterministic_model(1, -1, 1, 1)))
+    data["settingPriorA"] = prior
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "d.csv"
+    sampled = run(capsys, "sample", str(path), "-n", "100", "--seed", "1", "--out", str(out_csv))
+    assert sampled[0] == 2 and sampled[2].startswith(f"error: {path}: ")
+    assert run(capsys, "chsh", str(path)) == sampled
     assert not out_csv.exists()
 
 

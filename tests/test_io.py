@@ -131,6 +131,18 @@ class TestNetworkFormat:
     (network_from_json, {"lambda": 1}, '"lambda" must be a non-empty list'),
     (network_from_json, {"lambda": [_ONE_ENTRY], "settingPriorA": {"a": 1.5, "a'": 0.5}},
      "settingPriorA sums to 2, not 1 within 1e-09"),
+    (model_from_json, {"lambda": [_ONE_ENTRY], "settingPriorB": {"b": -0.5, "b'": 1.5}},
+     "settingPriorB entry -5.000e-01 below -1e-09"),
+    (model_from_json, {"lambda": [_ONE_ENTRY], "settingpriorA": {"a": 1.0, "a'": 0.0}},
+     'unknown key "settingpriorA"; expected "lambda", "settingPriorA" or "settingPriorB"'),
+    (network_from_json, {"lambda": [_ONE_ENTRY, {**_ONE_ENTRY, "pa_plus": {}}]},
+     'lambda entry 1: unknown key "pa_plus"; expected "label", "prob", "pA_plus" or "pB_plus"'),
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "prob": [1.0]}]},
+     'lambda entry 0 "prob" is not a number: [1.0] is not a JSON number'),
+    (network_from_json, {"lambda": [_ONE_ENTRY], "settingPriorA": {"a": {}, "a'": 0.5}},
+     '"settingPriorA"["a"] is not a number: {} is not a JSON number'),
+    (behavior_from_json, {"blocks": {"a,b": [[{"p": 1}, 0], [0, 0]]}},
+     'block "a,b" is not numeric: {"p": 1} is not a JSON number'),
 ])
 def test_parse_errors_name_no_file(parse, data, message):
     # the parsers read a value, not a file, and the constructors' errors pass through

@@ -1,4 +1,4 @@
-"""The 16-entry kernels give the bytes of the numpy code they replaced.
+"""The Python-float kernels give the bytes of the numpy code they replaced.
 
 Each kernel runs on Python floats in numpy's order of operations; its numpy
 predecessor lives on in conftest as the reference.  Outputs are compared with
@@ -6,31 +6,44 @@ predecessor lives on in conftest as the reference.  Outputs are compared with
 that are refused must be refused with the same message.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from bellkit import (
     InvalidInputError,
     LocalDecomposition,
+    NonlocalWitness,
     NoSignalingReport,
     TwoQubitState,
+    UnitVector3,
+    basis_state,
+    chsh,
     correlators,
     local_decomposition,
+    nonlocal_witness,
     pr_box,
     quantum_behavior,
     random_no_signaling_behavior,
     seesaw_maximize,
+    singlet,
     uniform_behavior,
 )
 from bellkit.behavior import _VALS, Behavior, _clean_table, _table_from_means, deterministic_vertex_tables
-from bellkit.tolerance import BOUND_SLACK
+from bellkit.polytope import _sum16
+from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK
 from conftest import (
+    numpy_chsh,
     numpy_clean_table,
     numpy_correlators,
+    numpy_decomposition_weights,
     numpy_local_decomposition,
     numpy_no_signaling,
+    numpy_nonlocal_witness,
+    numpy_seesaw_maximize,
     numpy_table_from_means,
-    random_direction,
+    unit_vector_components,
 )
 from test_polytope import _FACET_SIGNS, _VERTEX_E, _VERTEX_MA, _VERTEX_MB
 
@@ -44,18 +57,37 @@ def _outcome(f, *args):
 
 
 def assert_same(new, ref):
-    """Equal verdicts, messages and array bytes, dtypes, shapes and write flags."""
+    """Equal verdicts, messages, floats to the bit, and array bytes, dtypes, shapes and write flags."""
     if isinstance(ref, NoSignalingReport):
         assert new.ok is ref.ok
         assert_same(new.alice_residuals, ref.alice_residuals)
         assert_same(new.bob_residuals, ref.bob_residuals)
-    elif isinstance(ref, LocalDecomposition):
-        assert_same(new.weights, ref.weights)
+    elif isinstance(ref, NonlocalWitness):
+        assert_same(new.p_a_given_x, ref.p_a_given_x)
+        assert_same(new.p_b_given_xya, ref.p_b_given_xya)
     elif isinstance(ref, np.ndarray):
         assert (new.dtype, new.shape, new.flags.writeable) == (ref.dtype, ref.shape, ref.flags.writeable)
         assert new.tobytes() == ref.tobytes()
+    elif isinstance(ref, float):
+        assert type(new) is float and new.hex() == ref.hex()
     else:
         assert type(new) is type(ref) and new == ref
+
+
+def decomposition_weights(b):
+    """``local_decomposition(b)``'s weights, or None where it finds ``b`` nonlocal."""
+    decomposition = local_decomposition(b)
+    return None if decomposition is None else decomposition.weights
+
+
+def unit_vector(*components) -> np.ndarray:
+    """The components ``UnitVector3`` stores, as an array."""
+    v = UnitVector3(*components)
+    return np.array([v.x, v.y, v.z])
+
+
+def reference_unit_vector(*components) -> np.ndarray:
+    return np.array(unit_vector_components(*components))
 
 
 def assert_kernels_match(table):
@@ -65,9 +97,12 @@ def assert_kernels_match(table):
     if isinstance(cleaned, tuple):  # refused, with the reference's message
         return
     b = Behavior(table)
-    assert_same(correlators(b), numpy_correlators(b))
+    e = correlators(b)
+    assert_same(e, numpy_correlators(b))
+    assert_same(_outcome(chsh, e), _outcome(numpy_chsh, e))
     assert_same(b._no_signaling, numpy_no_signaling(b))
-    assert_same(_outcome(local_decomposition, b), _outcome(numpy_local_decomposition, b))
+    assert_same(_outcome(decomposition_weights, b), _outcome(numpy_local_decomposition, b))
+    assert_same(_outcome(nonlocal_witness, b), _outcome(numpy_nonlocal_witness, b))
 
 
 def assert_means_match(e, ma, mb):
@@ -90,6 +125,13 @@ def test_criterion_6_draws():
         assert_means_match(*means_of(table))
 
 
+def assert_seesaw_matches(psi):
+    result = seesaw_maximize(psi, seed=0)
+    best_s, dirs = numpy_seesaw_maximize(psi)
+    assert_same(result.best_s, best_s)
+    assert_same(np.array([(w.x, w.y, w.z) for w in result.settings.as_tuple()]), np.array(dirs))
+
+
 @pytest.mark.parametrize("optimal", [True, False], ids=["optimal", "random"])
 def test_quantum_behaviors(optimal):
     rng = np.random.default_rng(577)
@@ -97,9 +139,14 @@ def test_quantum_behaviors(optimal):
         amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = TwoQubitState.from_amplitudes(amp / np.linalg.norm(amp))
         if optimal:
+            assert_seesaw_matches(psi)
             settings = seesaw_maximize(psi, seed=0).settings.as_tuple()
         else:
-            settings = tuple(random_direction(rng) for _ in range(4))
+            # conftest.random_direction's draws, each compared before it becomes a setting
+            units = [v / np.linalg.norm(v) for v in (rng.standard_normal(3) for _ in range(4))]
+            for v in units:
+                assert_same(unit_vector(*v), reference_unit_vector(*v))
+            settings = tuple(UnitVector3(*v) for v in units)
         a, b, t = psi.correlations
         dirs = np.array([w.as_array() for w in settings])
         assert_means_match(dirs[:2] @ t @ dirs[2:].T, dirs[:2] @ a, dirs[2:] @ b)
@@ -156,3 +203,64 @@ def edge_tables():
 def test_signed_zeros_clamps_and_refusals():
     for table in edge_tables():
         assert_kernels_match(table)
+
+
+def test_decomposition_weights():
+    """Weight vectors within and beyond the slack, with clamped, signed-zero and refused entries."""
+    rng = np.random.default_rng(2718)
+    vectors = [*np.eye(16), np.full(16, 1.0 / 16.0)]
+    for _ in range(2000):
+        w = rng.dirichlet(np.full(16, rng.choice([0.1, 1.0, 10.0])))
+        w *= 1.0 + rng.uniform(-1.5, 1.5) * PROBABILITY_SLACK
+        w[rng.random(16) < 0.2] = rng.choice([0.0, -0.0, -5e-10, -1.5e-9])
+        vectors.append(w)
+    vectors += [np.where(np.eye(16)[3] == 0.0, -0.0, 1.0), np.zeros(15), np.zeros((4, 4)),
+                np.r_[np.nan, np.full(15, 1.0 / 15.0)], np.r_[np.inf, np.zeros(15)], np.r_[-np.inf, np.ones(15)],
+                np.r_[-1e-6, 1.0 + 1e-6, np.zeros(14)], np.full(16, 1.1 / 16.0), np.r_[1e308, 1e308, np.zeros(14)]]
+    for w in vectors:
+        assert_same(_outcome(lambda v: LocalDecomposition(v).weights, w), _outcome(numpy_decomposition_weights, w))
+
+
+def test_seesaw_on_special_states():
+    """Product, maximally and partially entangled states, with signed-zero amplitudes."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    states = [singlet(), *map(basis_state, range(4)),
+              TwoQubitState(np.array([c, 0.0, 0.0, s])), TwoQubitState(np.array([-0.0, c, -s, -0.0])),
+              TwoQubitState(np.array([0.5, 0.5, 0.5, 0.5])), TwoQubitState(np.array([0.5, -0.5j, 0.5j, -0.5]))]
+    for psi in states:
+        assert_seesaw_matches(psi)
+
+
+def test_unit_vector_edges():
+    r = 1.0 / math.sqrt(2.0)
+    for v in [(1.0, 0.0, 0.0), (-0.0, 1.0, -0.0), (0.0, -0.0, -1.0), (r, -r, 0.0), (1, 0, 0),
+              (np.float32(0.6), 0.8, 0.0), (1.0 + 0.9e-9, 0.0, 0.0), (1.0 + 1.1e-9, 0.0, 0.0),
+              (1.0 - 1.1e-9, -0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (1e-200, 0.0, 0.0),
+              (1e200, 0.0, 0.0), (1e155, 1e155, 0.0), (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+              (0.0, 0.0, -math.inf), (math.inf, math.nan, 0.0), (1e200, math.inf, 0.0)]:
+        assert_same(_outcome(unit_vector, *v), _outcome(reference_unit_vector, *v))
+
+
+def test_chsh_edges():
+    for e in [[1.0, 1.0, 1.0, -1.0], [-0.0, -0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, -0.0],
+              [1.0 + BOUND_SLACK, -1.0 - BOUND_SLACK, 0.5, 0.25], [1.0 + 2 * BOUND_SLACK, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, -1.5], [math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0], [1, 0, 0, 1],
+              np.zeros(3), np.zeros(5), np.zeros((3, 4)), np.zeros((0, 4)), np.zeros((2, 2, 4)), np.float64(0.5)]:
+        assert_same(_outcome(chsh, e), _outcome(numpy_chsh, e))
+
+
+def test_numpy_sums_16_doubles_pairwise():
+    """``_sum16`` copies numpy's order for 16 contiguous doubles; fail loudly if numpy changes it.
+
+    Summands of mixed sign and magnitude make the orders differ: the
+    left-to-right sum differs from the pairwise one on about half of them.
+    """
+    rng = np.random.default_rng(1606)
+    vectors = rng.standard_normal((2000, 16)) * 10.0 ** rng.uniform(-8.0, 8.0, (2000, 16))
+    mismatches = sum(float(w.sum()) != _sum16(w.tolist()) for w in vectors)
+    assert mismatches == 0, (
+        f"numpy {np.__version__} summed {mismatches} of 2000 vectors of 16 doubles in another order than "
+        "((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) with r_j = v_j + v_(j+8); "
+        "LocalDecomposition's Python-float kernel copies that order, so its weights may no longer "
+        "have numpy's bytes")
+    assert sum(np.cumsum(w)[-1] != _sum16(w.tolist()) for w in vectors) > 500  # the inputs tell orders apart

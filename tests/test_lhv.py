@@ -171,6 +171,15 @@ class TestChsh:
         with pytest.raises(InvalidInputError, match="correlator nan outside"):
             chsh([math.nan, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("e, message", [
+        ([math.nan, 0.0, 0.0, 0.0], "correlator nan outside [-1, 1]"),
+        ([0.0, 1.5, 0.0, 0.0], "correlator 1.5 outside [-1, 1]"),
+        ([0.0, 0.0, 0.0], "need 4 correlators (ab, ab', a'b, a'b'), got shape (3,)"),
+    ], ids=["nan", "out-of-range", "shape"])
+    def test_refusal_messages(self, e, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            chsh(e)
+
     def test_single_set_gives_a_float(self):
         assert type(chsh(np.array([0.5, 0.25, -0.25, 0.5]))) is float
 

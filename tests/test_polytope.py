@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -136,6 +137,17 @@ class TestLocalDecomposition:
             LocalDecomposition(np.full(16, 1.0 / 8.0))
         with pytest.raises(InvalidInputError):
             LocalDecomposition(np.concatenate([[-1e-6, 1.0 + 1e-6], np.zeros(14)]))
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.zeros(15), "need 16 weights, got shape (15,)"),
+        (np.r_[np.nan, np.full(15, 1.0 / 15.0)], "weights has non-finite entries"),
+        (np.r_[np.inf, np.zeros(15)], "weights has non-finite entries"),
+        (np.r_[-1e-6, 1.0 + 1e-6, np.zeros(14)], "weights entry -1.000e-06 below -1e-09"),
+        (np.full(16, 1.1 / 16.0), "weights sums to 1.1, not 1 within 1e-09"),
+    ], ids=["shape", "nan", "inf", "negative", "mass"])
+    def test_refusal_messages(self, weights, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            LocalDecomposition(weights)
 
     def test_nan_weight_rejected(self):
         weights = np.full(16, 1.0 / 16.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ class TestUnitVector3:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             UnitVector3(math.nan, 0.0, 0.0)
+
+    @pytest.mark.parametrize("components, message", [
+        ((math.nan, 0.0, 0.0), "direction has non-finite components: (nan, 0.0, 0.0)"),
+        ((0.0, math.inf, 0.0), "direction has non-finite components: (0.0, inf, 0.0)"),
+        ((1e200, 0.0, 0.0), "direction norm inf deviates from 1 beyond 1e-09"),
+        ((0.5, 0.0, 0.0), "direction norm 0.5 deviates from 1 beyond 1e-09"),
+    ], ids=["nan", "inf", "overflowing-norm", "short"])
+    def test_refusal_messages(self, components, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            UnitVector3(*components)
 
 
 class TestPauliDot:
