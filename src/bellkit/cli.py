@@ -191,18 +191,12 @@ def cmd_enumerate(args) -> RunReport:
 def cmd_optimize(args) -> RunReport:
     psi = _parse_state(args.state)
     result = seesaw_maximize(psi, seed=args.seed)
-    st = result.settings
+    directions = zip(("alice u", "alice u'", "bob v", "bob v'"), result.settings.as_tuple())
     return RunReport(
         command="optimize",
         inputs_digest=digest_inputs({"state": args.state}),
         seed=args.seed,
-        results={
-            "best S": result.best_s,
-            "alice u": [st.alice_u.x, st.alice_u.y, st.alice_u.z],
-            "alice u'": [st.alice_u_prime.x, st.alice_u_prime.y, st.alice_u_prime.z],
-            "bob v": [st.bob_v.x, st.bob_v.y, st.bob_v.z],
-            "bob v'": [st.bob_v_prime.x, st.bob_v_prime.y, st.bob_v_prime.z],
-        },
+        results={"best S": result.best_s, **{name: [w.x, w.y, w.z] for name, w in directions}},
     )
 
 

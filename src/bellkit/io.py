@@ -4,7 +4,9 @@ All files are UTF-8 JSON.  A behavior file holds the four 2x2 blocks keyed by
 setting pair with outcome order (+1, -1); a model file lists the hidden
 values; a network file is a model file plus optional setting priors.  The
 parsers read a JSON value or text, not a file: their errors name the place
-inside it, and a caller that read a file adds its path.  Reports print at 7
+inside it, and a caller that read a file adds its path.  Every number goes
+through ``_number`` and every object through ``_object``, so a parser raises
+``InvalidInputError`` and nothing else on any JSON value.  Reports print at 7
 decimal places in text mode and full double precision in JSON.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -26,80 +29,75 @@ from .network import NetworkSpec
 
 def load_json(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise InvalidInputError("arrays and objects nested too deeply to decode") from exc
 
 
-def _non_number(value):
-    """The JSON text of the first string, boolean, null or object in a JSON value or its nested lists.
-
-    numpy reads a string, boolean or null as a number or nan, and Python's
-    ``float()`` would name an object by its Python type.
-    """
-    if value is None or isinstance(value, (str, bool, dict)):
-        return json.dumps(value)
-    if isinstance(value, list):
-        return next(filter(None, map(_non_number, value)), None)
-    return None
-
-
-def _as_float_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    bad = _non_number(value)
-    if bad is not None:
-        raise InvalidInputError(f"{what} is not numeric: {bad} is not a JSON number")
+def _json_int(digits: str) -> int | float:
+    """A JSON integer as an ``int``; one too long for ``int()`` is far beyond double range, and reads as ±inf."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} is not numeric: {exc}") from exc
-    if arr.shape != shape:
-        raise InvalidInputError(f"{what} must have shape {shape}, got {arr.shape}")
-    return arr
+        return int(digits)
+    except ValueError:
+        return float(digits)
 
 
-def _as_float(value, what: str) -> float:
-    if isinstance(value, list) or _non_number(value) is not None:
-        raise InvalidInputError(f"{what} is not a number: {json.dumps(value)} is not a JSON number")
+def _number(value, what: str) -> float:
+    """A JSON number as a double; ``what`` leads the message that refuses any other JSON value, quoted as JSON.
+
+    An integer beyond double range reads as ±inf, as ``1e400`` does, and the
+    constructors refuse it as non-finite; ``float()`` would read a string or
+    boolean as a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{what}: {json.dumps(value)} is not a JSON number")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} is not a number: {exc}") from exc
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _object(value, keys: tuple[str, ...], name: str = "") -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``; ``name`` names it, "" at the top level."""
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{name} must be an object with keys {', '.join(keys)}" if name
+                                else f"expected an object with a {json.dumps(keys[0])} key")
+    for key in value:
+        if key not in keys:
+            *rest, last = map(json.dumps, keys)
+            expected = f"{', '.join(rest)} or {last}" if rest else last
+            where = f"{name}: " if name else ""
+            raise InvalidInputError(f"{where}unknown key {json.dumps(key)}; expected {expected}")
+    return value
+
+
+_BLOCK_KEYS = tuple(f"{lx},{ly}" for lx in SETTING_LABELS_A for ly in SETTING_LABELS_B)
 
 
 def behavior_from_json(data: Any) -> Behavior:
-    if not isinstance(data, dict) or "blocks" not in data:
-        raise InvalidInputError("expected an object with a \"blocks\" key")
-    blocks = data["blocks"]
-    if not isinstance(blocks, dict):
-        raise InvalidInputError("\"blocks\" must be an object")
-    table = np.empty((2, 2, 2, 2))
-    for x, lx in enumerate(SETTING_LABELS_A):
-        for y, ly in enumerate(SETTING_LABELS_B):
-            key = f"{lx},{ly}"
-            if key not in blocks:
-                raise InvalidInputError(f"missing block \"{key}\"")
-            table[x, y] = _as_float_array(blocks[key], (2, 2), f"block \"{key}\"")
-    return Behavior(table)
+    blocks = _object(_object(data, ("blocks",)).get("blocks"), _BLOCK_KEYS, "\"blocks\"")
+    table = []
+    for key in _BLOCK_KEYS:
+        if key not in blocks:
+            raise InvalidInputError(f"missing block \"{key}\"")
+        rows = blocks[key]
+        if not isinstance(rows, list) or [isinstance(row, list) and len(row) for row in rows] != [2, 2]:
+            raise InvalidInputError(f"block \"{key}\" must be a list of 2 rows of 2 numbers")
+        table.append([[_number(v, f"block \"{key}\" is not numeric") for v in row] for row in rows])
+    return Behavior([table[:2], table[2:]])
 
 
-def _response_pair(entry: dict, key: str, labels: tuple[str, str], where: str = "") -> list[float]:
-    """The two numbers under ``entry[key]``, in ``labels`` order; ``where`` leads each message, naming ``entry``."""
-    if key not in entry or not isinstance(entry[key], dict):
-        raise InvalidInputError(f"{where}\"{key}\" must be an object with keys {', '.join(labels)}")
+def _pair(value, labels: tuple[str, str], name: str) -> list[float]:
+    """The two numbers of a response pair or setting prior, in ``labels`` order; ``name`` names it in each message."""
+    pair = _object(value, labels, name)
     out = []
     for lbl in labels:
-        if lbl not in entry[key]:
-            raise InvalidInputError(f"{where}\"{key}\" is missing setting \"{lbl}\"")
-        out.append(_as_float(entry[key][lbl], f"{where}\"{key}\"[\"{lbl}\"]"))
+        if lbl not in pair:
+            raise InvalidInputError(f"{name} is missing setting \"{lbl}\"")
+        out.append(_number(pair[lbl], f"{name}[\"{lbl}\"] is not a number"))
     return out
-
-
-def _refuse_unknown_keys(obj: dict, known: tuple[str, ...], where: str = "") -> None:
-    """Raise, naming the first key of ``obj`` not in ``known``; ``where`` leads the message, naming ``obj``."""
-    unknown = next((key for key in obj if key not in known), None)
-    if unknown is not None:
-        expected = ", ".join(map(json.dumps, known[:-1])) + f" or {json.dumps(known[-1])}"
-        raise InvalidInputError(f"{where}unknown key {json.dumps(unknown)}; expected {expected}")
 
 
 def model_from_json(data: Any) -> LHVModel:
@@ -108,33 +106,27 @@ def model_from_json(data: Any) -> LHVModel:
 
 
 def network_from_json(data: Any) -> NetworkSpec:
-    if not isinstance(data, dict) or "lambda" not in data:
-        raise InvalidInputError("expected an object with a \"lambda\" key")
-    _refuse_unknown_keys(data, ("lambda", "settingPriorA", "settingPriorB"))
-    entries = data["lambda"]
+    data = _object(data, ("lambda", "settingPriorA", "settingPriorB"))
+    entries = data.get("lambda")
     if not isinstance(entries, list) or not entries:
         raise InvalidInputError("\"lambda\" must be a non-empty list")
     labels, prior, resp_a, resp_b = [], [], [], []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InvalidInputError(f"lambda entry {i} must be an object")
-        _refuse_unknown_keys(entry, ("label", "prob", "pA_plus", "pB_plus"), f"lambda entry {i}: ")
+        entry = _object(entry, ("label", "prob", "pA_plus", "pB_plus"), f"lambda entry {i}")
         label = entry.get("label", f"l{i}")
         if not isinstance(label, str):
             raise InvalidInputError(f"lambda entry {i} \"label\" is not a JSON string: {json.dumps(label)}")
         labels.append(label)
         if "prob" not in entry:
             raise InvalidInputError(f"lambda entry {i} is missing \"prob\"")
-        prior.append(_as_float(entry["prob"], f"lambda entry {i} \"prob\""))
-        resp_a.append(_response_pair(entry, "pA_plus", SETTING_LABELS_A, f"lambda entry {i}: "))
-        resp_b.append(_response_pair(entry, "pB_plus", SETTING_LABELS_B, f"lambda entry {i}: "))
+        prior.append(_number(entry["prob"], f"lambda entry {i} \"prob\" is not a number"))
+        resp_a.append(_pair(entry.get("pA_plus"), SETTING_LABELS_A, f"lambda entry {i}: \"pA_plus\""))
+        resp_b.append(_pair(entry.get("pB_plus"), SETTING_LABELS_B, f"lambda entry {i}: \"pB_plus\""))
     model = LHVModel(labels=tuple(labels), prior=np.array(prior),
                      alice_response=np.array(resp_a), bob_response=np.array(resp_b))
-    kwargs = {}
-    for key, labels, arg in (("settingPriorA", SETTING_LABELS_A, "setting_prior_a"),
-                             ("settingPriorB", SETTING_LABELS_B, "setting_prior_b")):
-        if key in data:
-            kwargs[arg] = np.array(_response_pair(data, key, labels))
+    kwargs = {arg: np.array(_pair(data[key], settings, f"\"{key}\""))
+              for key, settings, arg in (("settingPriorA", SETTING_LABELS_A, "setting_prior_a"),
+                                         ("settingPriorB", SETTING_LABELS_B, "setting_prior_b")) if key in data}
     return NetworkSpec(model=model, **kwargs)
 
 

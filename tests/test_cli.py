@@ -474,6 +474,26 @@ def _object_in_block(data):
     data["blocks"]["a,b"] = [[{}, 1], [0, 0]]
 
 
+# an integer beyond double range reads as +-inf, as 1e400 does; float() and numpy raised OverflowError on it
+_BEYOND_DOUBLE = 10**400
+
+
+def _huge_block_entry(data):
+    data["blocks"]["a,b"][0][0] = _BEYOND_DOUBLE
+
+
+def _huge_prob(data):
+    data["lambda"][0]["prob"] = _BEYOND_DOUBLE
+
+
+def _huge_response(data):
+    data["lambda"][0]["pA_plus"]["a'"] = -_BEYOND_DOUBLE
+
+
+def _huge_setting_prior(data):
+    data["settingPriorA"]["a"] = _BEYOND_DOUBLE
+
+
 # JSON strings and booleans that float() and numpy would read as numbers, nulls that numpy reads as nan,
 # and lists and objects that float() would name by their Python type
 @pytest.mark.parametrize("command, kind, edit, message", [
@@ -490,9 +510,14 @@ def _object_in_block(data):
     ("sample", "network", _null_setting_prior, '"settingPriorB"["b"] is not a number: null is not a JSON number'),
     ("sample", "network", _list_prob, 'lambda entry 0 "prob" is not a number: [0.5] is not a JSON number'),
     ("chsh", "behavior", _object_in_block, 'block "a,b" is not numeric: {} is not a JSON number'),
+    ("chsh", "behavior", _huge_block_entry, "behavior table contains non-finite entries"),
+    ("sample", "network", _huge_prob, "prior has non-finite entries"),
+    ("chsh", "model", _huge_response, "alice_response entries must lie in [0, 1]"),
+    ("sample", "network", _huge_setting_prior, "settingPriorA has non-finite entries"),
 ], ids=["behavior-block", "model-prob", "model-response", "network-setting-prior", "behavior-block-null",
         "network-prob-null", "model-response-null", "network-setting-prior-null", "network-prob-list",
-        "behavior-block-object"])
+        "behavior-block-object", "behavior-block-huge", "network-prob-huge", "model-response-huge",
+        "network-setting-prior-huge"])
 def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior, command, kind, edit, message):
     model = deterministic_model(1, 1, 1, 1)
     data = {"behavior": lambda: behavior_json(singlet_behavior), "model": lambda: model_json(model),
@@ -509,18 +534,44 @@ def test_strings_and_booleans_are_not_numbers(capsys, tmp_path, singlet_behavior
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("command", ["chsh", "sample"])
-@pytest.mark.parametrize("edit, message", [
-    (lambda d: d.update(settingpriorA={"a": 1.0, "a'": 0.0}),
-     'unknown key "settingpriorA"; expected "lambda", "settingPriorA" or "settingPriorB"'),
-    (lambda d: d["lambda"][1].update(pB_Plus=d["lambda"][1].pop("pB_plus")),
-     'lambda entry 1: unknown key "pB_Plus"; expected "label", "prob", "pA_plus" or "pB_plus"'),
-], ids=["top-level", "entry"])
-def test_unknown_key_exits_2(capsys, tmp_path, command, edit, message):
+_BAD_TOP_KEY = 'unknown key "settingpriorA"; expected "lambda", "settingPriorA" or "settingPriorB"'
+_BAD_ENTRY_KEY = 'lambda entry 1: unknown key "pB_Plus"; expected "label", "prob", "pA_plus" or "pB_plus"'
+
+
+def _misspelled_setting_prior(data):
+    data["settingpriorA"] = {"a": 1.0, "a'": 0.0}
+
+
+def _misspelled_entry_key(data):
+    data["lambda"][1]["pB_Plus"] = data["lambda"][1].pop("pB_plus")
+
+
+@pytest.mark.parametrize("command, kind, edit, message", [
+    ("chsh", "network", _misspelled_setting_prior, _BAD_TOP_KEY),
+    ("sample", "network", _misspelled_setting_prior, _BAD_TOP_KEY),
+    ("chsh", "network", _misspelled_entry_key, _BAD_ENTRY_KEY),
+    ("sample", "network", _misspelled_entry_key, _BAD_ENTRY_KEY),
+    ("chsh", "behavior", lambda d: d.update(blcks={}), 'unknown key "blcks"; expected "blocks"'),
+    ("chsh", "behavior", lambda d: d["blocks"].update({"a,B": [[1, 0], [0, 0]]}),
+     '"blocks": unknown key "a,B"; expected "a,b", "a,b\'", "a\',b" or "a\',b\'"'),
+    ("chsh", "network", lambda d: d["lambda"][0]["pA_plus"].update({"A'": 1.0}),
+     'lambda entry 0: "pA_plus": unknown key "A\'"; expected "a" or "a\'"'),
+    ("sample", "network", lambda d: d["lambda"][1]["pB_plus"].update(c=0.5),
+     'lambda entry 1: "pB_plus": unknown key "c"; expected "b" or "b\'"'),
+    ("sample", "network", lambda d: d["settingPriorB"].update({"B": 0.0}),
+     '"settingPriorB": unknown key "B"; expected "b" or "b\'"'),
+    ("chsh", "network", lambda d: d["settingPriorA"].update({"a''": 0.0}),
+     '"settingPriorA": unknown key "a\'\'"; expected "a" or "a\'"'),
+], ids=["top-level-chsh", "top-level-sample", "entry-chsh", "entry-sample", "behavior-top-level", "blocks",
+        "response-a", "response-b", "setting-prior-sample", "setting-prior-chsh"])
+def test_unknown_key_exits_2(capsys, tmp_path, singlet_behavior, command, kind, edit, message):
     # a misspelled key was dropped without a word: a misspelled setting prior sampled from the uniform default
-    data = network_json(NetworkSpec(model=random_model(np.random.default_rng(8), n_lambda=2)))
+    if kind == "behavior":
+        data = behavior_json(singlet_behavior)
+    else:
+        data = network_json(NetworkSpec(model=random_model(np.random.default_rng(8), n_lambda=2)))
     edit(data)
-    path = tmp_path / "network.json"
+    path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
     out_csv = tmp_path / "d.csv"
     extra = ["-n", "100", "--seed", "1", "--out", str(out_csv)] if command == "sample" else []
@@ -604,6 +655,8 @@ def test_file_not_utf8_exits_2_without_csv(capsys, tmp_path, command):
 
 
 _THREE_BLOCKS = json.dumps({"blocks": {key: [[0.25, 0.25], [0.25, 0.25]] for key in ("a,b", "a',b", "a',b'")}})
+# past Python's 4300-digit limit for int(), which json.loads raised as a ValueError
+_LONG_INTEGER_BLOCKS = _THREE_BLOCKS.replace("}}", ', "a,b\'": [[1' + "0" * 5000 + ", 0], [0, 0]]}}")
 
 
 @pytest.mark.parametrize("command, text, message", [
@@ -615,8 +668,12 @@ _THREE_BLOCKS = json.dumps({"blocks": {key: [[0.25, 0.25], [0.25, 0.25]] for key
     ("chsh", _THREE_BLOCKS, "missing block \"a,b'\""),
     ("chsh", '{"lambda": []}', '"lambda" must be a non-empty list'),
     ("sample", '{"lambda": []}', '"lambda" must be a non-empty list'),
+    ("chsh", _LONG_INTEGER_BLOCKS, "behavior table contains non-finite entries"),
+    ("sample", '{"lambda": [{"prob": -1' + "0" * 5000 + ', "pA_plus": {"a": 1, "a\'": 1}, '
+               '"pB_plus": {"b": 1, "b\'": 1}}]}', "prior has non-finite entries"),
+    ("sample", "[" * 10**5 + "]" * 10**5, "arrays and objects nested too deeply to decode"),
 ], ids=["chsh-syntax", "sample-syntax", "chsh-neither", "chsh-array", "sample-array", "chsh-missing-block",
-        "chsh-empty-lambda", "sample-empty-lambda"])
+        "chsh-empty-lambda", "sample-empty-lambda", "chsh-long-integer", "sample-long-integer", "sample-deep"])
 def test_malformed_file_stderr_names_the_path_once(capsys, tmp_path, command, text, message):
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")

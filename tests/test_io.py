@@ -16,6 +16,7 @@ from bellkit import (
     singlet,
     uniform_behavior,
 )
+from bellkit.behavior import SETTING_LABELS_A, SETTING_LABELS_B
 from bellkit.io import (
     behavior_from_json,
     digest_inputs,
@@ -23,6 +24,7 @@ from bellkit.io import (
     load_json,
     model_from_json,
     network_from_json,
+    parse_network_text,
     sweep_rows_to_csv,
 )
 from bellkit.network import _CHUNK
@@ -31,6 +33,9 @@ from conftest import behavior_json, model_json, network_json, piece_bounds
 
 # one hidden value that always answers +1; its label is absent
 _ONE_ENTRY = {"prob": 1.0, "pA_plus": {"a": 1, "a'": 1}, "pB_plus": {"b": 1, "b'": 1}}
+_UNIFORM_BLOCKS = behavior_json(uniform_behavior())["blocks"]
+# an integer beyond double range reads as +-inf, as 1e400 does
+_BEYOND_DOUBLE = 10**400
 
 
 class TestBehaviorFormat:
@@ -143,6 +148,28 @@ class TestNetworkFormat:
      '"settingPriorA"["a"] is not a number: {} is not a JSON number'),
     (behavior_from_json, {"blocks": {"a,b": [[{"p": 1}, 0], [0, 0]]}},
      'block "a,b" is not numeric: {"p": 1} is not a JSON number'),
+    (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a',b": [[0.25, 0.25, 0.5]]}},
+     'block "a\',b" must be a list of 2 rows of 2 numbers'),
+    (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a,b'": [[_BEYOND_DOUBLE, 0], [0, 0]]}},
+     "behavior table contains non-finite entries"),
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "prob": _BEYOND_DOUBLE}]}, "prior has non-finite entries"),
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "pB_plus": {"b": 1, "b'": -_BEYOND_DOUBLE}}]},
+     "bob_response entries must lie in [0, 1]"),
+    (network_from_json, {"lambda": [_ONE_ENTRY], "settingPriorB": {"b": _BEYOND_DOUBLE, "b'": 0}},
+     "settingPriorB has non-finite entries"),
+    # past Python's 4300-digit limit for int()
+    (parse_network_text, '{"lambda": [{"prob": 1' + "0" * 5000 + ', "pA_plus": {"a": 1, "a\'": 1}, '
+                         '"pB_plus": {"b": 1, "b\'": 1}}]}', "prior has non-finite entries"),
+    (behavior_from_json, {"blocks": _UNIFORM_BLOCKS, "lambda": [_ONE_ENTRY]},
+     'unknown key "lambda"; expected "blocks"'),
+    (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a, b": [[1, 0], [0, 0]]}},
+     '"blocks": unknown key "a, b"; expected "a,b", "a,b\'", "a\',b" or "a\',b\'"'),
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "pA_plus": {"a": 1, "a'": 1, "A'": 0}}]},
+     'lambda entry 0: "pA_plus": unknown key "A\'"; expected "a" or "a\'"'),
+    (network_from_json, {"lambda": [_ONE_ENTRY], "settingPriorA": {"a": 0.5, "a'": 0.5, "b": 0.0}},
+     '"settingPriorA": unknown key "b"; expected "a" or "a\'"'),
+    (network_from_json, {"lambda": [_ONE_ENTRY, [0.5]]},
+     "lambda entry 1 must be an object with keys label, prob, pA_plus, pB_plus"),
 ])
 def test_parse_errors_name_no_file(parse, data, message):
     # the parsers read a value, not a file, and the constructors' errors pass through
@@ -150,6 +177,52 @@ def test_parse_errors_name_no_file(parse, data, message):
     with pytest.raises(InvalidInputError) as excinfo:
         parse(data)
     assert str(excinfo.value) == message
+
+
+# any JSON value: objects over the formats' keys, near misses of them and other text, numbers in and beyond
+# double range (json.loads reads NaN and Infinity too), and everything else a file can hold
+_KEYS = st.sampled_from(["blocks", "a,b", "a,b'", "a',b", "a',b'", "lambda", "label", "prob", "pA_plus", "pB_plus",
+                         "a", "a'", "b", "b'", "settingPriorA", "settingPriorB", "blcks", "a,B", "A'", "Prob", ""])
+_NUMBERS = (st.integers(-2, 2) | st.floats(-0.5, 1.5) | st.floats() | st.integers(-2**1100, 2**1100)
+            | st.integers(-10**4000, 10**4000))
+_JSON = st.recursive(st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+                     lambda children: st.lists(children, max_size=4)
+                     | st.dictionaries(_KEYS | st.text(max_size=4), children, max_size=4),
+                     max_leaves=12)
+
+
+def _stray_keys(fields: dict) -> st.SearchStrategy:
+    """Objects holding some of ``fields`` (key: strategy of its value), and maybe a key with any value."""
+    return st.builds(lambda known, stray: {**known, **stray}, st.fixed_dictionaries({}, optional=fields),
+                     st.dictionaries(_KEYS | st.text(max_size=4), _JSON, max_size=1))
+
+
+def _formats(number: st.SearchStrategy, objects) -> tuple[st.SearchStrategy, st.SearchStrategy]:
+    """Behavior and network values whose numbers are drawn from ``number`` and whose objects ``objects`` makes."""
+    block = st.lists(st.lists(number, min_size=2, max_size=2), min_size=2, max_size=2)
+    blocks = objects({f"{x},{y}": block for x in SETTING_LABELS_A for y in SETTING_LABELS_B})
+    pair_a, pair_b = (objects({key: number for key in labels}) for labels in (SETTING_LABELS_A, SETTING_LABELS_B))
+    entry = objects({"label": st.text(max_size=3), "prob": number, "pA_plus": pair_a, "pB_plus": pair_b})
+    return (objects({"blocks": blocks}),
+            objects({"lambda": st.lists(entry, min_size=1, max_size=3), "settingPriorA": pair_a,
+                     "settingPriorB": pair_b}))
+
+
+# every object of the format with any numbers in it, or some of its keys, stray keys and any values
+_WELL_FORMED = _formats(_NUMBERS, st.fixed_dictionaries)
+_MALFORMED = _formats(_NUMBERS | _JSON, _stray_keys)
+
+
+@pytest.mark.parametrize("parse, kind", [(behavior_from_json, 0), (network_from_json, 1)],
+                         ids=["behavior", "network"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_value_parses_or_raises_invalid_input(parse, kind, data):
+    value = data.draw(_WELL_FORMED[kind] | _MALFORMED[kind] | _JSON)
+    try:
+        parse(value)
+    except InvalidInputError:
+        pass
 
 
 class TestCsvAndFormatting:
