@@ -119,16 +119,15 @@ def behavior_from_correlators(
     shapes = (e.shape, ma.shape, mb.shape)
     if shapes != ((2, 2), (2,), (2,)):
         raise InvalidInputError(f"need 2x2 correlators and 2 marginals per party, got shapes {shapes}")
-    return Behavior(_table_from_means(e, ma, mb))
+    return Behavior(_table_from_means(e.tolist(), ma.tolist(), mb.tolist()))
 
 
-def _table_from_means(e: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x, y]) / 4, unvalidated.
+def _table_from_means(e: list[list[float]], ma: list[float], mb: list[float]) -> np.ndarray:
+    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x][y]) / 4 from Python floats, unvalidated.
 
     A product with -1 is a negation and adding a negation is a subtraction, both
     exact, so each block is written out with its signs.
     """
-    e, ma, mb = e.tolist(), ma.tolist(), mb.tolist()
     v = []
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
         m, n, c = ma[x], mb[y], e[x][y]
@@ -217,7 +216,7 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
         e = e0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=(2, 2))
         ma = ma0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)
         mb = mb0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)
-        table = _table_from_means(e, ma, mb)
+        table = _table_from_means(e.tolist(), ma.tolist(), mb.tolist())
         if table.min() >= 0.0:
             return Behavior(table)
     return b0

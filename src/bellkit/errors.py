@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the excerpt that messages quote input through."""
+
+# the longest quoted input a message holds: an echo of a 1 MB list would be a 1 MB line
+_EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """``text``, quoting an input in a message, cut after _EXCERPT_CHARS characters with its length named."""
+    return text if len(text) <= _EXCERPT_CHARS else f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
 class BellKitError(Exception):

@@ -5,9 +5,11 @@ setting pair with outcome order (+1, -1); a model file lists the hidden
 values; a network file is a model file plus optional setting priors.  The
 parsers read a JSON value or text, not a file: their errors name the place
 inside it, and a caller that read a file adds its path.  Every number goes
-through ``_number`` and every object through ``_object``, so a parser raises
-``InvalidInputError`` and nothing else on any JSON value.  Reports print at 7
-decimal places in text mode and full double precision in JSON.
+through ``_number``, which refuses anything but a finite double, and every
+object through ``_object``, so a parser raises ``InvalidInputError`` and
+nothing else on any JSON value; a message quotes a value through
+``_quote``.  Reports print at 7 decimal places in text mode and full double
+precision in JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt
 from .lhv import LHVModel
 from .network import NetworkSpec
 
@@ -44,19 +46,30 @@ def _json_int(digits: str) -> int | float:
         return float(digits)
 
 
-def _number(value, what: str) -> float:
-    """A JSON number as a double; ``what`` leads the message that refuses any other JSON value, quoted as JSON.
+def _quote(value) -> str:
+    """``value`` as JSON for a message, cut by ``excerpt``."""
+    try:
+        return excerpt(json.dumps(value))
+    except ValueError:  # an integer past Python's digit limit for str(), which load_json never returns
+        return "an integer too long to quote"
 
-    An integer beyond double range reads as ±inf, as ``1e400`` does, and the
-    constructors refuse it as non-finite; ``float()`` would read a string or
-    boolean as a number.
+
+def _number(value, place: str, kind: str = "a number") -> float:
+    """A JSON number as a finite double; ``place`` names it in the message that refuses anything else.
+
+    Any other JSON value is "not ``kind``", quoted as JSON (``float()`` would
+    read a string or boolean as a number).  An integer beyond double range
+    reads as inf, as ``1e400`` does, and is refused with NaN and ±inf.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"{what}: {json.dumps(value)} is not a JSON number")
+        raise InvalidInputError(f"{place} is not {kind}: {_quote(value)} is not a JSON number")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidInputError(f"{place} is not a finite double: {_quote(value)}")
+    return number
 
 
 def _object(value, keys: tuple[str, ...], name: str = "") -> dict:
@@ -69,7 +82,7 @@ def _object(value, keys: tuple[str, ...], name: str = "") -> dict:
             *rest, last = map(json.dumps, keys)
             expected = f"{', '.join(rest)} or {last}" if rest else last
             where = f"{name}: " if name else ""
-            raise InvalidInputError(f"{where}unknown key {json.dumps(key)}; expected {expected}")
+            raise InvalidInputError(f"{where}unknown key {_quote(key)}; expected {expected}")
     return value
 
 
@@ -85,7 +98,7 @@ def behavior_from_json(data: Any) -> Behavior:
         rows = blocks[key]
         if not isinstance(rows, list) or [isinstance(row, list) and len(row) for row in rows] != [2, 2]:
             raise InvalidInputError(f"block \"{key}\" must be a list of 2 rows of 2 numbers")
-        table.append([[_number(v, f"block \"{key}\" is not numeric") for v in row] for row in rows])
+        table.append([[_number(v, f"block \"{key}\"", "numeric") for v in row] for row in rows])
     return Behavior([table[:2], table[2:]])
 
 
@@ -96,7 +109,7 @@ def _pair(value, labels: tuple[str, str], name: str) -> list[float]:
     for lbl in labels:
         if lbl not in pair:
             raise InvalidInputError(f"{name} is missing setting \"{lbl}\"")
-        out.append(_number(pair[lbl], f"{name}[\"{lbl}\"] is not a number"))
+        out.append(_number(pair[lbl], f"{name}[\"{lbl}\"]"))
     return out
 
 
@@ -115,11 +128,11 @@ def network_from_json(data: Any) -> NetworkSpec:
         entry = _object(entry, ("label", "prob", "pA_plus", "pB_plus"), f"lambda entry {i}")
         label = entry.get("label", f"l{i}")
         if not isinstance(label, str):
-            raise InvalidInputError(f"lambda entry {i} \"label\" is not a JSON string: {json.dumps(label)}")
+            raise InvalidInputError(f"lambda entry {i} \"label\" is not a JSON string: {_quote(label)}")
         labels.append(label)
         if "prob" not in entry:
             raise InvalidInputError(f"lambda entry {i} is missing \"prob\"")
-        prior.append(_number(entry["prob"], f"lambda entry {i} \"prob\" is not a number"))
+        prior.append(_number(entry["prob"], f"lambda entry {i} \"prob\""))
         resp_a.append(_pair(entry.get("pA_plus"), SETTING_LABELS_A, f"lambda entry {i}: \"pA_plus\""))
         resp_b.append(_pair(entry.get("pB_plus"), SETTING_LABELS_B, f"lambda entry {i}: \"pB_plus\""))
     model = LHVModel(labels=tuple(labels), prior=np.array(prior),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import DETERMINISTIC_OUTCOMES, Behavior
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt
 from .tolerance import BOUND_SLACK, ROUNDOFF, probability_vector
 
 
@@ -50,11 +50,11 @@ class LHVModel:
         if _UNSAFE_LABEL.search("".join(labels)):
             label = next(s for s in labels if _UNSAFE_LABEL.search(s))
             if any(c in label for c in _CSV_UNSAFE):
-                raise InvalidInputError(f"label {label!r} contains a comma, double quote, CR or LF")
-            raise InvalidInputError(f"label {label!r} cannot be encoded as UTF-8")
+                raise InvalidInputError(f"label {excerpt(repr(label))} contains a comma, double quote, CR or LF")
+            raise InvalidInputError(f"label {excerpt(repr(label))} cannot be encoded as UTF-8")
         if len(set(labels)) != n:
             repeated = next(s for s in labels if labels.count(s) > 1)
-            raise InvalidInputError(f"label {repeated!r} names more than one hidden value")
+            raise InvalidInputError(f"label {excerpt(repr(repeated))} names more than one hidden value")
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (n,):
             raise InvalidInputError(f"prior must have shape ({n},), got {prior.shape}")

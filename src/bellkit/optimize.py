@@ -6,6 +6,7 @@ Both read the state's 3x3 correlation matrix T only: S at directions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .lhv import chsh
 from .network import _CHUNK
-from .quantum import TwoQubitState, UnitVector3, _directions
+from .quantum import TwoQubitState, UnitVector3, alice_rows, setting_correlators
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -68,9 +69,9 @@ class OptimizationResult:
 
 
 def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
-    """S from the four quantum correlators U T V^T at the given directions."""
-    alice, bob = _directions(s.as_tuple())
-    return chsh((alice @ psi.correlations[2] @ bob.T).reshape(4))
+    """S from the four quantum correlators U T V^T at the given directions, in ``setting_correlators``' order."""
+    (ab, abp), (apb, apbp) = setting_correlators(psi.correlations[2], s.as_tuple())
+    return chsh([ab, abp, apb, apbp])
 
 
 def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
@@ -113,9 +114,8 @@ def sweep(
         raise InvalidInputError(f"sweep row count --steps must be between 2 and {MAX_STEPS}, got {steps}")
     # column-major, so that the S column is contiguous and min/max over it copy nothing
     rows = np.empty((steps, 2), order="F")
-    alice, bob = _directions(tsirelson_settings().as_tuple())
-    x, y, z = bob.T
-    at = alice @ psi.correlations[2]
+    u, up, v, vp = tsirelson_settings().as_tuple()
+    at = alice_rows(psi.correlations[2], u, up)
     # rows in blocks of _CHUNK, so that the temporaries stay bounded whatever the row count
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
@@ -126,10 +126,16 @@ def sweep(
         if not np.isfinite(thetas).all():
             raise InvalidInputError(
                 f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
-        rad = np.radians(thetas)[:, None]
+        rad = np.radians(thetas)
         c, s = np.cos(rad), np.sin(rad)
-        # both of Bob's directions (x, y, z) rotated about z by every angle: (n, 2, 3)
-        rotated = np.stack([x * c - y * s, y * c + x * s, np.broadcast_to(z, (n, 2))], axis=2)
+        # Bob's directions rotated about z by every angle; each correlator p x + q y + r z, for (p, q, r)
+        # a row of U T, is added left to right to +0.0 as a BLAS accumulator is, in ufuncs that call no BLAS
+        rotated = [(w.x * c - w.y * s, w.y * c + w.x * s, w.z) for w in (v, vp)]
+        e = np.zeros((4, n))
+        for acc, ((p, q, r), (x, y, z)) in zip(e, itertools.product(at, rotated)):
+            acc += p * x
+            acc += q * y
+            acc += r * z
         rows[start:start + n, 0] = thetas
-        rows[start:start + n, 1] = chsh((at @ rotated.transpose(0, 2, 1)).reshape(n, 4))
+        rows[start:start + n, 1] = chsh(e.T)
     return rows

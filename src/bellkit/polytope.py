@@ -10,6 +10,8 @@ the cycle A0-B0-A1-B1, and a joint distribution of (A0, A1, B0, B1) exists iff
 the chord A0-A1 can be completed so that both triangles (A0, A1, B_y) have a
 nonnegative distribution; B0 and B1 are then independent given (A0, A1).
 Like ``behavior``, it works on the 16 entries as Python floats in numpy's order.
+``chsh_variants`` and ``is_local`` add the 8 signed sums of the 4 correlators
+on Python floats in the written order of ``quantum``, not through BLAS.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
 
 LOCAL_BOUND = 2.0
 
-# one minus sign rotated through each position, both overall signs
-_CHSH_SIGNS = np.array([
-    [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1],
-    [1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, 1, -1], [-1, -1, -1, 1],
-], dtype=float)
+
+def _variants(ab: float, abp: float, apb: float, apbp: float) -> list[float]:
+    """The 8 signed CHSH combinations, each added left to right to +0.0 as a BLAS accumulator is.
+
+    One minus sign rotated through each position, then the negation of each.
+    """
+    return [0.0 - ab + abp + apb + apbp, 0.0 + ab - abp + apb + apbp, 0.0 + ab + abp - apb + apbp,
+            0.0 + ab + abp + apb - apbp, 0.0 + ab - abp - apb - apbp, 0.0 - ab + abp - apb - apbp,
+            0.0 - ab - abp + apb - apbp, 0.0 - ab - abp - apb + apbp]
 
 
 def chsh_variants(e) -> np.ndarray:
@@ -36,7 +42,7 @@ def chsh_variants(e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.shape != (4,):
         raise InvalidInputError(f"need 4 correlators, got shape {e.shape}")
-    return _CHSH_SIGNS @ e
+    return np.array(_variants(*e.tolist()))
 
 
 def is_local(b: Behavior) -> bool:
@@ -46,7 +52,7 @@ def is_local(b: Behavior) -> bool:
     characterization presupposes no-signaling); signaling input is rejected.
     """
     require_no_signaling(b, "local-polytope membership")
-    return bool(chsh_variants(correlators(b)).max() <= LOCAL_BOUND + BOUND_SLACK)
+    return max(_variants(*correlators(b).tolist())) <= LOCAL_BOUND + BOUND_SLACK
 
 
 def _sum16(v: list[float]) -> float:

@@ -3,6 +3,10 @@
 Basis order for the bipartite system is fixed as |00>, |01>, |10>, |11> with
 the left tensor factor belonging to Alice.  All operations are pure functions
 over immutable values; everything is plain double-precision arithmetic.
+
+The products after a state's (a, b, T), used by ``quantum_behavior``,
+``chsh_of_settings`` and ``sweep``, run in one written order (``alice_rows``),
+so their bytes do not depend on the CPU; building (a, b, T) stays on BLAS.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .behavior import Behavior, behavior_from_correlators
+from .behavior import Behavior, _table_from_means
 from .errors import InternalConsistencyError, InvalidInputError
 from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
 
@@ -131,10 +135,30 @@ def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(amp / np.linalg.norm(amp))
 
 
-def _directions(settings: tuple[UnitVector3, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's (u, u') and Bob's (v, v') as the rows of two 2x3 matrices."""
-    dirs = np.array([(w.x, w.y, w.z) for w in settings])
-    return dirs[:2], dirs[2:]
+def alice_rows(t: np.ndarray, u: UnitVector3, up: UnitVector3) -> list[tuple[float, float, float]]:
+    """The two rows (p, q, r) of U T, for U the matrix of Alice's directions u and u'.
+
+    Here and in the other products of this module, each dot product is added
+    left to right to +0.0, as a BLAS kernel without fused multiply-adds adds
+    it, on Python floats (plain loops: a comprehension costs a call per use).
+    """
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
+    rows = []
+    for w in (u, up):
+        x, y, z = w.x, w.y, w.z
+        rows.append((0.0 + x * t00 + y * t10 + z * t20, 0.0 + x * t01 + y * t11 + z * t21,
+                     0.0 + x * t02 + y * t12 + z * t22))
+    return rows
+
+
+def setting_correlators(t: np.ndarray, settings: tuple[UnitVector3, ...]) -> list[list[float]]:
+    """U T V^T as [[E(a,b), E(a,b')], [E(a',b), E(a',b')]] for the directions (u, u', v, v'): (U T) first."""
+    u, up, v, vp = settings
+    vx, vy, vz, wx, wy, wz = v.x, v.y, v.z, vp.x, vp.y, vp.z
+    e = []
+    for p, q, r in alice_rows(t, u, up):
+        e.append([0.0 + p * vx + q * vy + r * vz, 0.0 + p * wx + q * wy + r * wz])
+    return e
 
 
 def quantum_behavior(
@@ -145,11 +169,14 @@ def quantum_behavior(
 
     ``settings`` is (Alice's u, u', Bob's v, v'); with U and V the matrices of
     Alice's and Bob's directions, the correlators are U T V^T and the outcome
-    means U a and V b.
+    means U a and V b, all in ``alice_rows``' order.
     """
     a, b, t = psi.correlations
-    alice, bob = _directions(settings)
-    return behavior_from_correlators(alice @ t @ bob.T, alice @ a, bob @ b)
+    u, up, v, vp = settings
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return Behavior(_table_from_means(setting_correlators(t, settings),
+                                      [0.0 + u.x * a0 + u.y * a1 + u.z * a2, 0.0 + up.x * a0 + up.y * a1 + up.z * a2],
+                                      [0.0 + v.x * b0 + v.y * b1 + v.z * b2, 0.0 + vp.x * b0 + vp.y * b1 + vp.z * b2]))
 
 
 def correlation_matrix(psi: TwoQubitState) -> np.ndarray:

@@ -292,6 +292,37 @@ def numpy_seesaw_maximize(psi) -> tuple[float, list[tuple[float, float, float]]]
     return 2.0 * math.hypot(sv[0], sv[1]), [unit_vector_components(*d) for d in dirs]
 
 
+def written_dot(x, y) -> float:
+    """The sum of x_i y_i added left to right to an accumulator of +0.0, as a BLAS kernel without FMA adds it."""
+    acc = 0.0
+    for i, j in zip(x, y):
+        acc += i * j
+    return acc
+
+
+def written_order_products(a, b, t, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U T V^T, U a, V b) for the directions (u, u', v, v') by ``written_dot``, with (U T) first."""
+    dirs = [(w.x, w.y, w.z) for w in settings]
+    ut = [[written_dot(u, col) for col in zip(*t.tolist())] for u in dirs[:2]]
+    return (np.array([[written_dot(row, v) for v in dirs[2:]] for row in ut]),
+            np.array([written_dot(u, a.tolist()) for u in dirs[:2]]),
+            np.array([written_dot(v, b.tolist()) for v in dirs[2:]]))
+
+
+def written_order_sweep(psi, steps: int, start: float = 0.0, end: float = 360.0) -> np.ndarray:
+    """``sweep``'s rows one angle at a time: Bob's pair rotated, then S from ``written_dot`` correlators."""
+    thetas = start + (end - start) * np.arange(steps) / (steps - 1)
+    rad = np.radians(thetas)
+    dirs = [(w.x, w.y, w.z) for w in tsirelson_settings().as_tuple()]
+    ut = [[written_dot(u, col) for col in zip(*psi.correlations[2].tolist())] for u in dirs[:2]]
+    rows = []
+    for theta, c, s in zip(thetas.tolist(), np.cos(rad).tolist(), np.sin(rad).tolist()):
+        bob = [(x * c - y * s, y * c + x * s, z) for x, y, z in dirs[2:]]
+        ab, abp, apb, apbp = [written_dot(row, v) for row in ut for v in bob]
+        rows.append((theta, ab + abp + apb - apbp))
+    return np.array(rows)
+
+
 def numpy_chsh(e) -> float | np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.ndim > 2 or e.shape[-1:] != (4,):

@@ -25,7 +25,7 @@ from bellkit import (
     sweep,
 )
 from bellkit import quantum
-from conftest import random_direction
+from conftest import random_direction, written_order_products
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
@@ -54,9 +54,12 @@ def test_values_equal_inline_reference_over_200_states():
         settings = tuple(random_direction(rng) for _ in range(4))
         a, b, t = inline_bloch_and_tensor(np.array(psi.amp))
         assert np.array_equal(correlation_matrix(psi), t)
+        table = quantum_behavior(psi, settings).table
+        # the bytes of the written order, whatever BLAS kernel numpy's products below take
+        assert table.tobytes() == behavior_from_correlators(*written_order_products(a, b, t, settings)).table.tobytes()
         dirs = np.array([(w.x, w.y, w.z) for w in settings])
-        expected = behavior_from_correlators(dirs[:2] @ t @ dirs[2:].T, dirs[:2] @ a, dirs[2:] @ b)
-        assert np.array_equal(quantum_behavior(psi, settings).table, expected.table)
+        blas = behavior_from_correlators(dirs[:2] @ t @ dirs[2:].T, dirs[:2] @ a, dirs[2:] @ b)
+        assert np.max(np.abs(table - blas.table)) <= 1e-15
         sv = np.linalg.svd(t)[1]
         assert np.array_equal(seesaw_maximize(psi, seed=0).best_s, 2.0 * math.hypot(sv[0], sv[1]))
 

@@ -476,10 +476,12 @@ def _object_in_block(data):
 
 # an integer beyond double range reads as +-inf, as 1e400 does; float() and numpy raised OverflowError on it
 _BEYOND_DOUBLE = 10**400
+# its echo in a message: the first 40 characters of its 401 digits
+_BEYOND_DOUBLE_ECHO = "1" + "0" * 39 + "... (401 characters)"
 
 
 def _huge_block_entry(data):
-    data["blocks"]["a,b"][0][0] = _BEYOND_DOUBLE
+    data["blocks"]["a,b'"][0][0] = _BEYOND_DOUBLE
 
 
 def _huge_prob(data):
@@ -510,10 +512,11 @@ def _huge_setting_prior(data):
     ("sample", "network", _null_setting_prior, '"settingPriorB"["b"] is not a number: null is not a JSON number'),
     ("sample", "network", _list_prob, 'lambda entry 0 "prob" is not a number: [0.5] is not a JSON number'),
     ("chsh", "behavior", _object_in_block, 'block "a,b" is not numeric: {} is not a JSON number'),
-    ("chsh", "behavior", _huge_block_entry, "behavior table contains non-finite entries"),
-    ("sample", "network", _huge_prob, "prior has non-finite entries"),
-    ("chsh", "model", _huge_response, "alice_response entries must lie in [0, 1]"),
-    ("sample", "network", _huge_setting_prior, "settingPriorA has non-finite entries"),
+    ("chsh", "behavior", _huge_block_entry, f"block \"a,b'\" is not a finite double: {_BEYOND_DOUBLE_ECHO}"),
+    ("sample", "network", _huge_prob, f'lambda entry 0 "prob" is not a finite double: {_BEYOND_DOUBLE_ECHO}'),
+    ("chsh", "model", _huge_response,
+     f'lambda entry 0: "pA_plus"["a\'"] is not a finite double: -{_BEYOND_DOUBLE_ECHO[:39]}... (402 characters)'),
+    ("sample", "network", _huge_setting_prior, f'"settingPriorA"["a"] is not a finite double: {_BEYOND_DOUBLE_ECHO}'),
 ], ids=["behavior-block", "model-prob", "model-response", "network-setting-prior", "behavior-block-null",
         "network-prob-null", "model-response-null", "network-setting-prior-null", "network-prob-list",
         "behavior-block-object", "behavior-block-huge", "network-prob-huge", "model-response-huge",
@@ -668,12 +671,20 @@ _LONG_INTEGER_BLOCKS = _THREE_BLOCKS.replace("}}", ', "a,b\'": [[1' + "0" * 5000
     ("chsh", _THREE_BLOCKS, "missing block \"a,b'\""),
     ("chsh", '{"lambda": []}', '"lambda" must be a non-empty list'),
     ("sample", '{"lambda": []}', '"lambda" must be a non-empty list'),
-    ("chsh", _LONG_INTEGER_BLOCKS, "behavior table contains non-finite entries"),
+    ("chsh", _LONG_INTEGER_BLOCKS, "block \"a,b'\" is not a finite double: Infinity"),
     ("sample", '{"lambda": [{"prob": -1' + "0" * 5000 + ', "pA_plus": {"a": 1, "a\'": 1}, '
-               '"pB_plus": {"b": 1, "b\'": 1}}]}', "prior has non-finite entries"),
+               '"pB_plus": {"b": 1, "b\'": 1}}]}', 'lambda entry 0 "prob" is not a finite double: -Infinity'),
     ("sample", "[" * 10**5 + "]" * 10**5, "arrays and objects nested too deeply to decode"),
+    # a number beyond double range in each file kind, named by its place
+    ("chsh", _THREE_BLOCKS.replace("}}", ', "a,b\'": [[1e400, 0], [0, 0]]}}'),
+     "block \"a,b'\" is not a finite double: Infinity"),
+    ("chsh", '{"lambda": [{"prob": 1e400, "pA_plus": {"a": 1, "a\'": 1}, "pB_plus": {"b": 1, "b\'": 1}}]}',
+     'lambda entry 0 "prob" is not a finite double: Infinity'),
+    ("sample", '{"lambda": [{"prob": 1, "pA_plus": {"a": 1, "a\'": 1}, "pB_plus": {"b": 1, "b\'": 1}}], '
+               '"settingPriorA": {"a": -1e400, "a\'": 1}}', '"settingPriorA"["a"] is not a finite double: -Infinity'),
 ], ids=["chsh-syntax", "sample-syntax", "chsh-neither", "chsh-array", "sample-array", "chsh-missing-block",
-        "chsh-empty-lambda", "sample-empty-lambda", "chsh-long-integer", "sample-long-integer", "sample-deep"])
+        "chsh-empty-lambda", "sample-empty-lambda", "chsh-long-integer", "sample-long-integer", "sample-deep",
+        "chsh-behavior-1e400", "chsh-model-1e400", "sample-network-1e400"])
 def test_malformed_file_stderr_names_the_path_once(capsys, tmp_path, command, text, message):
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
@@ -685,6 +696,45 @@ def test_malformed_file_stderr_names_the_path_once(capsys, tmp_path, command, te
     assert err == f"error: {path}: {message}\n"
     assert err.count(str(path)) == 1
     assert not out_csv.exists()
+
+
+def _long_prob(data):
+    data["lambda"][0]["prob"] = [0.5] * 200_000  # 1.0 MB of JSON
+
+
+def _long_label_list(data):
+    data["lambda"][0]["label"] = list(range(100_000))
+
+
+def _long_label_with_comma(data):
+    data["lambda"][0]["label"] = "l," + "x" * 100_000
+
+
+def _long_unknown_key(data):
+    data["lambda"][0]["k" * 100_000] = 0
+
+
+# a message quotes at most 40 characters of an input value and names its length
+@pytest.mark.parametrize("edit, message", [
+    (_long_prob, 'lambda entry 0 "prob" is not a number: [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5,... '
+                 '(1000000 characters) is not a JSON number'),
+    (_long_label_list, 'lambda entry 0 "label" is not a JSON string: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, '
+                       '1... (688890 characters)'),
+    (_long_label_with_comma, "label 'l,xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (100004 characters) contains a "
+                             "comma, double quote, CR or LF"),
+    (_long_unknown_key, 'lambda entry 0: unknown key "kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk... (100002 characters); '
+                        'expected "label", "prob", "pA_plus" or "pB_plus"'),
+], ids=["prob-list", "label-list", "label-comma", "unknown-key"])
+def test_long_value_echo_is_cut(capsys, tmp_path, edit, message):
+    data = model_json(deterministic_model(1, 1, 1, 1))
+    edit(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "chsh", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+    assert len(err) < 200 + len(str(path))
 
 
 @pytest.mark.parametrize("command", ["sample", "chsh"])

@@ -36,6 +36,8 @@ _ONE_ENTRY = {"prob": 1.0, "pA_plus": {"a": 1, "a'": 1}, "pB_plus": {"b": 1, "b'
 _UNIFORM_BLOCKS = behavior_json(uniform_behavior())["blocks"]
 # an integer beyond double range reads as +-inf, as 1e400 does
 _BEYOND_DOUBLE = 10**400
+# its echo in a message: the first 40 characters of its 401 digits
+_BEYOND_DOUBLE_ECHO = "1" + "0" * 39 + "... (401 characters)"
 
 
 class TestBehaviorFormat:
@@ -151,15 +153,16 @@ class TestNetworkFormat:
     (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a',b": [[0.25, 0.25, 0.5]]}},
      'block "a\',b" must be a list of 2 rows of 2 numbers'),
     (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a,b'": [[_BEYOND_DOUBLE, 0], [0, 0]]}},
-     "behavior table contains non-finite entries"),
-    (model_from_json, {"lambda": [{**_ONE_ENTRY, "prob": _BEYOND_DOUBLE}]}, "prior has non-finite entries"),
+     f"block \"a,b'\" is not a finite double: {_BEYOND_DOUBLE_ECHO}"),
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "prob": _BEYOND_DOUBLE}]},
+     f'lambda entry 0 "prob" is not a finite double: {_BEYOND_DOUBLE_ECHO}'),
     (model_from_json, {"lambda": [{**_ONE_ENTRY, "pB_plus": {"b": 1, "b'": -_BEYOND_DOUBLE}}]},
-     "bob_response entries must lie in [0, 1]"),
+     f'lambda entry 0: "pB_plus"["b\'"] is not a finite double: -{_BEYOND_DOUBLE_ECHO[:39]}... (402 characters)'),
     (network_from_json, {"lambda": [_ONE_ENTRY], "settingPriorB": {"b": _BEYOND_DOUBLE, "b'": 0}},
-     "settingPriorB has non-finite entries"),
-    # past Python's 4300-digit limit for int()
+     f'"settingPriorB"["b"] is not a finite double: {_BEYOND_DOUBLE_ECHO}'),
+    # past Python's 4300-digit limit for int(), which load_json reads as a double
     (parse_network_text, '{"lambda": [{"prob": 1' + "0" * 5000 + ', "pA_plus": {"a": 1, "a\'": 1}, '
-                         '"pB_plus": {"b": 1, "b\'": 1}}]}', "prior has non-finite entries"),
+                         '"pB_plus": {"b": 1, "b\'": 1}}]}', 'lambda entry 0 "prob" is not a finite double: Infinity'),
     (behavior_from_json, {"blocks": _UNIFORM_BLOCKS, "lambda": [_ONE_ENTRY]},
      'unknown key "lambda"; expected "blocks"'),
     (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a, b": [[1, 0], [0, 0]]}},
@@ -170,6 +173,11 @@ class TestNetworkFormat:
      '"settingPriorA": unknown key "b"; expected "a" or "a\'"'),
     (network_from_json, {"lambda": [_ONE_ENTRY, [0.5]]},
      "lambda entry 1 must be an object with keys label, prob, pA_plus, pB_plus"),
+    # past Python's 4300-digit limit for str(): no JSON text decodes to it, but a caller may pass it
+    (model_from_json, {"lambda": [{**_ONE_ENTRY, "prob": 10**5000}]},
+     'lambda entry 0 "prob" is not a finite double: an integer too long to quote'),
+    (behavior_from_json, {"blocks": {**_UNIFORM_BLOCKS, "a,b": [[[10**5000], 0], [0, 0]]}},
+     'block "a,b" is not numeric: an integer too long to quote is not a JSON number'),
 ])
 def test_parse_errors_name_no_file(parse, data, message):
     # the parsers read a value, not a file, and the constructors' errors pass through

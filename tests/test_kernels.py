@@ -1,12 +1,19 @@
 """The Python-float kernels give the bytes of the numpy code they replaced.
 
-Each kernel runs on Python floats in numpy's order of operations; its numpy
-predecessor lives on in conftest as the reference.  Outputs are compared with
+Each kernel of the behavior layer runs on Python floats in numpy's order of
+operations; its numpy predecessor lives on in conftest as the reference.  The
+quantum layer's products after (a, b, T) run in one written order, that of a
+BLAS kernel without fused multiply-adds, against conftest's loop references,
+and give one digest under every OpenBLAS kernel.  Outputs are compared with
 ``tobytes()``, so a sign of zero or a last bit that differs fails, and inputs
 that are refused must be refused with the same message.
 """
 
+import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +21,26 @@ import pytest
 from bellkit import (
     InvalidInputError,
     LocalDecomposition,
+    MeasurementSettings,
     NonlocalWitness,
     NoSignalingReport,
     TwoQubitState,
     UnitVector3,
     basis_state,
+    behavior_from_correlators,
     chsh,
+    chsh_of_settings,
+    chsh_variants,
     correlators,
     local_decomposition,
     nonlocal_witness,
     pr_box,
     quantum_behavior,
     random_no_signaling_behavior,
+    random_pure_state,
     seesaw_maximize,
     singlet,
+    sweep,
     uniform_behavior,
 )
 from bellkit.behavior import _VALS, Behavior, _clean_table, _table_from_means, deterministic_vertex_tables
@@ -43,7 +56,12 @@ from conftest import (
     numpy_nonlocal_witness,
     numpy_seesaw_maximize,
     numpy_table_from_means,
+    random_direction,
+    src_env,
     unit_vector_components,
+    written_dot,
+    written_order_products,
+    written_order_sweep,
 )
 from test_polytope import _FACET_SIGNS, _VERTEX_E, _VERTEX_MA, _VERTEX_MB
 
@@ -106,7 +124,7 @@ def assert_kernels_match(table):
 
 
 def assert_means_match(e, ma, mb):
-    table = _table_from_means(e, ma, mb)
+    table = _table_from_means(e.tolist(), ma.tolist(), mb.tolist())
     assert_same(table, numpy_table_from_means(e, ma, mb))
     assert_kernels_match(table)
 
@@ -264,3 +282,42 @@ def test_numpy_sums_16_doubles_pairwise():
         "LocalDecomposition's Python-float kernel copies that order, so its weights may no longer "
         "have numpy's bytes")
     assert sum(np.cumsum(w)[-1] != _sum16(w.tolist()) for w in vectors) > 500  # the inputs tell orders apart
+
+
+def test_products_in_the_written_order():
+    rng = np.random.default_rng(2606)
+    states = [singlet(), *map(basis_state, range(4)), TwoQubitState(np.array([0.6, 0.0, 0.0, 0.8])),
+              TwoQubitState(np.array([0.5, -0.5j, 0.5j, -0.5])), *(random_pure_state(rng) for _ in range(20))]
+    axes = [UnitVector3(*v) for v in ((1, 0, 0), (0, -1, 0), (0, 0, 1), (-0.0, 0.0, -1.0))]
+    for psi in states:
+        a, b, t = psi.correlations
+        for settings in [tuple(random_direction(rng) for _ in range(4)), tuple(axes)]:
+            e, ma, mb = written_order_products(a, b, t, settings)
+            assert_same(quantum_behavior(psi, settings).table, behavior_from_correlators(e, ma, mb).table)
+            assert_same(chsh_of_settings(psi, MeasurementSettings(*settings)), chsh(e.reshape(4)))
+        assert_same(np.ascontiguousarray(sweep(psi, steps=37, theta_start_deg=-90.0, theta_end_deg=270.0)),
+                    written_order_sweep(psi, 37, -90.0, 270.0))
+
+
+def test_chsh_variants_in_the_written_order():
+    rng = np.random.default_rng(2607)
+    # signed zeros: an accumulator that starts at +0.0 gives +0.0 for every zero sum
+    vectors = [*rng.uniform(-1.0, 1.0, (500, 4)), *map(list, itertools.product([0.0, -0.0, 0.5], repeat=4))]
+    for e in vectors:
+        assert_same(chsh_variants(e), np.array([written_dot(signs, e) for signs in _FACET_SIGNS.tolist()]))
+
+
+_DIGEST_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "quantum_digest.py"
+
+
+def test_quantum_digest_is_the_same_under_every_openblas_kernel():
+    # OpenBLAS takes the kernel named by OPENBLAS_CORETYPE; off x86 it ignores the name, and the runs are alike
+    digests = {}
+    for core in (None, "Haswell", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in src_env().items() if k != "OPENBLAS_CORETYPE"}
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = subprocess.run([sys.executable, str(_DIGEST_SCRIPT)], env=env, capture_output=True, text=True,
+                             check=True)
+        digests[core or "default"] = out.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
