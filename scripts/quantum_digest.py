@@ -1,10 +1,13 @@
-"""Print one SHA-256 digest of the quantum layer's products on fixed inputs.
+"""Print one SHA-256 digest of the quantum layer's products and of the model's exact S on fixed inputs.
 
 The states (the singlet, the four basis states and 0.6|00> + 0.8|11>) and the
 directions (normalised with ``math.sqrt``) are the same bytes on every CPU, so
-the digest changes only if ``quantum_behavior``, ``chsh_variants`` or ``sweep``
-computes differently.  Run it under several OpenBLAS kernels and compare the
-lines; they must be equal:
+the first part of the digest changes only if ``quantum_behavior``,
+``chsh_variants`` or ``sweep`` computes differently.  The digest also covers
+the amplitudes that ``TwoQubitState.from_amplitudes`` stores for 500 state
+specs typed to 7 decimals, 500 ``random_pure_state`` draws, and
+``exact_chsh`` for 300 random networks with random setting priors.  Run it
+under several OpenBLAS kernels and compare the lines; they must be equal:
 
     PYTHONPATH=src OPENBLAS_CORETYPE=Prescott python scripts/quantum_digest.py
 """
@@ -14,7 +17,8 @@ import math
 
 import numpy as np
 
-from bellkit import TwoQubitState, UnitVector3, basis_state, chsh_variants, quantum_behavior, singlet, sweep
+from bellkit import (NetworkSpec, TwoQubitState, UnitVector3, basis_state, chsh_variants, exact_chsh,
+                     quantum_behavior, random_model, random_pure_state, singlet, sweep)
 
 
 def direction(rng: np.random.Generator) -> UnitVector3:
@@ -22,6 +26,14 @@ def direction(rng: np.random.Generator) -> UnitVector3:
     x, y, z = rng.standard_normal(3).tolist()
     norm = math.sqrt(x * x + y * y + z * z)
     return UnitVector3(x / norm, y / norm, z / norm)
+
+
+def typed_amplitudes(rng: np.random.Generator) -> np.ndarray:
+    """4 amplitudes as a user types them: a seeded unit vector of 8 reals, each cut to 7 decimals."""
+    v = rng.standard_normal(8).tolist()
+    norm = math.sqrt(sum(x * x for x in v))
+    re_im = [float(f"{x / norm:.7f}") for x in v]
+    return np.array([complex(re_im[2 * i], re_im[2 * i + 1]) for i in range(4)])
 
 
 def digest() -> str:
@@ -35,6 +47,14 @@ def digest() -> str:
         h.update(sweep(psi, steps=361).tobytes())
     for e in rng.uniform(-1.0, 1.0, size=(20_000, 4)):
         h.update(chsh_variants(e).tobytes())
+    for _ in range(500):
+        h.update(TwoQubitState.from_amplitudes(typed_amplitudes(rng)).amp.tobytes())
+        h.update(random_pure_state(rng).amp.tobytes())
+    for _ in range(300):
+        pa, pb = rng.uniform(0.05, 0.95, 2).tolist()
+        spec = NetworkSpec(model=random_model(rng), setting_prior_a=np.array([pa, 1.0 - pa]),
+                           setting_prior_b=np.array([pb, 1.0 - pb]))
+        h.update(np.float64(exact_chsh(spec)).tobytes())
     return h.hexdigest()
 
 

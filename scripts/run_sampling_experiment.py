@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from bellkit import NetworkSpec, estimate_chsh, model_chsh, random_model, sample
+from bellkit import NetworkSpec, estimate_chsh, exact_chsh, random_model, sample
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = NetworkSpec(model=random_model(np.random.default_rng(args.spec_seed), n_lambda=3))
-    exact = model_chsh(spec.model)
+    exact = exact_chsh(spec)
     print(f"hidden values: {spec.model.size}, exact S = {exact:.9f}")
 
     fine_wins = 0

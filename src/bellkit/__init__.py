@@ -30,7 +30,6 @@ from .lhv import (
     chsh,
     enumerate_deterministic,
     lhv_behavior,
-    model_chsh,
     random_model,
 )
 from .network import (

@@ -63,7 +63,7 @@ def _parse_state(spec: str) -> TwoQubitState:
     key = spec.strip().lower()
     if key in _STATE_KEYWORDS:
         return _STATE_KEYWORDS[key]()
-    parts = [p for p in spec.replace(" ", "").split(",") if p]
+    parts = spec.replace(" ", "").split(",")
     if len(parts) != 8:
         raise InvalidInputError(
             f"state spec must be a keyword ({', '.join(sorted(_STATE_KEYWORDS))}) "

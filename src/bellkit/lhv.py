@@ -127,18 +127,6 @@ def enumerate_deterministic() -> list[tuple[tuple[int, int, int, int], int]]:
     return [(tuple(s), int(v)) for s, v in zip(DETERMINISTIC_OUTCOMES.tolist(), values)]
 
 
-def model_chsh(model: LHVModel) -> float:
-    """S via per-value conditional means, averaged over the prior.
-
-    With abar(x,k) = 2 P(A=+1|x,k) - 1 and bbar likewise, the correlators
-    E(x,y) = sum_k P(k) abar(x,k) bbar(y,k) go through ``chsh``.  Per value,
-    the triangle bound |u+v| + |u-v| <= 2 for |u|,|v| <= 1 forces |S| <= 2.
-    """
-    abar = 2.0 * model.alice_response - 1.0
-    bbar = 2.0 * model.bob_response - 1.0
-    return chsh(model.prior @ (abar[:, :, None] * bbar[:, None, :]).reshape(-1, 4))
-
-
 def random_model(rng: np.random.Generator, n_lambda: int | None = None) -> LHVModel:
     """Pseudo-random model: uniform responses, symmetric Dirichlet(1) prior.
 

@@ -5,7 +5,8 @@ each party's setting feeds only that party's outcome, and the source and the
 two settings are mutually independent.  ``exact_joint`` multiplies the
 factors out; ``verify_markov`` checks the implied conditional independencies
 on a joint table (from a spec or hand-built, so that violations are testable);
-``sample`` draws ancestrally with a seeded generator.
+``sample`` draws ancestrally with a seeded generator, and ``exact_chsh`` gives
+the S that its estimate tracks: the model's, whatever the setting priors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, correlators
 from .errors import InsufficientDataError, InvalidInputError
-from .lhv import LHVModel, _outcome_axis, chsh
+from .lhv import LHVModel, _outcome_axis, chsh, lhv_behavior
 from .tolerance import probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -322,5 +323,9 @@ def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
 
 
 def exact_chsh(spec: NetworkSpec) -> float:
-    """CHSH of the behavior obtained by conditioning the exact joint on (x, y)."""
-    return chsh(correlators(conditional_behavior(exact_joint(spec))))
+    """S of the spec's model by the path of ``bellkit chsh`` on a model file, to the last bit.
+
+    The settings are independent of the source, so P(A,B|x,y) is the model's
+    ``lhv_behavior`` sum_k P(k) P(A|x,k) P(B|y,k) for any setting priors.
+    """
+    return chsh(correlators(lhv_behavior(spec.model)))

@@ -6,7 +6,8 @@ over immutable values; everything is plain double-precision arithmetic.
 
 The products after a state's (a, b, T), used by ``quantum_behavior``,
 ``chsh_of_settings`` and ``sweep``, run in one written order (``alice_rows``),
-so their bytes do not depend on the CPU; building (a, b, T) stays on BLAS.
+so their bytes do not depend on the CPU, and every amplitude norm is the one
+BLAS-free ``_norm_sq``; building (a, b, T) stays on BLAS.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ class TwoQubitState:
 
     def __post_init__(self):
         amp = _amplitudes(self.amp)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused just below
-            norm_sq = float(np.sum(np.abs(amp) ** 2))
+        norm_sq = _norm_sq(amp)
         if abs(norm_sq - 1.0) > ROUNDOFF:
             raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
         amp = amp / math.sqrt(norm_sq)
@@ -74,8 +74,7 @@ class TwoQubitState:
     def from_amplitudes(cls, amp) -> "TwoQubitState":
         """Build from possibly-unnormalized amplitudes, rejecting beyond AMPLITUDE_SLACK."""
         a = _amplitudes(amp)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused just below
-            norm = float(np.linalg.norm(a))
+        norm = math.sqrt(_norm_sq(a))
         if abs(norm - 1.0) > AMPLITUDE_SLACK:
             raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
         return cls(a / norm)
@@ -114,6 +113,12 @@ def _amplitudes(amp) -> np.ndarray:
     return a
 
 
+def _norm_sq(amp: np.ndarray) -> float:
+    """The squared norm of ``amp``, elementwise and summed by numpy, without BLAS; inf when it overflows."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused by the callers
+        return float(np.sum(np.abs(amp) ** 2))
+
+
 def singlet() -> TwoQubitState:
     """The two-qubit singlet (|01> - |10>)/sqrt(2)."""
     s = 1.0 / math.sqrt(2.0)
@@ -132,7 +137,7 @@ def basis_state(index: int) -> TwoQubitState:
 def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
     amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return TwoQubitState(amp / np.linalg.norm(amp))
+    return TwoQubitState(amp / math.sqrt(_norm_sq(amp)))
 
 
 def alice_rows(t: np.ndarray, u: UnitVector3, up: UnitVector3) -> list[tuple[float, float, float]]:

@@ -139,6 +139,22 @@ def deterministic_model(a: int, ap: int, b: int, bp: int) -> LHVModel:
     )
 
 
+# Independent formula for a model's S, sharing no table with bellkit's
+# lhv_behavior -> correlators -> chsh path.
+
+def model_chsh(model: LHVModel) -> float:
+    """S via per-value conditional means, averaged over the prior.
+
+    With abar(x,k) = 2 P(A=+1|x,k) - 1 and bbar likewise, the correlators
+    E(x,y) = sum_k P(k) abar(x,k) bbar(y,k) go through ``chsh``.  Per value,
+    the triangle bound |u+v| + |u-v| <= 2 for |u|,|v| <= 1 forces |S| <= 2.
+    The prior product is a BLAS call, so its last bit may depend on the CPU.
+    """
+    abar = 2.0 * model.alice_response - 1.0
+    bbar = 2.0 * model.bob_response - 1.0
+    return chsh(model.prior @ (abar[:, :, None] * bbar[:, None, :]).reshape(-1, 4))
+
+
 def oracle_vertex_tables() -> np.ndarray:
     """(16, 2, 2, 2, 2) tables of the strategies, lexicographic in (a, a', b, b') with +1 first."""
     return np.stack([lhv_behavior(deterministic_model(*s)).table

@@ -25,7 +25,6 @@ from bellkit import (
     is_local,
     lhv_behavior,
     local_decomposition,
-    model_chsh,
     nonlocal_witness,
     pr_box,
     qm_compatible,
@@ -42,7 +41,7 @@ from bellkit import (
     uniform_behavior,
     verify_markov,
 )
-from conftest import random_direction
+from conftest import model_chsh, random_direction
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 

@@ -239,7 +239,12 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("spec, error", [
         ("nan,0,0,0,0,0,1,0", "state amplitudes contain non-finite values"),
         ("1e200,0,0,0,0,0,0,0", "amplitude norm inf deviates from 1 beyond 1e-06"),
-    ], ids=["nan", "norm_overflows"])
+        # an empty field counts: 9 fields, and 9 again with a trailing comma
+        ("0.6,,0,0,0,0,0,0.8,0", "state spec must be a keyword (00, 01, 10, 11, singlet) "
+                                 "or 8 comma-separated reals, got '0.6,,0,0,0,0,0,0.8,0'"),
+        ("0.6,0,0,0,0,0,0.8,0,", "state spec must be a keyword (00, 01, 10, 11, singlet) "
+                                 "or 8 comma-separated reals, got '0.6,0,0,0,0,0,0.8,0,'"),
+    ], ids=["nan", "norm_overflows", "empty_field", "trailing_comma"])
     def test_bad_amplitudes_stderr_is_one_error_line(self, spec, error):
         # a fresh interpreter, so that a numpy warning would reach stderr as it does for a user
         proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "optimize", spec, "--seed", "1"],
@@ -404,6 +409,24 @@ class TestSampleCommand:
         assert peak_rise_mb(CLI_SETUP, CLI_MAIN, "sample", str(network), "-n", "10000000",
                             "--seed", "1", "--out", str(out_csv)) < 32
         out_csv.unlink()
+
+    def test_exact_s_is_the_chsh_s(self, capsys, tmp_path):
+        # model files, and network files whose setting priors are not uniform: both commands print one S
+        rng = np.random.default_rng(11)
+        files = [model_json(random_model(rng, n_lambda=5)) for _ in range(6)]
+        for a, b in [(0.9, 0.2), *rng.uniform(0.2, 0.8, (5, 2))]:  # P(a) and P(b)
+            spec = NetworkSpec(model=random_model(rng, n_lambda=5), setting_prior_a=np.array([a, 1.0 - a]),
+                               setting_prior_b=np.array([b, 1.0 - b]))
+            files.append(network_json(spec))
+        for i, data in enumerate(files):
+            path = tmp_path / f"f{i}.json"
+            path.write_text(json.dumps(data))
+            code, chsh_out, _ = run(capsys, "--format", "json", "chsh", str(path))
+            assert code == 0
+            code, sample_out, _ = run(capsys, "--format", "json", "sample", str(path), "-n", "1000",
+                                      "--seed", "1", "--out", str(tmp_path / "d.csv"))
+            assert code == 0
+            assert repr(json.loads(sample_out)["results"]["exact S"]) == repr(json.loads(chsh_out)["results"]["S"]), i
 
     @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"seed{e['seed']}")
     def test_golden_csv_digest(self, capsys, tmp_path, entry):

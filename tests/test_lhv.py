@@ -15,12 +15,11 @@ from bellkit import (
     enumerate_deterministic,
     is_local,
     lhv_behavior,
-    model_chsh,
     no_signaling,
     random_model,
 )
 from bellkit.tolerance import ROUNDOFF
-from conftest import deterministic_model
+from conftest import deterministic_model, model_chsh
 
 SQRT2 = math.sqrt(2.0)
 

@@ -19,7 +19,6 @@ from bellkit import (
     exact_chsh,
     exact_joint,
     lhv_behavior,
-    model_chsh,
     random_model,
     sample,
     verify_markov,
@@ -32,6 +31,7 @@ from conftest import (
     linux_only,
     loop_csv,
     loop_screening_residuals,
+    model_chsh,
     peak_rise_mb,
     piece_bounds,
     record_code,
@@ -448,6 +448,15 @@ class TestNetworkSpecValidation:
         for _ in range(20):
             spec = NetworkSpec(model=random_model(rng))
             assert exact_chsh(spec) == pytest.approx(model_chsh(spec.model), abs=1e-12)
-            assert exact_chsh(spec) == pytest.approx(
-                chsh(correlators(lhv_behavior(spec.model))), abs=1e-12
-            )
+            # the path of `bellkit chsh` on a model file, to the last bit
+            assert exact_chsh(spec) == chsh(correlators(lhv_behavior(spec.model)))
+
+    def test_exact_chsh_does_not_depend_on_setting_priors(self):
+        # the settings are drawn independently of the source, so P(A,B|x,y) is the model's for any priors
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            model = random_model(rng, n_lambda=5)
+            uniform = exact_chsh(NetworkSpec(model=model))
+            skewed = exact_chsh(NetworkSpec(model=model, setting_prior_a=np.array([0.9, 0.1]),
+                                            setting_prior_b=np.array([0.2, 0.8])))
+            assert np.float64(skewed).tobytes() == np.float64(uniform).tobytes()
