@@ -6,8 +6,9 @@ joint distribution of the +/-1 outcomes A and B.  Tables are stored as a
 (2, 2, 2, 2) array indexed [x, y, A, B] with outcome index 0 meaning +1 and
 index 1 meaning -1.
 
-The arithmetic on one table runs on its 16 entries as Python floats, in numpy's
-order of operations: the bytes stay numpy's, without its per-call cost on tiny arrays.
+A behavior's 16 entries are validated once and kept as Python floats next to the
+table built from them; every kernel reads them, in numpy's order of operations:
+the bytes stay numpy's, without its per-call cost on tiny arrays.
 """
 
 from __future__ import annotations
@@ -38,53 +39,72 @@ _PERTURBATION = 0.2
 _MAX_TRIES = 200
 
 
-def _clean_table(p) -> np.ndarray:
-    table = np.asarray(p, dtype=float)
-    if table.shape != (2, 2, 2, 2):
-        raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
-    v = table.ravel().tolist()
+def _clean_entries(v: list[float]) -> tuple[float, ...]:
+    """The one validator of a table's 16 entries, Python floats at index 8x + 4y + 2A + B: checked and clamped."""
     if not all(map(math.isfinite, v)):
         raise InvalidInputError("behavior table contains non-finite entries")
-    if min(v) < -ROUNDOFF:
-        raise InvalidInputError(f"behavior entry {min(v):.3e} below -{ROUNDOFF:g}")
+    low = min(v)
+    if low < -ROUNDOFF:
+        raise InvalidInputError(f"behavior entry {low:.3e} below -{ROUNDOFF:g}")
     # float round-off in computed tables may leave entries slightly below 0; -0.0 becomes +0.0
-    v = [x if x > 0.0 else 0.0 for x in v]
+    v = tuple(v) if low > 0.0 else tuple([x if x > 0.0 else 0.0 for x in v])
     sums = _block_sums(v)  # an overflowing sum is inf, refused just below
     off = [abs(s - 1.0) for s in sums]
     if max(off) > PROBABILITY_SLACK:
         k = off.index(max(off))  # the first worst block in C order
         raise InvalidInputError(f"block ({SETTING_LABELS_A[k >> 1]},{SETTING_LABELS_B[k & 1]}) "
                                 f"sums to {sums[k]:.12g}, not 1")
-    table = np.array(v).reshape(2, 2, 2, 2)
-    table.setflags(write=False)
-    return table
+    return v
 
 
-def _block_sums(v: list[float]) -> list[float]:
+def _block_sums(v) -> list[float]:
     """The four block sums of a flat table, each added left to right as numpy's ``sum(axis=(2, 3))`` does."""
-    return [v[k] + v[k + 1] + v[k + 2] + v[k + 3] for k in (0, 4, 8, 12)]
+    return [v[0] + v[1] + v[2] + v[3], v[4] + v[5] + v[6] + v[7], v[8] + v[9] + v[10] + v[11],
+            v[12] + v[13] + v[14] + v[15]]
+
+
+def _expected_products(v) -> list[float]:
+    """E(x,y) = P(+,+) - P(+,-) - P(-,+) + P(-,-) of a flat table, added in the order numpy's einsum adds them."""
+    return [v[0] - v[1] - v[2] + v[3], v[4] - v[5] - v[6] + v[7], v[8] - v[9] - v[10] + v[11],
+            v[12] - v[13] - v[14] + v[15]]
 
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Validated table P(A,B|x,y); entries clamped at 0, blocks normalized within PROBABILITY_SLACK."""
+    """Validated table P(A,B|x,y), clamped at 0, blocks normalized within PROBABILITY_SLACK; entries in ``_entries``."""
 
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _clean_table(self.table))
+        table = np.asarray(self.table, dtype=float)
+        if table.shape != (2, 2, 2, 2):
+            raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
+        self._store(_clean_entries(table.ravel().tolist()))  # in C order, index 8x + 4y + 2A + B
+
+    @classmethod
+    def _of(cls, v: list[float]) -> Behavior:
+        """The behavior with the 16 entries ``v`` (Python floats, index 8x + 4y + 2A + B), without an array."""
+        b = object.__new__(cls)
+        b._store(_clean_entries(v))
+        return b
+
+    def _store(self, entries: tuple[float, ...]) -> None:
+        table = np.fromiter(entries, float, 16).reshape(2, 2, 2, 2)  # the bytes of np.array(entries), sooner
+        table.setflags(write=False)
+        self.__dict__.update(table=table, _entries=entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Behavior) and np.array_equal(self.table, other.table)
+        return isinstance(other, Behavior) and self._entries == other._entries
 
     @cached_property
     def _no_signaling(self) -> NoSignalingReport:
         """``no_signaling``'s report, computed on first use."""
-        v = self.table.ravel().tolist()  # index 8x + 4y + 2A + B
-        p_a = [v[k] + v[k + 1] for k in range(0, 16, 2)]  # P(A|x,y), index 4x + 2y + A
-        p_b = [v[k] + v[k + 2] for k in (0, 1, 4, 5, 8, 9, 12, 13)]  # P(B|x,y), index 4x + 2y + B
-        alice = [max(abs(p_a[k] - p_a[k + 2]), abs(p_a[k + 1] - p_a[k + 3])) for k in (0, 4)]
-        bob = [max(abs(p_b[k] - p_b[k + 4]), abs(p_b[k + 1] - p_b[k + 5])) for k in (0, 2)]
+        v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = self._entries
+        # |P(A|x,b) - P(A|x,b')| per A for x = a, a', then |P(B|a,y) - P(B|a',y)| per B for y = b, b'
+        alice = [max(abs((v0 + v1) - (v4 + v5)), abs((v2 + v3) - (v6 + v7))),
+                 max(abs((v8 + v9) - (v12 + v13)), abs((v10 + v11) - (v14 + v15)))]
+        bob = [max(abs((v0 + v2) - (v8 + v10)), abs((v1 + v3) - (v9 + v11))),
+               max(abs((v4 + v6) - (v12 + v14)), abs((v5 + v7) - (v13 + v15)))]
         ok = max(alice) <= PROBABILITY_SLACK and max(bob) <= PROBABILITY_SLACK
         residuals = np.array(alice + bob)  # one read-only array; each party's half is a view of it
         residuals.setflags(write=False)
@@ -119,11 +139,11 @@ def behavior_from_correlators(
     shapes = (e.shape, ma.shape, mb.shape)
     if shapes != ((2, 2), (2,), (2,)):
         raise InvalidInputError(f"need 2x2 correlators and 2 marginals per party, got shapes {shapes}")
-    return Behavior(_table_from_means(e.tolist(), ma.tolist(), mb.tolist()))
+    return Behavior._of(_table_from_means(e.tolist(), ma.tolist(), mb.tolist()))
 
 
-def _table_from_means(e: list[list[float]], ma: list[float], mb: list[float]) -> np.ndarray:
-    """Entry [x, y, A, B] = (1 + A ma[x] + B mb[y] + AB e[x][y]) / 4 from Python floats, unvalidated.
+def _table_from_means(e: list[list[float]], ma: list[float], mb: list[float]) -> list[float]:
+    """Entry 8x + 4y + 2A + B = (1 + A ma[x] + B mb[y] + AB e[x][y]) / 4 from Python floats, unvalidated.
 
     A product with -1 is a negation and adding a negation is a subtraction, both
     exact, so each block is written out with its signs.
@@ -132,14 +152,12 @@ def _table_from_means(e: list[list[float]], ma: list[float], mb: list[float]) ->
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
         m, n, c = ma[x], mb[y], e[x][y]
         v += [(1.0 + m + n + c) / 4.0, (1.0 + m - n - c) / 4.0, (1.0 - m + n - c) / 4.0, (1.0 - m - n + c) / 4.0]
-    return np.array(v).reshape(2, 2, 2, 2)
+    return v
 
 
 def correlators(b: Behavior) -> np.ndarray:
     """The four expected products (E(a,b), E(a,b'), E(a',b), E(a',b'))."""
-    v = b.table.ravel().tolist()
-    # P(+,+) - P(+,-) - P(-,+) + P(-,-), added in the order numpy's einsum adds them
-    return np.array([v[k] - v[k + 1] - v[k + 2] + v[k + 3] for k in (0, 4, 8, 12)])
+    return np.array(_expected_products(b._entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +234,7 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
         e = e0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=(2, 2))
         ma = ma0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)
         mb = mb0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)
-        table = _table_from_means(e.tolist(), ma.tolist(), mb.tolist())
-        if table.min() >= 0.0:
-            return Behavior(table)
+        v = _table_from_means(e.tolist(), ma.tolist(), mb.tolist())
+        if min(v) >= 0.0:
+            return Behavior._of(v)
     return b0

@@ -36,8 +36,7 @@ class UnknownInterpretationError(BellKitError, LookupError):
         self.name = name
         self.valid = valid
         self.suggestion = suggestion
-        msg = f"unknown interpretation {name!r}"
-        if suggestion is not None:
-            msg += f"; did you mean {suggestion!r}?"
+        msg = f"unknown interpretation {excerpt(repr(name))}"
+        msg += "." if suggestion is None else f"; did you mean {suggestion!r}?"
         msg += " Valid names: " + ", ".join(valid)
         super().__init__(msg)

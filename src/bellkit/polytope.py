@@ -9,7 +9,7 @@ follows Fine's theorem (A. Fine, PRL 48, 291 (1982)): the measured pairs form
 the cycle A0-B0-A1-B1, and a joint distribution of (A0, A1, B0, B1) exists iff
 the chord A0-A1 can be completed so that both triangles (A0, A1, B_y) have a
 nonnegative distribution; B0 and B1 are then independent given (A0, A1).
-Like ``behavior``, it works on the 16 entries as Python floats in numpy's order.
+Like ``behavior``, both read a behavior's stored entries, Python floats, in numpy's order.
 ``chsh_variants`` and ``is_local`` add the 8 signed sums of the 4 correlators
 on Python floats in the written order of ``quantum``, not through BLAS.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, _block_sums, correlators, deterministic_vertex_tables, require_no_signaling
+from .behavior import Behavior, _block_sums, _expected_products, deterministic_vertex_tables, require_no_signaling
 from .errors import InvalidInputError
 from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
 
@@ -52,7 +52,7 @@ def is_local(b: Behavior) -> bool:
     characterization presupposes no-signaling); signaling input is rejected.
     """
     require_no_signaling(b, "local-polytope membership")
-    return max(_variants(*correlators(b).tolist())) <= LOCAL_BOUND + BOUND_SLACK
+    return max(_variants(*_expected_products(b._entries))) <= LOCAL_BOUND + BOUND_SLACK
 
 
 def _sum16(v: list[float]) -> float:
@@ -74,10 +74,19 @@ class LocalDecomposition:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (16,):
             raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
+        self._store(w.tolist())
+
+    @classmethod
+    def _of(cls, v: list[float]) -> LocalDecomposition:
+        """The decomposition with the 16 weights ``v`` (Python floats), without an array round trip."""
+        d = object.__new__(cls)
+        d._store(v)
+        return d
+
+    def _store(self, v: list[float]) -> None:
         # probability_vector's checks and renormalisation, on Python floats; a NaN fails both comparisons
-        v = w.tolist()
         if not (min(v) >= -PROBABILITY_SLACK and abs(_sum16(v) - 1.0) <= PROBABILITY_SLACK):
-            probability_vector(w, "weights")  # refuses, with its message
+            probability_vector(v, "weights")  # refuses, with its message
         v = [x if x > 0.0 else 0.0 for x in v]
         total = _sum16(v)
         weights = np.array([x / total for x in v])
@@ -104,26 +113,27 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
     rejected, as in ``is_local``.
     """
     require_no_signaling(b, "local decomposition")
-    v = b.table.ravel().tolist()  # index 8x + 4y + 2A + B
-    n = [x / s for k, s in zip((0, 4, 8, 12), _block_sums(v)) for x in v[k:k + 4]]  # blocks renormalized
-    p0, p1 = n[0] + n[1], n[8] + n[9]  # P(A_x=+), read in block (x, b)
-    q = (n[0] + n[2], n[4] + n[6])  # P(B_y=+) over y, read in block (a, y)
-    r0, r1 = (n[0], n[4]), (n[8], n[12])  # P(A_x=+, B_y=+) over y, for x = a, a'
-    t_lo = max(0.0, p0 + p1 - 1.0, *[r0[y] + r1[y] - q[y] for y in (0, 1)],
-               *[p0 + p1 + q[y] - r0[y] - r1[y] - 1.0 for y in (0, 1)])
-    t_hi = min(p0, p1, *[p0 - r0[y] + r1[y] for y in (0, 1)], *[p1 + r0[y] - r1[y] for y in (0, 1)])
+    v0, v1, v2, _, v4, _, v6, _, v8, v9, _, _, v12, _, _, _ = v = b._entries  # index 8x + 4y + 2A + B
+    s0, s1, s2, s3 = _block_sums(v)
+    n0, n1, n2, n4, n6, n8, n9, n12 = v0 / s0, v1 / s0, v2 / s0, v4 / s1, v6 / s1, v8 / s2, v9 / s2, v12 / s3
+    p0, p1 = n0 + n1, n8 + n9  # P(A_x=+), read in block (x, b)
+    q0, q1 = n0 + n2, n4 + n6  # P(B_y=+), read in block (a, y); r_xy = P(A_x=+, B_y=+) is n0, n4, n8, n12
+    t_lo = max(0.0, p0 + p1 - 1.0, n0 + n8 - q0, n4 + n12 - q1, p0 + p1 + q0 - n0 - n8 - 1.0,
+               p0 + p1 + q1 - n4 - n12 - 1.0)
+    t_hi = min(p0, p1, p0 - n0 + n8, p0 - n4 + n12, p1 + n0 - n8, p1 + n4 - n12)
     if 4.0 * (t_lo - t_hi) > BOUND_SLACK:
         return None
     t = 0.5 * (t_lo + t_hi)
     cells = []  # cells[y][4 a0 + 2 a1 + b_y] of both triangles, outcome index 0 meaning +1
-    for y in (0, 1):
-        top = 1.0 - p0 - p1 - q[y] + t + r0[y] + r1[y]  # P(-,-,-) + u_y
-        u = 0.5 * (max(0.0, t + r0[y] - p0, t + r1[y] - p1, r0[y] + r1[y] - q[y]) + min(t, r0[y], r1[y], top))
-        cells.append([c if c > 0.0 else 0.0 for c in (u, t - u, r0[y] - u, p0 - t - r0[y] + u, r1[y] - u,
-                                                      p1 - t - r1[y] + u, q[y] - r0[y] - r1[y] + u, top - u)])
-    weights = []
+    for q, r0, r1 in ((q0, n0, n8), (q1, n4, n12)):
+        top = 1.0 - p0 - p1 - q + t + r0 + r1  # P(-,-,-) + u_y
+        u = 0.5 * (max(0.0, t + r0 - p0, t + r1 - p1, r0 + r1 - q) + min(t, r0, r1, top))
+        cells.append([c if c > 0.0 else 0.0 for c in (u, t - u, r0 - u, p0 - t - r0 + u, r1 - u,
+                                                      p1 - t - r1 + u, q - r0 - r1 + u, top - u)])
+    (tri_b, tri_bp), weights = cells, []  # the triangles (A, A', B) and (A, A', B')
     for k in (0, 2, 4, 6):  # k = 2 (2 a0 + a1)
-        pair = cells[1][k] + cells[1][k + 1]  # P(a0, a1), from triangle b'
-        given = [c / pair if pair > 0.0 else 0.0 for c in cells[1][k:k + 2]]  # P(b1 | a0, a1)
-        weights += [c * g for c in cells[0][k:k + 2] for g in given]
-    return LocalDecomposition(np.array(weights))
+        c0, c1, d0, d1 = tri_b[k], tri_b[k + 1], tri_bp[k], tri_bp[k + 1]
+        pair = d0 + d1  # P(a0, a1), from triangle b'
+        g0, g1 = (d0 / pair, d1 / pair) if pair > 0.0 else (0.0, 0.0)  # P(b1 | a0, a1)
+        weights += (c0 * g0, c0 * g1, c1 * g0, c1 * g1)
+    return LocalDecomposition._of(weights)

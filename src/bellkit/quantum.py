@@ -39,17 +39,18 @@ class UnitVector3:
     z: float
 
     def __post_init__(self):
-        v = (float(self.x), float(self.y), float(self.z))
-        norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        x, y, z = float(self.x), float(self.y), float(self.z)
+        norm = math.sqrt(x * x + y * y + z * z)
         # a non-finite component makes the norm inf or NaN, and a NaN norm fails the comparison,
         # so only a refused norm calls for the componentwise check (finite components can overflow it)
         if not abs(norm - 1.0) <= PROBABILITY_SLACK:
-            if not all(map(math.isfinite, v)):
-                raise InvalidInputError(f"direction has non-finite components: {v}")
+            if not all(map(math.isfinite, (x, y, z))):
+                raise InvalidInputError(f"direction has non-finite components: {(x, y, z)}")
             raise InvalidInputError(f"direction norm {norm:.12g} deviates from 1 beyond {PROBABILITY_SLACK:g}")
-        object.__setattr__(self, "x", v[0] / norm)
-        object.__setattr__(self, "y", v[1] / norm)
-        object.__setattr__(self, "z", v[2] / norm)
+        # object.__setattr__ keeps the attributes inline: touching __dict__ would give each vector a dict
+        object.__setattr__(self, "x", x / norm)
+        object.__setattr__(self, "y", y / norm)
+        object.__setattr__(self, "z", z / norm)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -179,9 +180,9 @@ def quantum_behavior(
     a, b, t = psi.correlations
     u, up, v, vp = settings
     (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return Behavior(_table_from_means(setting_correlators(t, settings),
-                                      [0.0 + u.x * a0 + u.y * a1 + u.z * a2, 0.0 + up.x * a0 + up.y * a1 + up.z * a2],
-                                      [0.0 + v.x * b0 + v.y * b1 + v.z * b2, 0.0 + vp.x * b0 + vp.y * b1 + vp.z * b2]))
+    ma = [0.0 + u.x * a0 + u.y * a1 + u.z * a2, 0.0 + up.x * a0 + up.y * a1 + up.z * a2]
+    mb = [0.0 + v.x * b0 + v.y * b1 + v.z * b2, 0.0 + vp.x * b0 + vp.y * b1 + vp.z * b2]
+    return Behavior._of(_table_from_means(setting_correlators(t, settings), ma, mb))
 
 
 def correlation_matrix(psi: TwoQubitState) -> np.ndarray:

@@ -201,13 +201,14 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     well-defined.
     """
     require_no_signaling(b, "Alice's marginal P(A|x)")
-    v = b.table.ravel().tolist()  # index 8x + 4y + 2A + B, on Python floats in numpy's order
-    # average the two y-blocks of P(A|x,y); they agree within the no-signaling tolerance
-    p_a = [0.5 * ((v[k] + v[k + 1]) + (v[k + 4] + v[k + 5])) for k in (0, 2, 8, 10)]  # index 2x + A
-    # 0.5 is the convention on a null event A; its product with P(A|x) is 0 anyway
-    denom = [d for x in (0, 2) for d in (p_a[x], p_a[x], p_a[x + 1], p_a[x + 1]) * 2]  # P(A|x) under each entry
-    p_b = [c / d if d > 0.0 else 0.5 for c, d in zip(v, denom)]
-    return NonlocalWitness(p_a_given_x=np.array(p_a).reshape(2, 2), p_b_given_xya=np.array(p_b).reshape(2, 2, 2, 2))
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = v = b._entries  # index 8x + 4y + 2A + B
+    # P(A|x), index 2x + A: the average of the two y-blocks of P(A|x,y), which agree within the slack
+    a0, a1 = 0.5 * ((v0 + v1) + (v4 + v5)), 0.5 * ((v2 + v3) + (v6 + v7))
+    a2, a3 = 0.5 * ((v8 + v9) + (v12 + v13)), 0.5 * ((v10 + v11) + (v14 + v15))
+    p_b = []  # P(B|y,x,A) by pairs of entries; 0.5 is the convention on a null event A, whose P(A|x) is 0 anyway
+    for k, d in zip((0, 2, 4, 6, 8, 10, 12, 14), (a0, a1, a0, a1, a2, a3, a2, a3)):
+        p_b += (v[k] / d, v[k + 1] / d) if d > 0.0 else (0.5, 0.5)
+    return NonlocalWitness(np.array([a0, a1, a2, a3]).reshape(2, 2), np.array(p_b).reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """A state's (a, b, T) and a behavior's no-signaling report are computed once, read-only, and unchanged in value."""
 
+import dataclasses
 import math
 from functools import cached_property
 
@@ -140,3 +141,9 @@ def test_state_scan_sequence_computes_each_derived_value_once(monkeypatch):
     sweep(psi, steps=91, theta_start_deg=0.0, theta_end_deg=90.0)
     assert tensors == [id(psi)]
     assert sorted(reports) == sorted(id(b) for b in behaviors)
+    # each behavior's validated entries, which every kernel above read, are one immutable copy of its table
+    for b in behaviors:
+        assert type(b._entries) is tuple and np.array(b._entries).tobytes() == b.table.ravel().tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b._entries = ()
+        assert not b.table.flags.writeable

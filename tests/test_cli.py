@@ -811,6 +811,13 @@ class TestTaxonomyCommand:
         assert code == 3
         assert "de Broglie-Bohm" in err
 
+    def test_long_unknown_name_gives_one_short_line(self, capsys):
+        code, out, err = run(capsys, "taxonomy", "z" * 100_000)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: unknown interpretation '{'z' * 39}... (100002 characters). Valid names: ")
+        assert err.count("\n") == 1 and len(err) < 500
+
 
 class TestSweepCommand:
     def test_two_rows_csv(self, capsys, tmp_path):

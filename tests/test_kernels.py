@@ -43,9 +43,9 @@ from bellkit import (
     sweep,
     uniform_behavior,
 )
-from bellkit.behavior import _VALS, Behavior, _clean_table, _table_from_means, deterministic_vertex_tables
+from bellkit.behavior import _VALS, Behavior, _table_from_means, deterministic_vertex_tables
 from bellkit.polytope import _sum16
-from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK
+from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
 from conftest import (
     numpy_chsh,
     numpy_clean_table,
@@ -109,12 +109,14 @@ def reference_unit_vector(*components) -> np.ndarray:
 
 
 def assert_kernels_match(table):
-    """``_clean_table`` on ``table``, then the other kernels on the behavior it makes."""
-    cleaned = _outcome(_clean_table, table)
-    assert_same(cleaned, _outcome(numpy_clean_table, table))
-    if isinstance(cleaned, tuple):  # refused, with the reference's message
+    """``Behavior``'s validation of ``table``, then the other kernels on the behavior it makes."""
+    ref = _outcome(numpy_clean_table, table)
+    b = _outcome(Behavior, table)
+    if isinstance(ref, tuple):  # refused, with the reference's message
+        assert_same(b, ref)
         return
-    b = Behavior(table)
+    assert type(b._entries) is tuple and np.array(b._entries).tobytes() == ref.tobytes()
+    assert_same(b.table, ref)
     e = correlators(b)
     assert_same(e, numpy_correlators(b))
     assert_same(_outcome(chsh, e), _outcome(numpy_chsh, e))
@@ -123,10 +125,17 @@ def assert_kernels_match(table):
     assert_same(_outcome(nonlocal_witness, b), _outcome(numpy_nonlocal_witness, b))
 
 
+def from_entries(v):
+    """The table of ``Behavior._of(v)``, the entry for Python floats."""
+    return Behavior._of(v).table
+
+
 def assert_means_match(e, ma, mb):
-    table = _table_from_means(e.tolist(), ma.tolist(), mb.tolist())
-    assert_same(table, numpy_table_from_means(e, ma, mb))
-    assert_kernels_match(table)
+    v = _table_from_means(e.tolist(), ma.tolist(), mb.tolist())
+    ref = numpy_table_from_means(e, ma, mb)
+    assert type(v) is list and np.array(v).tobytes() == ref.tobytes()
+    assert_same(_outcome(from_entries, v), _outcome(numpy_clean_table, ref))
+    assert_kernels_match(np.array(v).reshape(2, 2, 2, 2))
 
 
 def means_of(table):
@@ -221,6 +230,41 @@ def edge_tables():
 def test_signed_zeros_clamps_and_refusals():
     for table in edge_tables():
         assert_kernels_match(table)
+
+
+def one_pass_tables():
+    """Per position, in a block whose other entries sum to 1: NaN and +-inf, which clamping alone would pass,
+    -0.0, and entries at and just past -ROUNDOFF; per block: sums just past the slack on either side."""
+    uniform = np.full((2, 2, 2, 2), 0.25)
+    for i in range(16):
+        index = np.unravel_index(i, (2, 2, 2, 2))
+        block = index[:2]
+        # the other entries of the block hold 0.5, 0.5 and 0.0: a non-finite entry clamped to 0 would sum to 1
+        halves = {(*block, *divmod((i + k) % 4, 2)): 0.5 for k in (1, 2)}
+        halves[(*block, *divmod((i + 3) % 4, 2))] = 0.0
+        for bad in (np.nan, np.inf, -np.inf, -0.0, -ROUNDOFF, np.nextafter(-ROUNDOFF, -1.0)):
+            yield _with_entries(uniform, {**halves, index: bad})
+    for k in range(4):
+        for scale in (1.0 + 2.0 * PROBABILITY_SLACK, 1.0 - 2.0 * PROBABILITY_SLACK):
+            table = uniform.copy()
+            table[divmod(k, 2)] *= scale
+            yield table
+
+
+def test_one_pass_validation_on_both_entries():
+    """Arrays and Python-float lists take one validator; each refusal carries numpy_clean_table's message."""
+    non_finite = (InvalidInputError, "behavior table contains non-finite entries")
+    outcomes = set()
+    for table in one_pass_tables():
+        ref = _outcome(numpy_clean_table, table)
+        assert_kernels_match(table)  # the array entry
+        assert_same(_outcome(from_entries, table.ravel().tolist()), ref)
+        if not np.isfinite(table).all():
+            assert ref == non_finite
+        outcomes.add(" ".join(ref[1].split()[:2]) if isinstance(ref, tuple) else "accepted")
+    # every kind of outcome is reached: acceptance and each refusal
+    assert outcomes == {"accepted", "behavior table", "behavior entry", "block (a,b)", "block (a,b')",
+                        "block (a',b)", "block (a',b')"}
 
 
 def test_decomposition_weights():

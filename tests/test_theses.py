@@ -131,6 +131,24 @@ class TestTaxonomy:
         assert excinfo.value.suggestion == "de Broglie-Bohm"
         assert len(excinfo.value.valid) == 19
 
+    def test_unknown_name_message_without_a_suggestion(self):
+        valid = ", ".join(r.name for r in taxonomy())
+        with pytest.raises(UnknownInterpretationError) as excinfo:
+            find_interpretation("xyz")
+        assert excinfo.value.suggestion is None
+        assert str(excinfo.value) == f"unknown interpretation 'xyz'. Valid names: {valid}"
+        with pytest.raises(UnknownInterpretationError) as excinfo:
+            find_interpretation("Bohm")
+        assert str(excinfo.value) == (f"unknown interpretation 'Bohm'; did you mean 'de Broglie-Bohm'? "
+                                      f"Valid names: {valid}")
+
+    def test_long_unknown_name_is_cut(self):
+        with pytest.raises(UnknownInterpretationError) as excinfo:
+            find_interpretation("q" * 100_000)
+        assert excinfo.value.name == "q" * 100_000
+        assert str(excinfo.value).startswith(
+            f"unknown interpretation '{'q' * 39}... (100002 characters). Valid names: ")
+
 
 class TestEscapeRoutes:
     def test_constructive_routes(self):
