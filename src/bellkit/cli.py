@@ -19,6 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+# quantum, optimize, polytope and theses load in the handlers that use them, so
+# that each fresh process loads only what its subcommand runs; the io and network
+# functions stay bound here, where perfbench wraps them to time their layers
 from .behavior import correlators, require_no_signaling
 from .errors import InsufficientDataError, InvalidInputError, UnknownInterpretationError
 from .io import (
@@ -40,10 +43,6 @@ from .network import (
     sample,
     verify_markov,
 )
-from .optimize import TSIRELSON, seesaw_maximize, sweep
-from .polytope import LOCAL_BOUND, chsh_variants
-from .quantum import TwoQubitState, basis_state, singlet
-from .theses import Thesis, find_interpretation, taxonomy
 from .tolerance import BOUND_SLACK
 
 EXIT_OK = 0
@@ -51,18 +50,19 @@ EXIT_PARSE = 2
 EXIT_LOOKUP = 3
 EXIT_IO = 4
 
-_STATE_KEYWORDS = {"singlet": singlet, "00": lambda: basis_state(0),
-                   "01": lambda: basis_state(1), "10": lambda: basis_state(2),
-                   "11": lambda: basis_state(3)}
+# the singlet, and the basis states by their two bits
+_STATE_KEYWORDS = ("singlet", "00", "01", "10", "11")
 _STATE_HELP = ("'singlet', a basis keyword (00/01/10/11), or 8 reals; a spec starting with '-' "
                "goes after '--', with the options before it")
 
 
-def _parse_state(spec: str) -> TwoQubitState:
-    """A state spec: a keyword or 8 comma-separated reals (re,im per amplitude)."""
+def _parse_state(spec: str):
+    """A ``TwoQubitState`` from a spec: a keyword or 8 comma-separated reals (re,im per amplitude)."""
+    from .quantum import TwoQubitState, basis_state, singlet
+
     key = spec.strip().lower()
     if key in _STATE_KEYWORDS:
-        return _STATE_KEYWORDS[key]()
+        return singlet() if key == "singlet" else basis_state(int(key, 2))
     parts = spec.replace(" ", "").split(",")
     if len(parts) != 8:
         raise InvalidInputError(
@@ -154,6 +154,8 @@ def _behavior_or_model(text: str) -> tuple[str, object]:
 
 
 def cmd_chsh(args) -> RunReport:
+    from .polytope import LOCAL_BOUND, TSIRELSON, chsh_variants
+
     text, (kind, parsed) = _parse_file(args.input, _behavior_or_model)
     behavior = lhv_behavior(parsed) if kind == "model" else parsed
     require_no_signaling(behavior, "the CHSH bound verdicts")
@@ -189,6 +191,8 @@ def cmd_enumerate(args) -> RunReport:
 
 
 def cmd_optimize(args) -> RunReport:
+    from .optimize import seesaw_maximize
+
     psi = _parse_state(args.state)
     result = seesaw_maximize(psi, seed=args.seed)
     directions = zip(("alice u", "alice u'", "bob v", "bob v'"), result.settings.as_tuple())
@@ -230,6 +234,8 @@ def cmd_sample(args) -> RunReport:
 
 
 def _taxonomy_text_table() -> str:
+    from .theses import Thesis, taxonomy
+
     theses = list(Thesis)
     name_width = max(len(r.name) for r in taxonomy()) + 2
     header = "Interpretation".ljust(name_width) + " | " + " | ".join(
@@ -244,6 +250,8 @@ def _taxonomy_text_table() -> str:
 
 
 def cmd_taxonomy(args) -> RunReport:
+    from .theses import find_interpretation, taxonomy
+
     if args.name is None:
         rows = [{"interpretation": r.name, "rejects": r.rejected.value}
                 for r in taxonomy()]
@@ -261,6 +269,8 @@ def cmd_taxonomy(args) -> RunReport:
 
 
 def cmd_sweep(args) -> RunReport:
+    from .optimize import sweep
+
     psi = _parse_state(args.state)
     rows = sweep(psi, steps=args.steps,
                  theta_start_deg=args.theta_start, theta_end_deg=args.theta_end)
@@ -340,11 +350,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        text = report.to_json()
     else:
-        sys.stdout.write(report.to_text())
+        text = report.to_text()
         if args.subcommand == "taxonomy" and args.name is None:
-            sys.stdout.write("\n" + _taxonomy_text_table() + "\n")
+            text += "\n" + _taxonomy_text_table() + "\n"
+    try:
+        # flushed here, so that a full disk or a closed pipe fails here also when stdout is buffered
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what stays buffered goes to the null device, or the flush at exit would fail again
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

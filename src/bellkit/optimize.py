@@ -19,8 +19,6 @@ from .lhv import chsh
 from .network import _CHUNK
 from .quantum import TwoQubitState, UnitVector3, alice_rows, setting_correlators
 
-TSIRELSON = 2.0 * math.sqrt(2.0)
-
 # largest row count sweep() computes: the rows take 16 bytes each, their temporaries
 # are bounded by the _CHUNK-row blocks, and `bellkit sweep` writes their CSV text
 # _CHUNK rows at a time (a fresh `bellkit sweep singlet` peaks at 70 MB at 10^6 rows,

@@ -16,6 +16,7 @@ on Python floats in the written order of ``quantum``, not through BLAS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import InvalidInputError
 from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
 
 LOCAL_BOUND = 2.0
+# the largest |S| of any quantum behavior (Tsirelson)
+TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
 def _variants(ab: float, abp: float, apb: float, apbp: float) -> list[float]:

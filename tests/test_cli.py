@@ -920,6 +920,33 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write the report to")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [("--format", "json", "enumerate"), ("taxonomy", "Everett"), ("taxonomy",)])
+def test_report_write_to_full_device_exits_4(argv, unbuffered):
+    # buffered, the report fits the buffer and only the flush fails; unbuffered, the write itself fails
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", *argv], stdout=full, env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: cannot write the report: No space left on device\n"
+
+
+def test_report_write_to_closed_pipe_exits_4():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "taxonomy"], stdout=write_end,
+                              env=src_env(), stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: cannot write the report: Broken pipe\n"
+
+
 def test_behavior_file_roundtrip_through_tool(capsys, tmp_path):
     # the tool re-reads what it would write: same digest twice
     b = quantum_behavior(singlet(), tsirelson_settings().as_tuple())
