@@ -4,8 +4,10 @@ The states (the singlet, the four basis states and 0.6|00> + 0.8|11>) and the
 directions (normalised with ``math.sqrt``) are the same bytes on every CPU, so
 the first part of the digest changes only if ``quantum_behavior``,
 ``chsh_variants`` or ``sweep`` computes differently.  The digest also covers
-the amplitudes that ``TwoQubitState.from_amplitudes`` stores for 500 state
-specs typed to 7 decimals, 500 ``random_pure_state`` draws, and
+100 generic states from ``random_pure_state``: their (a, b, T), the optimum
+of ``seesaw_maximize`` (best S and its four directions) and a 361-row
+``sweep``; and the amplitudes that ``TwoQubitState.from_amplitudes`` stores
+for 500 state specs typed to 7 decimals, 500 ``random_pure_state`` draws, and
 ``exact_chsh`` for 300 random networks with random setting priors.  Run it
 under several OpenBLAS kernels and compare the lines; they must be equal:
 
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from bellkit import (NetworkSpec, TwoQubitState, UnitVector3, basis_state, chsh_variants, exact_chsh,
-                     quantum_behavior, random_model, random_pure_state, singlet, sweep)
+                     quantum_behavior, random_model, random_pure_state, seesaw_maximize, singlet, sweep)
 
 
 def direction(rng: np.random.Generator) -> UnitVector3:
@@ -44,6 +46,14 @@ def digest() -> str:
     for psi in states:
         for _ in range(100):
             h.update(quantum_behavior(psi, tuple(direction(rng) for _ in range(4))).table.tobytes())
+        h.update(sweep(psi, steps=361).tobytes())
+    for _ in range(100):
+        psi = random_pure_state(rng)
+        for arr in psi.correlations:
+            h.update(arr.tobytes())
+        result = seesaw_maximize(psi, seed=0)
+        directions = [c for w in result.settings.as_tuple() for c in (w.x, w.y, w.z)]
+        h.update(np.array([result.best_s, *directions]).tobytes())
         h.update(sweep(psi, steps=361).tobytes())
     for e in rng.uniform(-1.0, 1.0, size=(20_000, 4)):
         h.update(chsh_variants(e).tobytes())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +37,27 @@ DETERMINISTIC_OUTCOMES.setflags(write=False)
 # random_no_signaling_behavior's jitter on each mean value, and its cap on redraws
 _PERTURBATION = 0.2
 _MAX_TRIES = 200
+
+
+class _memo:
+    """``functools.cached_property`` without its lock, which Python before 3.12 takes on every first read.
+
+    A non-data descriptor: the first read of the attribute calls ``func`` and
+    stores its value in the instance's ``__dict__``, where every later read finds it.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _clean_entries(v: list[float]) -> tuple[float, ...]:
@@ -96,7 +117,7 @@ class Behavior:
     def __eq__(self, other) -> bool:
         return isinstance(other, Behavior) and self._entries == other._entries
 
-    @cached_property
+    @_memo
     def _no_signaling(self) -> NoSignalingReport:
         """``no_signaling``'s report, computed on first use."""
         v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = self._entries

@@ -292,8 +292,23 @@ def cmd_sweep(args) -> RunReport:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose ``--help`` text goes to stdout through ``_write_stdout``.
+
+    argparse ignores a failed write of its help text, so ``--help`` to a full
+    disk would exit 0 with nothing written; here it exits EXIT_IO instead.
+    Subcommand parsers are made of the same class.
+    """
+
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+        elif (code := _write_stdout(self.format_help(), "help")) != EXIT_OK:
+            raise SystemExit(code)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellkit",
         description="CHSH correlations, local models, and the interpretation taxonomy",
     )
@@ -355,6 +370,11 @@ def main(argv: list[str] | None = None) -> int:
         text = report.to_text()
         if args.subcommand == "taxonomy" and args.name is None:
             text += "\n" + _taxonomy_text_table() + "\n"
+    return _write_stdout(text, "report")
+
+
+def _write_stdout(text: str, what: str) -> int:
+    """Write ``text`` to stdout and flush it: EXIT_OK, or EXIT_IO with one error line naming ``what``."""
     try:
         # flushed here, so that a full disk or a closed pipe fails here also when stdout is buffered
         sys.stdout.write(text)
@@ -363,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         # what stays buffered goes to the null device, or the flush at exit would fail again
         with contextlib.suppress(OSError), open(os.devnull, "wb") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
-        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write the {what}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, correlators
+from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _memo, correlators
 from .errors import InsufficientDataError, InvalidInputError
 from .lhv import LHVModel, _outcome_axis, chsh, lhv_behavior
 from .tolerance import probability_vector
@@ -169,7 +168,7 @@ class SampleDataset:
     def count(self) -> int:
         return int(self.code.size)
 
-    @cached_property
+    @_memo
     def _code_counts(self) -> np.ndarray:
         """Occurrences of each code in [0, 16*len(labels)) as int64; counted on first use, read-only.
 
@@ -182,7 +181,7 @@ class SampleDataset:
         counts.setflags(write=False)
         return counts
 
-    @cached_property
+    @_memo
     def _rows(self) -> np.ndarray:
         """Each code's CSV row text, None for a code that does not occur; formatted on first use, read-only."""
         rows = np.empty(16 * len(self.labels), dtype=object)

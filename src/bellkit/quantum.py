@@ -4,26 +4,27 @@ Basis order for the bipartite system is fixed as |00>, |01>, |10>, |11> with
 the left tensor factor belonging to Alice.  All operations are pure functions
 over immutable values; everything is plain double-precision arithmetic.
 
-The products after a state's (a, b, T), used by ``quantum_behavior``,
-``chsh_of_settings`` and ``sweep``, run in one written order (``alice_rows``),
-so their bytes do not depend on the CPU, and every amplitude norm is the one
-BLAS-free ``_norm_sq``; building (a, b, T) stays on BLAS.
+A state's (a, b, T) is built from its 4 amplitudes on Python complex numbers,
+and the products after it, used by ``quantum_behavior``, ``chsh_of_settings``
+and ``sweep``, run on Python floats, each in one written order
+(``_bloch_and_tensor``, ``alice_rows``); with the one amplitude norm
+``_norm_sq``, no step calls BLAS, so the bytes do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .behavior import Behavior, _table_from_means
+from .behavior import Behavior, _memo, _table_from_means
 from .errors import InternalConsistencyError, InvalidInputError
 from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
 
-# sigma_x, sigma_y, sigma_z
-_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+# the identity, sigma_x, sigma_y and sigma_z, each as two rows of Python complex numbers
+_SIGMAS = (((1 + 0j, 0j), (0j, 1 + 0j)), ((0j, 1 + 0j), (1 + 0j, 0j)), ((0j, -1j), (1j, 0j)),
+           ((1 + 0j, 0j), (0j, -1 + 0j)))
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class TwoQubitState:
         amp = amp / math.sqrt(norm_sq)
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
+        # every product reads these floats, and the public arrays are built from them on first use
+        object.__setattr__(self, "_bloch_and_tensor", _bloch_and_tensor(amp))
 
     @classmethod
     def from_amplitudes(cls, amp) -> "TwoQubitState":
@@ -80,28 +83,44 @@ class TwoQubitState:
             raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
         return cls(a / norm)
 
-    @cached_property
+    @_memo
     def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Local Bloch vectors and correlation tensor (a, b, T), computed on first use; read-only.
+        """Local Bloch vectors and correlation tensor (a, b, T) as read-only arrays, built on first use.
 
-        a[i] = <sigma_i (x) 1>, b[j] = <1 (x) sigma_j>, T[i, j] = <sigma_i (x) sigma_j>.
-        With the amplitudes as a 2x2 matrix m (Alice's index first), sigma_i (x) 1
-        maps m to sigma_i m and 1 (x) sigma_j maps it to m sigma_j^T.  a and b are
-        the overlaps of the state with these vectors, and T[i, j] is the overlap
-        of Alice's i-th vector with Bob's j-th, since both Paulis are Hermitian.
+        The values of ``_bloch_and_tensor``, as views of one array.
         """
-        m = self.amp.reshape(2, 2)
-        alice = (_PAULIS @ m).reshape(3, 4)
-        bob = (m @ _PAULIS.transpose(0, 2, 1)).reshape(3, 4)
-        bra = self.amp.conj()
-        a, b, t = alice @ bra, bob @ bra, alice.conj() @ bob.T
-        imag = max(abs(a.imag).max(), abs(b.imag).max(), abs(t.imag).max())
-        if imag > BOUND_SLACK:
-            raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
-        real = a.real, b.real, t.real
-        for arr in real:
-            arr.setflags(write=False)
-        return real
+        a, b, t = self._bloch_and_tensor
+        values = np.array([*a, *b, *t])
+        values.setflags(write=False)
+        return values[:3], values[3:6], values[6:].reshape(3, 3)
+
+
+def _bloch_and_tensor(amp: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """(a, b, T) of the amplitudes ``amp`` as tuples of Python floats, T's 9 entries row by row.
+
+    a[i] = <sigma_i (x) 1>, b[j] = <1 (x) sigma_j>, T[i, j] = <sigma_i (x) sigma_j>.
+    With c0 and c1 the columns of the amplitudes as a 2x2 matrix (Alice's
+    index first), each operator s of ``_SIGMAS`` on Alice's qubit gives the
+    Hermitian K[k, l] = <c_k| s |c_l>, and <s (x) sigma_j> = tr(sigma_j K^T):
+    K00 + K11 for the identity, and 2 Re K01, 2 Im K01 and K00 - K11 for
+    sigma_x, sigma_y and sigma_z.  The identity's row is (1, b), sigma_i's
+    is (a[i], T[i]).  Each product is written out and summed left to right.
+    """
+    m00, m01, m10, m11 = amp.tolist()
+    c00, c01, c10, c11 = m00.conjugate(), m01.conjugate(), m10.conjugate(), m11.conjugate()
+    rows, imag = [], 0.0
+    for (s00, s01), (s10, s11) in _SIGMAS:
+        # K00 = <c0| s c0>, K01 = <c0| s c1> and K11 = <c1| s c1>; K00 and K11 are real for a Hermitian s
+        k00 = c00 * (s00 * m00 + s01 * m10) + c10 * (s10 * m00 + s11 * m10)
+        sc0, sc1 = s00 * m01 + s01 * m11, s10 * m01 + s11 * m11
+        k01, k11 = c00 * sc0 + c10 * sc1, c01 * sc0 + c11 * sc1
+        imag = max(imag, abs(k00.imag), abs(k11.imag))
+        k00, k11 = k00.real, k11.real
+        rows.append((k00 + k11, 2.0 * k01.real, 2.0 * k01.imag, k00 - k11))
+    if imag > BOUND_SLACK:
+        raise InternalConsistencyError(f"expectation has imaginary part {imag:.3e}")
+    (_, b0, b1, b2), (a0, t00, t01, t02), (a1, t10, t11, t12), (a2, t20, t21, t22) = rows
+    return (a0, a1, a2), (b0, b1, b2), (t00, t01, t02, t10, t11, t12, t20, t21, t22)
 
 
 def _amplitudes(amp) -> np.ndarray:
@@ -141,14 +160,14 @@ def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(amp / math.sqrt(_norm_sq(amp)))
 
 
-def alice_rows(t: np.ndarray, u: UnitVector3, up: UnitVector3) -> list[tuple[float, float, float]]:
-    """The two rows (p, q, r) of U T, for U the matrix of Alice's directions u and u'.
+def alice_rows(t: tuple[float, ...], u: UnitVector3, up: UnitVector3) -> list[tuple[float, float, float]]:
+    """The two rows (p, q, r) of U T, for T's 9 entries row by row and U the matrix of Alice's directions u and u'.
 
-    Here and in the other products of this module, each dot product is added
+    Here and in the other products after (a, b, T), each dot product is added
     left to right to +0.0, as a BLAS kernel without fused multiply-adds adds
     it, on Python floats (plain loops: a comprehension costs a call per use).
     """
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
+    t00, t01, t02, t10, t11, t12, t20, t21, t22 = t
     rows = []
     for w in (u, up):
         x, y, z = w.x, w.y, w.z
@@ -157,7 +176,7 @@ def alice_rows(t: np.ndarray, u: UnitVector3, up: UnitVector3) -> list[tuple[flo
     return rows
 
 
-def setting_correlators(t: np.ndarray, settings: tuple[UnitVector3, ...]) -> list[list[float]]:
+def setting_correlators(t: tuple[float, ...], settings: tuple[UnitVector3, ...]) -> list[list[float]]:
     """U T V^T as [[E(a,b), E(a,b')], [E(a',b), E(a',b')]] for the directions (u, u', v, v'): (U T) first."""
     u, up, v, vp = settings
     vx, vy, vz, wx, wy, wz = v.x, v.y, v.z, vp.x, vp.y, vp.z
@@ -177,9 +196,8 @@ def quantum_behavior(
     Alice's and Bob's directions, the correlators are U T V^T and the outcome
     means U a and V b, all in ``alice_rows``' order.
     """
-    a, b, t = psi.correlations
+    (a0, a1, a2), (b0, b1, b2), t = psi._bloch_and_tensor
     u, up, v, vp = settings
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
     ma = [0.0 + u.x * a0 + u.y * a1 + u.z * a2, 0.0 + up.x * a0 + up.y * a1 + up.z * a2]
     mb = [0.0 + v.x * b0 + v.y * b1 + v.z * b2, 0.0 + vp.x * b0 + vp.y * b1 + vp.z * b2]
     return Behavior._of(_table_from_means(setting_correlators(t, settings), ma, mb))

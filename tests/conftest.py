@@ -299,13 +299,42 @@ def unit_vector_components(x, y, z) -> tuple[float, float, float]:
     return v[0] / norm, v[1] / norm, v[2] / norm
 
 
-def numpy_seesaw_maximize(psi) -> tuple[float, list[tuple[float, float, float]]]:
-    """``seesaw_maximize``'s best S and its directions (u, u', v, v') through ``unit_vector_components``."""
-    left, sv, right_t = np.linalg.svd(psi.correlations[2])
-    theta = math.atan2(sv[1], sv[0])
-    c, s = math.cos(theta), math.sin(theta)
-    dirs = [left[:, 0], left[:, 1], c * right_t[0] + s * right_t[1], c * right_t[0] - s * right_t[1]]
-    return 2.0 * math.hypot(sv[0], sv[1]), [unit_vector_components(*d) for d in dirs]
+def svd_best_s(psi) -> float:
+    """The largest S of a pure state, 2 sqrt(s1^2 + s2^2) from numpy's (LAPACK's) singular values of its T."""
+    sv = np.linalg.svd(psi.correlations[2], compute_uv=False)
+    return 2.0 * math.hypot(sv[0], sv[1])
+
+
+def left_to_right(terms):
+    """The sum of ``terms`` added left to right, from the first term on."""
+    acc = terms[0]
+    for x in terms[1:]:
+        acc += x
+    return acc
+
+
+# the identity and the three Paulis as nested lists of Python complex numbers
+_SIGMA_LISTS = [np.eye(2, dtype=complex).tolist(), *(p.tolist() for p in _PAULI)]
+
+
+def loop_bloch_and_tensor(amp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) in the written order of ``TwoQubitState``'s core, one loop per index.
+
+    c_k holds the amplitudes with Bob's index k.  For each operator s on
+    Alice's qubit (the identity, then sigma_x, sigma_y, sigma_z),
+    K[k][l] = sum_j conj(c_k[j]) (sum_n s[j][n] c_l[n]), and its row of
+    expectations is (K00 + K11, 2 Re K01, 2 Im K01, K00 - K11).
+    """
+    m = np.asarray(amp).tolist()
+    cols = [[m[0], m[2]], [m[1], m[3]]]
+    rows = []
+    for s in _SIGMA_LISTS:
+        k = [[left_to_right([cols[i][j].conjugate() * left_to_right([s[j][n] * cols[l][n] for n in range(2)])
+                             for j in range(2)]) for l in range(2)] for i in range(2)]
+        k00, k01, k11 = k[0][0].real, k[0][1], k[1][1].real
+        rows.append([k00 + k11, 2.0 * k01.real, 2.0 * k01.imag, k00 - k11])
+    r = np.array(rows)
+    return r[1:, 0].copy(), r[0, 1:].copy(), r[1:, 1:].copy()
 
 
 def written_dot(x, y) -> float:

@@ -1,8 +1,6 @@
 """A state's (a, b, T) and a behavior's no-signaling report are computed once, read-only, and unchanged in value."""
 
 import dataclasses
-import math
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -26,13 +24,14 @@ from bellkit import (
     sweep,
 )
 from bellkit import quantum
-from conftest import random_direction, written_order_products
+from bellkit.tolerance import ROUNDOFF
+from conftest import loop_bloch_and_tensor, random_direction, written_order_products
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 def inline_bloch_and_tensor(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, T) by the same arithmetic as bellkit, computed here and not read from any cache."""
+    """(a, b, T) by numpy's complex products, computed here and not read from any cache."""
     m = amp.reshape(2, 2)
     alice = (_PAULI @ m).reshape(3, 4)
     bob = (m @ _PAULI.transpose(0, 2, 1)).reshape(3, 4)
@@ -53,16 +52,18 @@ def test_values_equal_inline_reference_over_200_states():
     for _ in range(200):
         psi = random_pure_state(rng)
         settings = tuple(random_direction(rng) for _ in range(4))
-        a, b, t = inline_bloch_and_tensor(np.array(psi.amp))
-        assert np.array_equal(correlation_matrix(psi), t)
+        # the bytes of the written order, and numpy's BLAS products within ROUNDOFF
+        a, b, t = loop_bloch_and_tensor(psi.amp)
+        for new, ref, blas in zip(psi.correlations, (a, b, t), inline_bloch_and_tensor(np.array(psi.amp))):
+            assert new.tobytes() == ref.tobytes()
+            assert np.max(np.abs(new - blas)) <= ROUNDOFF
+        assert correlation_matrix(psi) is psi.correlations[2]
         table = quantum_behavior(psi, settings).table
         # the bytes of the written order, whatever BLAS kernel numpy's products below take
         assert table.tobytes() == behavior_from_correlators(*written_order_products(a, b, t, settings)).table.tobytes()
         dirs = np.array([(w.x, w.y, w.z) for w in settings])
         blas = behavior_from_correlators(dirs[:2] @ t @ dirs[2:].T, dirs[:2] @ a, dirs[2:] @ b)
         assert np.max(np.abs(table - blas.table)) <= 1e-15
-        sv = np.linalg.svd(t)[1]
-        assert np.array_equal(seesaw_maximize(psi, seed=0).best_s, 2.0 * math.hypot(sv[0], sv[1]))
 
 
 def test_correlation_matrix_shared_and_read_only():
@@ -77,12 +78,13 @@ def test_correlation_matrix_shared_and_read_only():
 
 
 def test_imaginary_part_check_not_cached(monkeypatch):
-    psi = random_pure_state(np.random.default_rng(8))
-    # a non-Hermitian "Pauli" gives complex expectations
-    monkeypatch.setattr(quantum, "_PAULIS", quantum._PAULIS * 1j)
+    amp = random_pure_state(np.random.default_rng(8)).amp
+    # non-Hermitian operators give complex expectations, and each state built refuses them again
+    monkeypatch.setattr(quantum, "_SIGMAS", tuple(tuple(tuple(1j * x for x in row) for row in s)
+                                                  for s in quantum._SIGMAS))
     for _ in range(2):
         with pytest.raises(InternalConsistencyError, match="imaginary part"):
-            correlation_matrix(psi)
+            TwoQubitState(amp)
 
 
 def test_no_signaling_report_shared_and_read_only():
@@ -108,15 +110,15 @@ def test_signaling_refused_before_and_after_report_is_cached():
 
 
 def counted(monkeypatch, cls, name: str) -> list:
-    """Replace the cached property ``cls.name`` by one that records each instance it computes for."""
-    compute = cls.__dict__[name].func
+    """Replace the first-use attribute ``cls.name`` by one that records each instance it computes for."""
+    memo = cls.__dict__[name]
     calls = []
 
     def recording(self):
         calls.append(id(self))
-        return compute(self)
+        return memo.func(self)
 
-    prop = cached_property(recording)
+    prop = type(memo)(recording)
     prop.__set_name__(cls, name)
     monkeypatch.setattr(cls, name, prop)
     return calls

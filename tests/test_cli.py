@@ -29,6 +29,9 @@ GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "gol
 # one state up to a global phase; argparse takes the first spec for an option unless it follows "--"
 NEGATIVE_SPEC = "-0.6,0,0.48,0,0,0.64,0,0"
 POSITIVE_SPEC = "0.6,0,-0.48,0,0,-0.64,0,0"
+# a generic entangled state, (0.3, 0.1, 0.5, -0.2, 0.4, 0.3, -0.1, 0.6) normalised to 7 decimals:
+# its T has no zero entry, so every product and the optimum's eigenvectors round
+GENERIC_SPEC = "0.2985112,0.0995037,0.4975186,-0.1990074,0.3980149,0.2985112,-0.0995037,0.5970223"
 # chsh inputs with pinned reports: a random pure state's behavior at four random
 # directions, and a random 3-value model, each written at full double precision
 GOLDEN_BEHAVIOR = (
@@ -280,6 +283,16 @@ class TestOptimizeCommand:
         _, out1, _ = run(capsys, "optimize", "singlet", "--seed", "11")
         _, out2, _ = run(capsys, "optimize", "singlet", "--seed", "11")
         assert out1 == out2
+
+    # SHA-256 of stdout for a generic state, pinned so that a change of the (a, b, T) or optimum arithmetic shows
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "f5fb2a248e5b5fc0d985dcb84472760fa4dc4a13a28319fb4cb6bd2147ddc113"),
+        ("json", "4ddde34f5a79c8e69c9c8fb4c5cd42c8deb853cfd0bcb772d95f14966c32178a"),
+    ], ids=["text", "json"])
+    def test_golden_report_bytes(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "--format", fmt, "optimize", GENERIC_SPEC)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSampleCommand:
@@ -872,12 +885,24 @@ class TestSweepCommand:
          "622e4663caad71560ae1c59985ad5700e21123558b25093002fd76f0751f19cd"),
         (["0.6,0,0.48,0,0,0.64,0,0", "--steps", "91", "--theta-start", "0", "--theta-end", "90"],
          "c58ad818e16e0de7ef626a3355e2e3d465624a25f9364646fa8d92de5ede97ef"),
+        ([GENERIC_SPEC, "--steps", "361"], "5623e83cb746858731aaced631cff4396e3a428f1e435c9b3d556d6f6b175a24"),
     ])
     def test_golden_csv_bytes(self, capsys, tmp_path, argv, digest):
         out_csv = tmp_path / "s.csv"
         code, _, _ = run(capsys, "sweep", *argv, "--out", str(out_csv))
         assert code == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+    # SHA-256 of stdout, written next to the CSV so that the report's output path is the same on every run
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "9332ba61a7c05d229bc27bee577f61ea5d56cff1f5231bf01d9a6a6b2a7a5725"),
+        ("json", "02f0378cba5433d286867fa95b40e0f911a38ada4a6a680db64f32ab2b12a0ff"),
+    ], ids=["text", "json"])
+    def test_golden_report_bytes(self, capsys, tmp_path, monkeypatch, fmt, digest):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "--format", fmt, "sweep", GENERIC_SPEC, "--steps", "361", "--out", "s.csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @linux_only
     def test_peak_memory_of_a_million_rows(self, tmp_path):
@@ -933,6 +958,30 @@ def test_report_write_to_full_device_exits_4(argv, unbuffered):
                               stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 4
     assert proc.stderr == "error: cannot write the report: No space left on device\n"
+
+
+@linux_only
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [("--help",), ("optimize", "-h")])
+def test_help_to_full_device_exits_4(argv, unbuffered):
+    # argparse itself ignores the failed write (unbuffered) or leaves it to the flush at exit (buffered)
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", *argv], stdout=full, env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: cannot write the help: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: bellkit [-h]"),
+                                         (["sweep", "-h"], "usage: bellkit sweep [-h]")])
+def test_help_is_written_and_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
 
 
 def test_report_write_to_closed_pipe_exits_4():

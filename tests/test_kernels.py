@@ -4,7 +4,9 @@ Each kernel of the behavior layer runs on Python floats in numpy's order of
 operations; its numpy predecessor lives on in conftest as the reference.  The
 quantum layer's products after (a, b, T) run in one written order, that of a
 BLAS kernel without fused multiply-adds, against conftest's loop references,
-and give one digest under every OpenBLAS kernel.  Outputs are compared with
+and give one digest under every OpenBLAS kernel.  The optimum, which no
+longer reads LAPACK's SVD, is checked by value against it (``assert_optimum``),
+and (a, b, T) by bytes in test_caching.py.  Outputs are compared with
 ``tobytes()``, so a sign of zero or a last bit that differs fails, and inputs
 that are refused must be refused with the same message.
 """
@@ -54,7 +56,6 @@ from conftest import (
     numpy_local_decomposition,
     numpy_no_signaling,
     numpy_nonlocal_witness,
-    numpy_seesaw_maximize,
     numpy_table_from_means,
     random_direction,
     src_env,
@@ -63,6 +64,7 @@ from conftest import (
     written_order_products,
     written_order_sweep,
 )
+from test_optimize import assert_optimum, schmidt_state
 from test_polytope import _FACET_SIGNS, _VERTEX_E, _VERTEX_MA, _VERTEX_MB
 
 
@@ -152,13 +154,6 @@ def test_criterion_6_draws():
         assert_means_match(*means_of(table))
 
 
-def assert_seesaw_matches(psi):
-    result = seesaw_maximize(psi, seed=0)
-    best_s, dirs = numpy_seesaw_maximize(psi)
-    assert_same(result.best_s, best_s)
-    assert_same(np.array([(w.x, w.y, w.z) for w in result.settings.as_tuple()]), np.array(dirs))
-
-
 @pytest.mark.parametrize("optimal", [True, False], ids=["optimal", "random"])
 def test_quantum_behaviors(optimal):
     rng = np.random.default_rng(577)
@@ -166,7 +161,7 @@ def test_quantum_behaviors(optimal):
         amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = TwoQubitState.from_amplitudes(amp / np.linalg.norm(amp))
         if optimal:
-            assert_seesaw_matches(psi)
+            assert_optimum(psi)
             settings = seesaw_maximize(psi, seed=0).settings.as_tuple()
         else:
             # conftest.random_direction's draws, each compared before it becomes a setting
@@ -284,13 +279,20 @@ def test_decomposition_weights():
 
 
 def test_seesaw_on_special_states():
-    """Product, maximally and partially entangled states, with signed-zero amplitudes."""
+    """Product, maximally and partially entangled states, with signed-zero amplitudes; generic product states,
+    and states within 1e-15 to 1e-3 of a product state or of a maximally entangled one."""
     c, s = math.cos(0.3), math.sin(0.3)
     states = [singlet(), *map(basis_state, range(4)),
               TwoQubitState(np.array([c, 0.0, 0.0, s])), TwoQubitState(np.array([-0.0, c, -s, -0.0])),
               TwoQubitState(np.array([0.5, 0.5, 0.5, 0.5])), TwoQubitState(np.array([0.5, -0.5j, 0.5j, -0.5]))]
+    rng = np.random.default_rng(3001)
+    for eps in [0.0, *10.0 ** -np.arange(3.0, 16.0)]:
+        for t in (eps, math.pi / 4 - eps):
+            states += [schmidt_state(rng, t) for _ in range(10)]
+            # the same in the computational basis: T diagonal, with exact zeros off the diagonal
+            states.append(TwoQubitState.from_amplitudes(np.array([math.cos(t), 0.0, 0.0, math.sin(t)])))
     for psi in states:
-        assert_seesaw_matches(psi)
+        assert_optimum(psi)
 
 
 def test_unit_vector_edges():

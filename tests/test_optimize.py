@@ -6,6 +6,7 @@ import pytest
 from bellkit import (
     InvalidInputError,
     TSIRELSON,
+    TwoQubitState,
     basis_state,
     chsh_of_settings,
     random_pure_state,
@@ -14,9 +15,38 @@ from bellkit import (
     sweep,
     tsirelson_settings,
 )
-from conftest import chsh_via_behavior, random_direction
+from bellkit.optimize import _top_eigenvectors
+from bellkit.tolerance import PROBABILITY_SLACK, ROUNDOFF
+from conftest import chsh_via_behavior, random_direction, svd_best_s
 
 SQRT2 = math.sqrt(2.0)
+
+
+def assert_optimum(psi):
+    """``seesaw_maximize`` against numpy's SVD figure, S at its own settings, and 2 sqrt(1 + C^2).
+
+    For a pure state the largest S is 2 sqrt(1 + C^2), with C = 2|psi00 psi11 - psi01 psi10|
+    the concurrence (Gisin, Phys. Lett. A 154, 201 (1991)), a figure that does not read T.
+    """
+    result = seesaw_maximize(psi, seed=0)
+    assert abs(result.best_s - svd_best_s(psi)) <= ROUNDOFF
+    assert abs(chsh_of_settings(psi, result.settings) - result.best_s) <= ROUNDOFF
+    for w in result.settings.as_tuple():
+        assert abs(math.sqrt(w.x * w.x + w.y * w.y + w.z * w.z) - 1.0) <= PROBABILITY_SLACK
+    p, q, r, s = psi.amp.tolist()
+    assert abs(result.best_s - 2.0 * math.sqrt(1.0 + (2.0 * abs(p * s - q * r)) ** 2)) <= ROUNDOFF
+
+
+def random_unitary(rng) -> np.ndarray:
+    """A random 2x2 unitary: the Q of a complex Gaussian matrix."""
+    return np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+
+
+def schmidt_state(rng, t: float) -> TwoQubitState:
+    """cos(t) |u0 v0> + sin(t) |u1 v1> in random local bases u, v: concurrence sin(2t)."""
+    u, v = random_unitary(rng), random_unitary(rng)
+    amp = math.cos(t) * np.kron(u[:, 0], v[:, 0]) + math.sin(t) * np.kron(u[:, 1], v[:, 1])
+    return TwoQubitState.from_amplitudes(amp)
 
 
 def product_state_grid_maximum() -> float:
@@ -87,12 +117,50 @@ class TestSeesaw:
             hits += abs(result.best_s) >= TSIRELSON - 1e-4
         assert hits == 10
 
+    def test_optimum_on_3000_random_states(self):
+        rng = np.random.default_rng(3000)
+        for _ in range(3000):
+            assert_optimum(random_pure_state(rng))
+
     def test_bound_on_random_states(self):
         rng = np.random.default_rng(999)
         for seed in range(200):
             result = seesaw_maximize(random_pure_state(rng), seed=seed)
             if result.converged:
                 assert abs(result.best_s) <= TSIRELSON + 1e-9
+
+
+def random_rotation(rng) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((3, 3)))[0]
+
+
+def symmetric_matrices(rng):
+    """Symmetric 3x3 matrices R diag(lam) R^T: distinct, repeated, nearly repeated and equal eigenvalues, either
+    end farthest from the others, at scales from 1e-150 to 1e150; and diagonal ones, zero included."""
+    for k in range(2000):
+        x, y = rng.standard_normal(2)
+        lam = [rng.standard_normal(3), [x, x, y], [x, x, x], [1.0, 1.0, 1e-12 * y], [1.0, 1.0 - 1e-9 * abs(x), y],
+               [-1.0, -1.0 + 10.0 ** rng.uniform(-15.0, -1.0), y],
+               rng.standard_normal(3) * 10.0 ** rng.uniform(-150.0, 150.0)][k % 7]
+        r = random_rotation(rng)
+        m = r @ np.diag(lam) @ r.T
+        yield (m + m.T) / 2.0
+    for d in ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, -3.0, 2.0], [-1.0, -1.0, -5.0]):
+        yield np.diag(d)
+
+
+def test_top_eigenvectors_of_symmetric_matrices():
+    """Orthonormal within 4e-15, each within 1e-14 of an eigenvector for its eigenvalue, and the eigenvalue sum S reads."""
+    rng = np.random.default_rng(3301)
+    for m in symmetric_matrices(rng):
+        (a00, a01, a02), (_, a11, a12), (_, _, a22) = m.tolist()
+        n1, n2 = map(np.array, _top_eigenvectors(a00, a01, a02, a11, a12, a22))
+        lam = np.linalg.eigvalsh(m)  # ascending
+        scale = max(np.abs(m).max(), np.finfo(float).tiny)
+        assert max(abs(n1 @ n1 - 1.0), abs(n2 @ n2 - 1.0), abs(n1 @ n2)) <= 4e-15
+        assert np.linalg.norm(m @ n1 - lam[2] * n1) <= 1e-14 * scale
+        assert np.linalg.norm(m @ n2 - lam[1] * n2) <= 1e-14 * scale
+        assert abs(n1 @ m @ n1 + n2 @ m @ n2 - lam[2] - lam[1]) <= 1e-14 * scale
 
 
 class TestSweep:
