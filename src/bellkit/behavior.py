@@ -6,9 +6,9 @@ joint distribution of the +/-1 outcomes A and B.  Tables are stored as a
 (2, 2, 2, 2) array indexed [x, y, A, B] with outcome index 0 meaning +1 and
 index 1 meaning -1.
 
-A behavior's 16 entries are validated once and kept as Python floats next to the
-table built from them; every kernel reads them, in numpy's order of operations:
-the bytes stay numpy's, without its per-call cost on tiny arrays.
+A behavior's 16 entries are validated once and kept as Python floats, and its
+table is built from them on first read; every kernel reads them, in numpy's
+order of operations: the bytes stay numpy's, without its per-call cost on tiny arrays.
 """
 
 from __future__ import annotations
@@ -18,21 +18,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .tolerance import PROBABILITY_SLACK, ROUNDOFF
+from .tolerance import PROBABILITY_SLACK, ROUNDOFF, flat_values, read_only_array
 
 SETTING_LABELS_A = ("a", "a'")
 SETTING_LABELS_B = ("b", "b'")
 OUTCOME_VALUES = (+1, -1)
 
-# outcome values by index, used to form expectation weights
-_VALS = np.array(OUTCOME_VALUES, dtype=float)
-
 # the 16 deterministic strategies: outcomes (a, a', b, b'), lexicographic with +1 first
-DETERMINISTIC_OUTCOMES = np.array(list(itertools.product(OUTCOME_VALUES, repeat=4)))
-DETERMINISTIC_OUTCOMES.setflags(write=False)
+DETERMINISTIC_OUTCOMES = tuple(itertools.product(OUTCOME_VALUES, repeat=4))
 
 # random_no_signaling_behavior's jitter on each mean value, and its cap on redraws
 _PERTURBATION = 0.2
@@ -58,6 +52,11 @@ class _memo:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+def _array_memo(values: str, shape: tuple[int, ...] = (-1,)) -> _memo:
+    """A first-use attribute: the read-only array of the Python numbers in the attribute ``values``."""
+    return _memo(lambda obj: read_only_array(getattr(obj, values), shape))
 
 
 def _clean_entries(v: list[float]) -> tuple[float, ...]:
@@ -90,57 +89,50 @@ def _expected_products(v) -> list[float]:
             v[12] - v[13] - v[14] + v[15]]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Behavior:
     """Validated table P(A,B|x,y), clamped at 0, blocks normalized within PROBABILITY_SLACK; entries in ``_entries``."""
 
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.shape != (2, 2, 2, 2):
-            raise InvalidInputError(f"behavior table must have shape (2, 2, 2, 2), got {table.shape}")
-        self._store(_clean_entries(table.ravel().tolist()))  # in C order, index 8x + 4y + 2A + B
+    def __init__(self, table):
+        self.__dict__["_entries"] = _clean_entries(flat_values(table, (2, 2, 2, 2), "behavior table"))
 
     @classmethod
     def _of(cls, v: list[float]) -> Behavior:
-        """The behavior with the 16 entries ``v`` (Python floats, index 8x + 4y + 2A + B), without an array."""
+        """The behavior with the 16 entries ``v`` (Python floats, index 8x + 4y + 2A + B)."""
         b = object.__new__(cls)
-        b._store(_clean_entries(v))
+        b.__dict__["_entries"] = _clean_entries(v)
         return b
-
-    def _store(self, entries: tuple[float, ...]) -> None:
-        table = np.fromiter(entries, float, 16).reshape(2, 2, 2, 2)  # the bytes of np.array(entries), sooner
-        table.setflags(write=False)
-        self.__dict__.update(table=table, _entries=entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Behavior) and self._entries == other._entries
 
+    table = _array_memo("_entries", (2, 2, 2, 2))
+
+    @_memo
+    def _residuals(self) -> list[float]:
+        """max_A |P(A|x,b) - P(A|x,b')| for x = a, a', then max_B |P(B|a,y) - P(B|a',y)| for y = b, b'."""
+        v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = self._entries
+        return [max(abs((v0 + v1) - (v4 + v5)), abs((v2 + v3) - (v6 + v7))),
+                max(abs((v8 + v9) - (v12 + v13)), abs((v10 + v11) - (v14 + v15))),
+                max(abs((v0 + v2) - (v8 + v10)), abs((v1 + v3) - (v9 + v11))),
+                max(abs((v4 + v6) - (v12 + v14)), abs((v5 + v7) - (v13 + v15)))]
+
     @_memo
     def _no_signaling(self) -> NoSignalingReport:
         """``no_signaling``'s report, computed on first use."""
-        v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = self._entries
-        # |P(A|x,b) - P(A|x,b')| per A for x = a, a', then |P(B|a,y) - P(B|a',y)| per B for y = b, b'
-        alice = [max(abs((v0 + v1) - (v4 + v5)), abs((v2 + v3) - (v6 + v7))),
-                 max(abs((v8 + v9) - (v12 + v13)), abs((v10 + v11) - (v14 + v15)))]
-        bob = [max(abs((v0 + v2) - (v8 + v10)), abs((v1 + v3) - (v9 + v11))),
-               max(abs((v4 + v6) - (v12 + v14)), abs((v5 + v7) - (v13 + v15)))]
-        ok = max(alice) <= PROBABILITY_SLACK and max(bob) <= PROBABILITY_SLACK
-        residuals = np.array(alice + bob)  # one read-only array; each party's half is a view of it
-        residuals.setflags(write=False)
-        return NoSignalingReport(ok=ok, alice_residuals=residuals[:2], bob_residuals=residuals[2:])
+        residuals = read_only_array(self._residuals)  # each party's half is a view of it
+        return NoSignalingReport(ok=max(self._residuals) <= PROBABILITY_SLACK, alice_residuals=residuals[:2],
+                                 bob_residuals=residuals[2:])
 
 
 def uniform_behavior() -> Behavior:
     """All sixteen entries 1/4: uncorrelated fair coins under every setting pair."""
-    return Behavior(np.full((2, 2, 2, 2), 0.25))
+    return Behavior._of([0.25] * 16)
 
 
 def pr_box() -> Behavior:
     """The no-signaling extreme point with correlators (1, 1, 1, -1) and uniform marginals."""
-    e = np.array([[1.0, 1.0], [1.0, -1.0]])
-    return behavior_from_correlators(e)
+    return Behavior._of(_table_from_means([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0], [0.0, 0.0]))
 
 
 def behavior_from_correlators(
@@ -154,6 +146,7 @@ def behavior_from_correlators(
     ``bob_marginals[y]`` are the expectations of A and B (default 0, i.e.
     uniform marginals).  Raises if the resulting table has a negative entry.
     """
+    import numpy as np
     e = np.asarray(e, dtype=float)
     ma = np.zeros(2) if alice_marginals is None else np.asarray(alice_marginals, dtype=float)
     mb = np.zeros(2) if bob_marginals is None else np.asarray(bob_marginals, dtype=float)
@@ -178,6 +171,7 @@ def _table_from_means(e: list[list[float]], ma: list[float], mb: list[float]) ->
 
 def correlators(b: Behavior) -> np.ndarray:
     """The four expected products (E(a,b), E(a,b'), E(a',b), E(a',b'))."""
+    import numpy as np
     return np.array(_expected_products(b._entries))
 
 
@@ -212,10 +206,10 @@ def no_signaling(b: Behavior) -> NoSignalingReport:
 
 def require_no_signaling(b: Behavior, what: str) -> None:
     """Raise, naming the max marginal residual, if ``b`` signals; ``what`` names what needs it not to."""
-    report = no_signaling(b)
-    if not report.ok:
+    residual = max(b._residuals)
+    if residual > PROBABILITY_SLACK:
         raise InvalidInputError(
-            f"behavior signals (max marginal residual {report.max_residual:.3e}); "
+            f"behavior signals (max marginal residual {residual:.3e}); "
             f"no-signaling is required for {what}"
         )
 
@@ -223,7 +217,9 @@ def require_no_signaling(b: Behavior, what: str) -> None:
 @lru_cache(maxsize=1)
 def deterministic_vertex_tables() -> np.ndarray:
     """(16, 2, 2, 2, 2) array: the tables of DETERMINISTIC_OUTCOMES, the vertices of the local polytope."""
-    one_hot = (DETERMINISTIC_OUTCOMES[:, :, None] == _VALS).astype(float)  # [strategy, setting, outcome]
+    import numpy as np
+    outcomes = np.array(DETERMINISTIC_OUTCOMES)
+    one_hot = (outcomes[:, :, None] == OUTCOME_VALUES).astype(float)  # [strategy, setting, outcome]
     tables = one_hot[:, :2, None, :, None] * one_hot[:, None, 2:, None, :]
     tables.setflags(write=False)
     return tables
@@ -239,6 +235,7 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
     outcome means per party plus four correlators) is rejection-sampled until
     every table entry is nonnegative.
     """
+    import numpy as np
     weights = rng.dirichlet(np.ones(16))
     base = np.tensordot(weights, deterministic_vertex_tables(), axes=(0, 0))
     if rng.random() < 0.5:
@@ -249,8 +246,8 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
         base = (1.0 - mu) * base + mu * box
     b0 = Behavior(base)
     e0 = correlators(b0).reshape(2, 2)
-    ma0 = b0.table[:, 0].sum(axis=2) @ _VALS
-    mb0 = b0.table[0].sum(axis=1) @ _VALS
+    vals = np.array(OUTCOME_VALUES, dtype=float)
+    ma0, mb0 = b0.table[:, 0].sum(axis=2) @ vals, b0.table[0].sum(axis=1) @ vals
     for _ in range(_MAX_TRIES):
         e = e0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=(2, 2))
         ma = ma0 + rng.uniform(-_PERTURBATION, _PERTURBATION, size=2)

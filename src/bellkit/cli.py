@@ -17,12 +17,10 @@ import sys
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-import numpy as np
-
-# quantum, optimize, polytope and theses load in the handlers that use them, so
-# that each fresh process loads only what its subcommand runs; the io and network
-# functions stay bound here, where perfbench wraps them to time their layers
-from .behavior import correlators, require_no_signaling
+# quantum, optimize, polytope and theses load in the handlers that use them, and numpy in the functions that
+# build arrays, so that each fresh process loads only what its subcommand runs (enumerate, taxonomy, chsh and
+# optimize load no numpy); the io and network functions stay bound here, where perfbench wraps them
+from .behavior import _expected_products, require_no_signaling
 from .errors import InsufficientDataError, InvalidInputError, UnknownInterpretationError
 from .io import (
     RunReport,
@@ -37,7 +35,6 @@ from .lhv import chsh, enumerate_deterministic, lhv_behavior
 from .network import (
     _CHUNK,
     GENERATOR_NAME,
-    GENERATOR_VERSION,
     estimate_chsh,
     exact_chsh,
     sample,
@@ -59,7 +56,6 @@ _STATE_HELP = ("'singlet', a basis keyword (00/01/10/11), or 8 reals; a spec sta
 def _parse_state(spec: str):
     """A ``TwoQubitState`` from a spec: a keyword or 8 comma-separated reals (re,im per amplitude)."""
     from .quantum import TwoQubitState, basis_state, singlet
-
     key = spec.strip().lower()
     if key in _STATE_KEYWORDS:
         return singlet() if key == "singlet" else basis_state(int(key, 2))
@@ -72,8 +68,7 @@ def _parse_state(spec: str):
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise InvalidInputError(f"state spec has a non-numeric entry: {exc}") from exc
-    amp = np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)])
-    return TwoQubitState.from_amplitudes(amp)
+    return TwoQubitState.from_amplitudes(tuple(complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)))
 
 
 def _parse_file(path: str, parse: Callable[[str], object]) -> tuple[str, object]:
@@ -154,23 +149,20 @@ def _behavior_or_model(text: str) -> tuple[str, object]:
 
 
 def cmd_chsh(args) -> RunReport:
-    from .polytope import LOCAL_BOUND, TSIRELSON, chsh_variants
-
+    from .polytope import LOCAL_BOUND, TSIRELSON, _variants
     text, (kind, parsed) = _parse_file(args.input, _behavior_or_model)
     behavior = lhv_behavior(parsed) if kind == "model" else parsed
     require_no_signaling(behavior, "the CHSH bound verdicts")
-    e = correlators(behavior)
-    s = chsh(e)
+    e = _expected_products(behavior._entries)
     # S is one of the 8 sign variants; a relabelled box can hide its violation in another
-    largest = float(np.max(chsh_variants(e)))
+    largest = max(_variants(*e))
     return RunReport(
         command="chsh",
         inputs_digest=digest_inputs({"file": _file_digest(text), "kind": kind}),
         results={
             "input kind": kind,
-            "correlators": {"E(a,b)": float(e[0]), "E(a,b')": float(e[1]),
-                            "E(a',b)": float(e[2]), "E(a',b')": float(e[3])},
-            "S": float(s),
+            "correlators": {"E(a,b)": e[0], "E(a,b')": e[1], "E(a',b)": e[2], "E(a',b')": e[3]},
+            "S": chsh(e),
             "local bound |S| <= 2": bool(largest <= LOCAL_BOUND + BOUND_SLACK),
             "quantum bound |S| <= 2*sqrt(2)": bool(largest <= TSIRELSON + BOUND_SLACK),
         },
@@ -192,7 +184,6 @@ def cmd_enumerate(args) -> RunReport:
 
 def cmd_optimize(args) -> RunReport:
     from .optimize import seesaw_maximize
-
     psi = _parse_state(args.state)
     result = seesaw_maximize(psi, seed=args.seed)
     directions = zip(("alice u", "alice u'", "bob v", "bob v'"), result.settings.as_tuple())
@@ -205,6 +196,7 @@ def cmd_optimize(args) -> RunReport:
 
 
 def cmd_sample(args) -> RunReport:
+    import numpy as np
     text, spec = _parse_file(args.network, parse_network_text)
     dataset = sample(spec, n=args.n, seed=args.seed)
     # every estimate before the write, so a run that fails leaves no file behind
@@ -228,14 +220,13 @@ def cmd_sample(args) -> RunReport:
                 "alice screening": markov.alice_screening,
                 "bob screening": markov.bob_screening,
             },
-            "generator": f"{GENERATOR_NAME} (numpy {GENERATOR_VERSION})",
+            "generator": f"{GENERATOR_NAME} (numpy {np.__version__})",
         },
     )
 
 
 def _taxonomy_text_table() -> str:
     from .theses import Thesis, taxonomy
-
     theses = list(Thesis)
     name_width = max(len(r.name) for r in taxonomy()) + 2
     header = "Interpretation".ljust(name_width) + " | " + " | ".join(
@@ -251,7 +242,6 @@ def _taxonomy_text_table() -> str:
 
 def cmd_taxonomy(args) -> RunReport:
     from .theses import find_interpretation, taxonomy
-
     if args.name is None:
         rows = [{"interpretation": r.name, "rejects": r.rejected.value}
                 for r in taxonomy()]
@@ -270,7 +260,6 @@ def cmd_taxonomy(args) -> RunReport:
 
 def cmd_sweep(args) -> RunReport:
     from .optimize import sweep
-
     psi = _parse_state(args.state)
     rows = sweep(psi, steps=args.steps,
                  theta_start_deg=args.theta_start, theta_end_deg=args.theta_end)

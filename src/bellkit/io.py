@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B
 from .errors import InvalidInputError, excerpt
@@ -135,9 +133,8 @@ def network_from_json(data: Any) -> NetworkSpec:
         prior.append(_number(entry["prob"], f"lambda entry {i} \"prob\""))
         resp_a.append(_pair(entry.get("pA_plus"), SETTING_LABELS_A, f"lambda entry {i}: \"pA_plus\""))
         resp_b.append(_pair(entry.get("pB_plus"), SETTING_LABELS_B, f"lambda entry {i}: \"pB_plus\""))
-    model = LHVModel(labels=tuple(labels), prior=np.array(prior),
-                     alice_response=np.array(resp_a), bob_response=np.array(resp_b))
-    kwargs = {arg: np.array(_pair(data[key], settings, f"\"{key}\""))
+    model = LHVModel(labels=labels, prior=prior, alice_response=resp_a, bob_response=resp_b)
+    kwargs = {arg: _pair(data[key], settings, f"\"{key}\"")
               for key, settings, arg in (("settingPriorA", SETTING_LABELS_A, "setting_prior_a"),
                                          ("settingPriorB", SETTING_LABELS_B, "setting_prior_b")) if key in data}
     return NetworkSpec(model=model, **kwargs)

@@ -8,14 +8,13 @@ magnitude, while the deterministic strategies realize exactly |S| = 2.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .behavior import DETERMINISTIC_OUTCOMES, Behavior
+from .behavior import DETERMINISTIC_OUTCOMES, Behavior, _array_memo
 from .errors import InvalidInputError, excerpt
-from .tolerance import BOUND_SLACK, ROUNDOFF, probability_vector
+from .tolerance import BOUND_SLACK, ROUNDOFF, flat_values, probabilities
 
 
 # characters a hidden-value label may not contain: those that would break its
@@ -25,24 +24,22 @@ _CSV_UNSAFE = ',"\r\n'
 _UNSAFE_LABEL = re.compile(f"[{_CSV_UNSAFE}\ud800-\udfff]")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LHVModel:
     """Finite hidden-variable model: prior over labels plus local response tables.
 
     ``alice_response[k, x]`` is P(A=+1 | setting x, hidden value k) with x = 0
     for a and 1 for a'; ``bob_response`` likewise for b, b'.  The prior must
-    pass ``probability_vector`` and is renormalized to exact unit mass on input.
+    pass ``probabilities`` and is renormalized to exact unit mass on input.
     Labels must be distinct UTF-8 text free of commas, double quotes, CR and LF,
-    since each is written unquoted as one field of a sampled CSV row.
+    since each is written unquoted as one field of a sampled CSV row.  Kept as Python
+    floats, ``_alice`` and ``_bob`` with P(+1 | x, k) at index 2k + x; arrays on first read.
     """
 
     labels: tuple[str, ...]
-    prior: np.ndarray
-    alice_response: np.ndarray
-    bob_response: np.ndarray
 
-    def __post_init__(self):
-        labels = tuple(map(str, self.labels))
+    def __init__(self, labels, prior, alice_response, bob_response):
+        labels = tuple(map(str, labels))
         n = len(labels)
         if n == 0:
             raise InvalidInputError("hidden-variable domain is empty")
@@ -55,59 +52,55 @@ class LHVModel:
         if len(set(labels)) != n:
             repeated = next(s for s in labels if labels.count(s) > 1)
             raise InvalidInputError(f"label {excerpt(repr(repeated))} names more than one hidden value")
-        prior = np.asarray(self.prior, dtype=float)
-        if prior.shape != (n,):
-            raise InvalidInputError(f"prior must have shape ({n},), got {prior.shape}")
-        prior = probability_vector(prior, "prior")
-        resp_a = np.asarray(self.alice_response, dtype=float)
-        resp_b = np.asarray(self.bob_response, dtype=float)
-        for name, resp in (("alice_response", resp_a), ("bob_response", resp_b)):
-            if resp.shape != (n, 2):
-                raise InvalidInputError(f"{name} must have shape ({n}, 2), got {resp.shape}")
-        # both tables checked and clipped as one (2n, 2) array; each stored table is a read-only view of it
-        resp = np.concatenate((resp_a, resp_b))
-        if not _in_unit_interval(resp):
-            name = "bob_response" if _in_unit_interval(resp_a) else "alice_response"
-            raise InvalidInputError(f"{name} entries must lie in [0, 1]")
-        resp = resp.clip(0.0, 1.0)
-        resp.setflags(write=False)
-        resp_a, resp_b = resp[:n], resp[n:]
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "alice_response", resp_a)
-        object.__setattr__(self, "bob_response", resp_b)
+        prior = probabilities(flat_values(prior, (n,), "prior"), "prior")
+        resp = [flat_values(alice_response, (n, 2), "alice_response"),
+                flat_values(bob_response, (n, 2), "bob_response")]
+        for name, r in zip(("alice_response", "bob_response"), resp):
+            if not all(-ROUNDOFF <= x <= 1.0 + ROUNDOFF for x in r):  # a NaN entry fails both comparisons
+                raise InvalidInputError(f"{name} entries must lie in [0, 1]")
+        # clipped as numpy's clip(0.0, 1.0) clips, which keeps -0.0
+        alice, bob = ([0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in r] for r in resp)
+        self.__dict__.update(labels=labels, _prior=prior, _alice=alice, _bob=bob)
+
+    prior = _array_memo("_prior")
+    alice_response = _array_memo("_alice", (-1, 2))
+    bob_response = _array_memo("_bob", (-1, 2))
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-def _in_unit_interval(resp: np.ndarray) -> bool:
-    """Every entry within ``ROUNDOFF`` of [0, 1]; a NaN entry fails both comparisons."""
-    return bool(resp.min() >= -ROUNDOFF and resp.max() <= 1.0 + ROUNDOFF)
-
-
-def _outcome_axis(response: np.ndarray) -> np.ndarray:
-    """P(+1|x,k) and P(-1|x,k) along a new last outcome axis: (k, x) -> (k, x, 2)."""
-    return np.stack([response, 1.0 - response], axis=2)
-
-
 def lhv_behavior(model: LHVModel) -> Behavior:
-    """The factorized behavior sum_k P(k) P(A|x,k) P(B|y,k)."""
-    pa, pb = _outcome_axis(model.alice_response), _outcome_axis(model.bob_response)
-    table = np.einsum("k,kxi,kyj->xyij", model.prior, pa, pb)
-    return Behavior(table)
+    """The factorized behavior sum_k P(k) P(A|x,k) P(B|y,k), on Python floats in the order of numpy's einsum."""
+    alice, bob = [], []  # P(k) P(A|x,k) over k at index 2x + A, and P(B|y,k) over k at index 2y + B
+    for x in (0, 1):
+        a, b = model._alice[x::2], model._bob[x::2]
+        alice += ([p * r for p, r in zip(model._prior, a)], [p * (1.0 - r) for p, r in zip(model._prior, a)])
+        bob += (b, [1.0 - r for r in b])
+    v = []  # entry 8x + 4y + 2A + B adds (P(k) P(A|x,k)) P(B|y,k) over k left to right, as einsum does
+    for x, y, a, b in itertools.product((0, 1), repeat=4):
+        acc = 0.0
+        for s, t in zip(alice[2 * x + a], bob[2 * y + b]):
+            acc += s * t
+        v.append(acc)
+    return Behavior._of(v)
 
 
 def chsh(e) -> float | np.ndarray:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b'): a float for 4 correlators, an array for (n, 4)."""
-    e = np.asarray(e, dtype=float)
+    v = e if type(e) in (list, tuple) and len(e) == 4 and all(type(x) is float for x in e) else None
+    if v is None:
+        import numpy as np
+        e = np.asarray(e, dtype=float)
+        v = e.tolist() if e.shape == (4,) else None
     # Python floats for 4 correlators in range: the same IEEE sums, without numpy's per-scalar
     # cost; a NaN fails the comparison, and every refusal takes the checks below
-    if e.shape == (4,):
-        ab, abp, apb, apbp = v = e.tolist()
-        if all(abs(x) <= 1.0 + BOUND_SLACK for x in v):
-            return ab + abp + apb - apbp
+    if v is not None and all(abs(x) <= 1.0 + BOUND_SLACK for x in v):
+        ab, abp, apb, apbp = v
+        return ab + abp + apb - apbp
+    import numpy as np
+    e = np.asarray(e, dtype=float)
     if e.ndim > 2 or e.shape[-1:] != (4,):
         raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
     # negated <= so that a NaN correlator fails the check too
@@ -122,9 +115,8 @@ def enumerate_deterministic() -> list[tuple[tuple[int, int, int, int], int]]:
 
     Outcomes and S are plain ints; every |S| equals 2.
     """
-    a, ap, b, bp = DETERMINISTIC_OUTCOMES.T
-    values = chsh(np.stack([a * b, a * bp, ap * b, ap * bp], axis=1))
-    return [(tuple(s), int(v)) for s, v in zip(DETERMINISTIC_OUTCOMES.tolist(), values)]
+    return [((a, ap, b, bp), int(chsh([float(a * b), float(a * bp), float(ap * b), float(ap * bp)])))
+            for a, ap, b, bp in DETERMINISTIC_OUTCOMES]
 
 
 def random_model(rng: np.random.Generator, n_lambda: int | None = None) -> LHVModel:
@@ -137,7 +129,7 @@ def random_model(rng: np.random.Generator, n_lambda: int | None = None) -> LHVMo
         raise InvalidInputError(f"n_lambda must be >= 1, got {n}")
     return LHVModel(
         labels=tuple(f"l{i}" for i in range(n)),
-        prior=rng.dirichlet(np.ones(n)),
+        prior=rng.dirichlet([1.0] * n),
         alice_response=rng.uniform(0.0, 1.0, size=(n, 2)),
         bob_response=rng.uniform(0.0, 1.0, size=(n, 2)),
     )

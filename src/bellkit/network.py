@@ -12,17 +12,14 @@ the S that its estimate tracks: the model's, whatever the setting priors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _memo, correlators
+from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _array_memo, _expected_products, _memo
 from .errors import InsufficientDataError, InvalidInputError
-from .lhv import LHVModel, _outcome_axis, chsh, lhv_behavior
-from .tolerance import probability_vector
+from .lhv import LHVModel, chsh, lhv_behavior
+from .tolerance import flat_values, probabilities, probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
-GENERATOR_VERSION = np.__version__
 
 # rows per step in sample(), SampleDataset._code_counts and sweep(), and per CSV piece that
 # `bellkit sample` and `bellkit sweep` write; bounds their temporaries
@@ -36,24 +33,22 @@ _CHUNK = 1 << 16
 MAX_RECORDS = 10 ** 9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NetworkSpec:
     """Conditional-probability-table encoding of the source/settings/outcomes DAG.
 
     ``alice_cpt[k, x]`` is P(A=+1 | x, hidden value k); setting priors default
-    to the symmetric (1/2, 1/2) when omitted.
+    to the symmetric (1/2, 1/2) when omitted; kept as Python floats, arrays on first read.
     """
 
     model: LHVModel
-    setting_prior_a: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
-    setting_prior_b: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
+    setting_prior_a = _array_memo("_prior_a")
+    setting_prior_b = _array_memo("_prior_b")
 
-    def __post_init__(self):
-        for attr, name in (("setting_prior_a", "settingPriorA"), ("setting_prior_b", "settingPriorB")):
-            p = np.asarray(getattr(self, attr), dtype=float)
-            if p.shape != (2,):
-                raise InvalidInputError(f"{name} must have 2 entries, got shape {p.shape}")
-            object.__setattr__(self, attr, probability_vector(p, name))
+    def __init__(self, model: LHVModel, setting_prior_a=(0.5, 0.5), setting_prior_b=(0.5, 0.5)):
+        a, b = (probabilities(flat_values(p, (2,), name), name)
+                for p, name in ((setting_prior_a, "settingPriorA"), (setting_prior_b, "settingPriorB")))
+        self.__dict__.update(model=model, _prior_a=a, _prior_b=b)
 
 
 def exact_joint(spec: NetworkSpec) -> np.ndarray:
@@ -61,14 +56,16 @@ def exact_joint(spec: NetworkSpec) -> np.ndarray:
 
     Outcome axes use index 0 for +1 and 1 for -1, as in behavior tables.
     """
+    import numpy as np
     model = spec.model
-    pa, pb = _outcome_axis(model.alice_response), _outcome_axis(model.bob_response)
+    pa, pb = (np.stack([r, 1.0 - r], axis=2) for r in (model.alice_response, model.bob_response))  # [k, x, A]
     return np.einsum("k,x,y,kxi,kyj->kxyij",
                      model.prior, spec.setting_prior_a, spec.setting_prior_b, pa, pb)
 
 
 def conditional_behavior(joint: np.ndarray) -> Behavior:
     """P(A,B|x,y) from a joint table: marginalize the source, divide by P(x,y)."""
+    import numpy as np
     joint = np.asarray(joint, dtype=float)
     p_xyab = joint.sum(axis=0)
     p_xy = p_xyab.sum(axis=(2, 3))
@@ -101,6 +98,7 @@ def verify_markov(spec_or_joint: NetworkSpec | np.ndarray) -> MarkovReport:
     Accepts either a spec (whose exact joint is generated first) or a raw
     joint table, so that hand-built violating joints can be fed in directly.
     """
+    import numpy as np
     if isinstance(spec_or_joint, NetworkSpec):
         joint = exact_joint(spec_or_joint)
     else:
@@ -127,6 +125,7 @@ def _screening_residual(joint: np.ndarray) -> float:
     Slices without mass contribute 0.  Bob's residual is this one on the joint
     with the parties swapped, axes (k, y, x, B, A).
     """
+    import numpy as np
     mass = joint.sum(axis=(2, 3, 4), keepdims=True)
     q = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)  # (k, x, y, A, B)
     qa = q.sum(axis=(2, 4))[:, :, None, :, None]
@@ -153,6 +152,7 @@ class SampleDataset:
     code: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         code = np.asarray(self.code)
         if code.ndim != 1 or code.dtype.kind not in "iu":
             raise InvalidInputError(
@@ -175,6 +175,7 @@ class SampleDataset:
         The CSV rows and ``estimate_chsh`` both read it, so the codes are
         counted once per dataset, one ``np.bincount`` per ``_CHUNK`` records.
         """
+        import numpy as np
         counts = np.zeros(16 * len(self.labels), dtype=np.int64)
         for s in range(0, self.count, _CHUNK):
             counts += np.bincount(self.code[s:s + _CHUNK], minlength=counts.size)
@@ -184,6 +185,7 @@ class SampleDataset:
     @_memo
     def _rows(self) -> np.ndarray:
         """Each code's CSV row text, None for a code that does not occur; formatted on first use, read-only."""
+        import numpy as np
         rows = np.empty(16 * len(self.labels), dtype=object)
         for c in np.flatnonzero(self._code_counts).tolist():
             rows[c] = (f"{self.labels[c >> 4]},{SETTING_LABELS_A[c >> 3 & 1]},"
@@ -205,6 +207,7 @@ class SampleDataset:
 
 def _code_dtype(n_labels: int) -> np.dtype:
     """The smallest signed dtype holding codes below 16 * n_labels; signed, so ``1 - 2 * bit`` cannot wrap."""
+    import numpy as np
     return np.min_scalar_type(-16 * n_labels)
 
 
@@ -215,6 +218,7 @@ def _guide_table(cut: np.ndarray, size: int) -> np.ndarray:
     strictly inside (i/size, (i+1)/size).  ``size`` must be a power of two, so
     that ``cut * size`` is exact.
     """
+    import numpy as np
     scaled = cut * size
     table = np.searchsorted(scaled, np.arange(size), side="right")
     table[scaled[(scaled < size) & (scaled != np.floor(scaled))].astype(np.intp)] = -1
@@ -228,6 +232,7 @@ def _hidden_values(u: np.ndarray, cut: np.ndarray, table: np.ndarray) -> np.ndar
     i/size <= u < (i+1)/size: the cut points <= u are the table's count, unless
     one lies inside the bucket.  Only the keys in such buckets are searched.
     """
+    import numpy as np
     lam = table.take((u * table.size).astype(np.intp))
     late = np.flatnonzero(lam < 0)
     lam[late] = np.searchsorted(cut, u[late], side="right")
@@ -254,6 +259,7 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
     """
     if not 1 <= n <= MAX_RECORDS:
         raise InvalidInputError(f"sample count -n must be between 1 and {MAX_RECORDS}, got {n}")
+    import numpy as np
     streams = [np.random.Generator(np.random.PCG64(child))
                for child in np.random.SeedSequence(seed).spawn(5)]
     model = spec.model
@@ -263,14 +269,14 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
     # balances the two; at most _CHUNK entries, the length of one chunk's keys
     table = _guide_table(cut, min(_CHUNK, 1 << math.isqrt(n * model.size - 1).bit_length()))
     # P(+1 | x, k) at flat index 2*k + x
-    alice, bob = model.alice_response.ravel(), model.bob_response.ravel()
+    alice, bob = np.array(model._alice), np.array(model._bob)
     code = np.empty(n, dtype=_code_dtype(model.size))
     for s in range(0, n, _CHUNK):
         m = min(_CHUNK, n - s)
         alice_index = _hidden_values(streams[0].random(m), cut, table)
         alice_index <<= 1
-        x = streams[1].random(m) >= spec.setting_prior_a[0]
-        y = streams[2].random(m) >= spec.setting_prior_b[0]
+        x = streams[1].random(m) >= spec._prior_a[0]
+        y = streams[2].random(m) >= spec._prior_b[0]
         bob_index = alice_index + y
         alice_index += x
         # 16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1] in Horner form from 2*lam + x,
@@ -305,6 +311,7 @@ def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:
     fraction of integers, divided once before the square root, so neither value
     depends on record order.  Every block must contain at least 2 records.
     """
+    import numpy as np
     counts = dataset._code_counts.reshape(-1, 2, 2, 2, 2).sum(axis=0)
     m = counts.sum(axis=(2, 3))
     if m.min() < 2:
@@ -327,4 +334,4 @@ def exact_chsh(spec: NetworkSpec) -> float:
     The settings are independent of the source, so P(A,B|x,y) is the model's
     ``lhv_behavior`` sum_k P(k) P(A|x,k) P(B|y,k) for any setting priors.
     """
-    return chsh(correlators(lhv_behavior(spec.model)))
+    return chsh(_expected_products(lhv_behavior(spec.model)._entries))

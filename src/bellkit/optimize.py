@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .lhv import chsh
 from .network import _CHUNK
@@ -218,6 +216,7 @@ def sweep(
     """
     if not 2 <= steps <= MAX_STEPS:
         raise InvalidInputError(f"sweep row count --steps must be between 2 and {MAX_STEPS}, got {steps}")
+    import numpy as np
     # column-major, so that the S column is contiguous and min/max over it copy nothing
     rows = np.empty((steps, 2), order="F")
     u, up, v, vp = tsirelson_settings().as_tuple()

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .behavior import Behavior, _block_sums, _expected_products, deterministic_vertex_tables, require_no_signaling
 from .errors import InvalidInputError
-from .tolerance import BOUND_SLACK, PROBABILITY_SLACK, probability_vector
+from .tolerance import BOUND_SLACK, probabilities, read_only_array
 
 LOCAL_BOUND = 2.0
 # the largest |S| of any quantum behavior (Tsirelson)
@@ -42,6 +40,7 @@ def _variants(ab: float, abp: float, apb: float, apbp: float) -> list[float]:
 
 def chsh_variants(e) -> np.ndarray:
     """The 8 signed CHSH combinations of four correlators."""
+    import numpy as np
     e = np.asarray(e, dtype=float)
     if e.shape != (4,):
         raise InvalidInputError(f"need 4 correlators, got shape {e.shape}")
@@ -58,15 +57,6 @@ def is_local(b: Behavior) -> bool:
     return max(_variants(*_expected_products(b._entries))) <= LOCAL_BOUND + BOUND_SLACK
 
 
-def _sum16(v: list[float]) -> float:
-    """The sum of 16 floats in the order numpy's pairwise ``sum`` adds 16 contiguous doubles.
-
-    With r_j = v_j + v_(j+8) for j < 8, that is ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).
-    """
-    return ((((v[0] + v[8]) + (v[1] + v[9])) + ((v[2] + v[10]) + (v[3] + v[11])))
-            + (((v[4] + v[12]) + (v[5] + v[13])) + ((v[6] + v[14]) + (v[7] + v[15]))))
-
-
 @dataclass(frozen=True, eq=False)
 class LocalDecomposition:
     """Convex weights over the 16 deterministic strategies, enumeration order."""
@@ -74,30 +64,22 @@ class LocalDecomposition:
     weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (16,):
             raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
-        self._store(w.tolist())
+        object.__setattr__(self, "weights", read_only_array(probabilities(w.tolist(), "weights")))
 
     @classmethod
     def _of(cls, v: list[float]) -> LocalDecomposition:
         """The decomposition with the 16 weights ``v`` (Python floats), without an array round trip."""
         d = object.__new__(cls)
-        d._store(v)
+        object.__setattr__(d, "weights", read_only_array(probabilities(v, "weights")))
         return d
-
-    def _store(self, v: list[float]) -> None:
-        # probability_vector's checks and renormalisation, on Python floats; a NaN fails both comparisons
-        if not (min(v) >= -PROBABILITY_SLACK and abs(_sum16(v) - 1.0) <= PROBABILITY_SLACK):
-            probability_vector(v, "weights")  # refuses, with its message
-        v = [x if x > 0.0 else 0.0 for x in v]
-        total = _sum16(v)
-        weights = np.array([x / total for x in v])
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
 
     def behavior(self) -> Behavior:
         """The mixture behavior these weights produce."""
+        import numpy as np
         return Behavior(np.tensordot(self.weights, deterministic_vertex_tables(), axes=(0, 0)))
 
 

@@ -4,11 +4,11 @@ Basis order for the bipartite system is fixed as |00>, |01>, |10>, |11> with
 the left tensor factor belonging to Alice.  All operations are pure functions
 over immutable values; everything is plain double-precision arithmetic.
 
-A state's (a, b, T) is built from its 4 amplitudes on Python complex numbers,
-and the products after it, used by ``quantum_behavior``, ``chsh_of_settings``
-and ``sweep``, run on Python floats, each in one written order
-(``_bloch_and_tensor``, ``alice_rows``); with the one amplitude norm
-``_norm_sq``, no step calls BLAS, so the bytes do not depend on the BLAS kernel.
+A state's amplitudes are normalised on Python complex numbers in numpy's order
+(``_norm_sq``, ``_scaled``), and its (a, b, T) and the products after it, used by
+``quantum_behavior``, ``chsh_of_settings`` and ``sweep``, on Python floats, each
+in one written order (``_bloch_and_tensor``, ``alice_rows``); no step calls
+BLAS, so the bytes do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .behavior import Behavior, _memo, _table_from_means
+from .behavior import Behavior, _array_memo, _memo, _table_from_means
 from .errors import InternalConsistencyError, InvalidInputError
-from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
+from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, flat_values, read_only_array
 
 # the identity, sigma_x, sigma_y and sigma_z, each as two rows of Python complex numbers
 _SIGMAS = (((1 + 0j, 0j), (0j, 1 + 0j)), ((0j, 1 + 0j), (1 + 0j, 0j)), ((0j, -1j), (1j, 0j)),
@@ -54,34 +52,41 @@ class UnitVector3:
         object.__setattr__(self, "z", z / norm)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class TwoQubitState:
-    """Pure state of two qubits: 4 amplitudes over |00>, |01>, |10>, |11>."""
+    """Pure state of two qubits: 4 amplitudes over |00>, |01>, |10>, |11>, kept as Python complex numbers."""
 
-    amp: np.ndarray
+    amp = _array_memo("_amp")
 
-    def __post_init__(self):
-        amp = _amplitudes(self.amp)
+    def __init__(self, amp):
+        self._store(_amplitudes(amp))
+
+    @classmethod
+    def _of(cls, amp: list[complex]) -> TwoQubitState:
+        """The state of 4 finite amplitudes ``amp``, Python complex numbers, without checking them again."""
+        psi = object.__new__(cls)
+        psi._store(amp)
+        return psi
+
+    def _store(self, amp: list[complex]) -> None:
         norm_sq = _norm_sq(amp)
         if abs(norm_sq - 1.0) > ROUNDOFF:
             raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
-        amp = amp / math.sqrt(norm_sq)
-        amp.setflags(write=False)
-        object.__setattr__(self, "amp", amp)
-        # every product reads these floats, and the public arrays are built from them on first use
-        object.__setattr__(self, "_bloch_and_tensor", _bloch_and_tensor(amp))
+        amp = _scaled(amp, math.sqrt(norm_sq))
+        self.__dict__.update(_amp=amp, _bloch_and_tensor=_bloch_and_tensor(amp))
 
     @classmethod
-    def from_amplitudes(cls, amp) -> "TwoQubitState":
-        """Build from possibly-unnormalized amplitudes, rejecting beyond AMPLITUDE_SLACK."""
+    def from_amplitudes(cls, amp) -> TwoQubitState:
+        """Build from amplitudes within AMPLITUDE_SLACK of unit norm: scaled by it, then normalised as any state."""
         a = _amplitudes(amp)
         norm = math.sqrt(_norm_sq(a))
         if abs(norm - 1.0) > AMPLITUDE_SLACK:
             raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
-        return cls(a / norm)
+        return cls._of(_scaled(a, norm))
 
     @_memo
     def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,12 +95,11 @@ class TwoQubitState:
         The values of ``_bloch_and_tensor``, as views of one array.
         """
         a, b, t = self._bloch_and_tensor
-        values = np.array([*a, *b, *t])
-        values.setflags(write=False)
+        values = read_only_array([*a, *b, *t])
         return values[:3], values[3:6], values[6:].reshape(3, 3)
 
 
-def _bloch_and_tensor(amp: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+def _bloch_and_tensor(amp: list[complex]) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     """(a, b, T) of the amplitudes ``amp`` as tuples of Python floats, T's 9 entries row by row.
 
     a[i] = <sigma_i (x) 1>, b[j] = <1 (x) sigma_j>, T[i, j] = <sigma_i (x) sigma_j>.
@@ -106,7 +110,7 @@ def _bloch_and_tensor(amp: np.ndarray) -> tuple[tuple[float, ...], tuple[float, 
     sigma_x, sigma_y and sigma_z.  The identity's row is (1, b), sigma_i's
     is (a[i], T[i]).  Each product is written out and summed left to right.
     """
-    m00, m01, m10, m11 = amp.tolist()
+    m00, m01, m10, m11 = amp
     c00, c01, c10, c11 = m00.conjugate(), m01.conjugate(), m10.conjugate(), m11.conjugate()
     rows, imag = [], 0.0
     for (s00, s01), (s10, s11) in _SIGMAS:
@@ -123,41 +127,56 @@ def _bloch_and_tensor(amp: np.ndarray) -> tuple[tuple[float, ...], tuple[float, 
     return (a0, a1, a2), (b0, b1, b2), (t00, t01, t02, t10, t11, t12, t20, t21, t22)
 
 
-def _amplitudes(amp) -> np.ndarray:
-    """``amp`` as 4 complex amplitudes, checked finite before any arithmetic on them."""
-    a = np.asarray(amp, dtype=complex)
-    if a.shape != (4,):
-        raise InvalidInputError(f"state needs 4 amplitudes, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+def _amplitudes(amp) -> list[complex]:
+    """``amp`` as 4 Python complex amplitudes, checked finite before any arithmetic on them."""
+    a = flat_values(amp, (4,), "state amplitudes", complex)
+    if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in a):
         raise InvalidInputError("state amplitudes contain non-finite values")
     return a
 
 
-def _norm_sq(amp: np.ndarray) -> float:
-    """The squared norm of ``amp``, elementwise and summed by numpy, without BLAS; inf when it overflows."""
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused by the callers
-        return float(np.sum(np.abs(amp) ** 2))
+def _norm_sq(amp: list[complex]) -> float:
+    """The squared norm of ``amp``, numpy's ``sum(abs(amp) ** 2)`` to the bit; inf when it overflows.
+
+    numpy's complex ``abs`` (its kernel with FMA) is big sqrt(fma(r, r, 1)), r = small/big of |re| and |im|;
+    ``math.fsum`` of the exact products of r's halves (Veltkamp's split) rounds the fma once.
+    """
+    total = 0.0
+    for c in amp:
+        small, big = sorted((abs(c.real), abs(c.imag)))
+        r = small / big if big else 0.0
+        split = 134217729.0 * r  # 2^27 + 1
+        hi = split - (split - r)
+        lo = r - hi
+        h = math.sqrt(math.fsum((1.0, hi * hi, 2.0 * hi * lo, lo * lo))) * big
+        total += h * h
+    return total
+
+
+def _scaled(amp: list[complex], norm: float) -> list[complex]:
+    """``amp`` / ``norm`` as numpy divides a complex array by a float, in Smith's form for norm + 0j."""
+    # each part adds its product with the ratio 0.0/norm, which sets the sign of some zeros, and is scaled by 1/norm
+    scale = 1.0 / norm
+    return [complex((c.real + c.imag * 0.0) * scale, (c.imag - c.real * 0.0) * scale) for c in amp]
 
 
 def singlet() -> TwoQubitState:
     """The two-qubit singlet (|01> - |10>)/sqrt(2)."""
     s = 1.0 / math.sqrt(2.0)
-    return TwoQubitState(np.array([0.0, s, -s, 0.0], dtype=complex))
+    return TwoQubitState._of([0j, complex(s), complex(-s), 0j])
 
 
 def basis_state(index: int) -> TwoQubitState:
     """Computational basis state |00>, |01>, |10>, or |11> by index 0..3."""
     if index not in (0, 1, 2, 3):
         raise InvalidInputError(f"basis index must be 0..3, got {index}")
-    amp = np.zeros(4, dtype=complex)
-    amp[index] = 1.0
-    return TwoQubitState(amp)
+    return TwoQubitState._of([1 + 0j if i == index else 0j for i in range(4)])
 
 
 def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
-    amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return TwoQubitState(amp / math.sqrt(_norm_sq(amp)))
+    amp = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tolist()
+    return TwoQubitState._of(_scaled(amp, math.sqrt(_norm_sq(amp))))
 
 
 def alice_rows(t: tuple[float, ...], u: UnitVector3, up: UnitVector3) -> list[tuple[float, float, float]]:

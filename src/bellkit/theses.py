@@ -14,8 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .behavior import Behavior, OUTCOME_VALUES, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .network import conditional_behavior
@@ -120,7 +118,6 @@ def find_interpretation(name: str) -> InterpretationRecord:
     suggestion = next((v for v in valid if wanted and wanted in v.lower()), None)
     if suggestion is None:
         import difflib
-
         close = difflib.get_close_matches(name, valid, n=1, cutoff=0.5)
         suggestion = close[0] if close else None
     raise UnknownInterpretationError(name, valid, suggestion)
@@ -200,6 +197,7 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     the behavior's conditionals.  Requires no-signaling so that P(A|x) is
     well-defined.
     """
+    import numpy as np
     require_no_signaling(b, "Alice's marginal P(A|x)")
     v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = v = b._entries  # index 8x + 4y + 2A + B
     # P(A|x), index 2x + A: the average of the two y-blocks of P(A|x,y), which agree within the slack
@@ -226,17 +224,20 @@ class SuperdeterministicWitness:
 
     def _atom_index(self) -> tuple[np.ndarray, ...]:
         """Each atom's (x, y, A, B) index into a behavior-shaped table."""
+        import numpy as np
         atoms = np.array(self.atoms, dtype=int).reshape(-1, 4)
         return atoms[:, 0], atoms[:, 1], (1 - atoms[:, 2]) // 2, (1 - atoms[:, 3]) // 2
 
     def induced_behavior(self) -> Behavior:
         """Condition the induced joint on the settings; reproduces the input."""
+        import numpy as np
         joint = np.zeros((1, 2, 2, 2, 2))
         np.add.at(joint[0], self._atom_index(), self.prior)
         return conditional_behavior(joint)
 
     def setting_dependence_residual(self) -> float:
         """max |P(value|x,y) - P(value)|: strictly positive, the broken thesis."""
+        import numpy as np
         x, y = self._atom_index()[:2]
         p_xy = np.zeros((2, 2))
         np.add.at(p_xy, (x, y), self.prior)
@@ -254,6 +255,7 @@ def superdeterministic_witness(b: Behavior) -> SuperdeterministicWitness:
     Bell test; settings and outcomes are then deterministic reads of the
     hidden value.
     """
+    import numpy as np
     mass = 0.25 * b.table
     index = np.argwhere(mass > 0.0)  # (x, y, A, B) rows in C order
     outcomes = np.array(OUTCOME_VALUES)[index[:, 2:]]

@@ -28,8 +28,11 @@ from bellkit import (
     singlet,
     tsirelson_settings,
 )
-from bellkit.behavior import _VALS, SETTING_LABELS_A, SETTING_LABELS_B, NoSignalingReport, require_no_signaling
-from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, probability_vector
+from bellkit.behavior import OUTCOME_VALUES, SETTING_LABELS_A, SETTING_LABELS_B, NoSignalingReport, require_no_signaling
+from bellkit.tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
+
+# outcome values by index, used to form expectation weights
+_VALS = np.array(OUTCOME_VALUES, dtype=float)
 
 
 def src_env() -> dict:
@@ -198,8 +201,73 @@ def inverse_stack_decomposition(b) -> LocalDecomposition | None:
 
 
 # References for the Python-float kernels: the numpy bodies that the code in
-# behavior.py, polytope.py, theses.py, optimize.py, quantum.py and lhv.py
-# replaced.  Each pair must give the same bytes and refuse with the same message.
+# behavior.py, polytope.py, theses.py, optimize.py, quantum.py, lhv.py and
+# tolerance.py replaced.  Each pair must give the same bytes and refuse with the
+# same message.
+
+def numpy_probability_vector(values, what: str) -> np.ndarray:
+    p = np.asarray(values, dtype=float)
+    if p.size == 0:
+        raise InvalidInputError(f"{what} is empty")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(p.sum())
+    if not math.isfinite(total) and not np.isfinite(p).all():
+        raise InvalidInputError(f"{what} has non-finite entries")
+    if p.min() < -PROBABILITY_SLACK:
+        raise InvalidInputError(f"{what} entry {p.min():.3e} below -{PROBABILITY_SLACK:g}")
+    if abs(total - 1.0) > PROBABILITY_SLACK:
+        raise InvalidInputError(f"{what} sums to {total:.12g}, not 1 within {PROBABILITY_SLACK:g}")
+    p = p.clip(0.0, None)
+    p /= p.sum()
+    p.setflags(write=False)
+    return p
+
+
+def numpy_lhv_table(model) -> np.ndarray:
+    """The factorized table sum_k P(k) P(A|x,k) P(B|y,k) by numpy's einsum."""
+    pa, pb = (np.stack([r, 1.0 - r], axis=2) for r in (model.alice_response, model.bob_response))
+    return np.einsum("k,kxi,kyj->xyij", model.prior, pa, pb)
+
+
+def _numpy_amplitudes(amp) -> np.ndarray:
+    a = np.asarray(amp, dtype=complex)
+    if a.shape != (4,):
+        raise InvalidInputError(f"state amplitudes must have shape (4,), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("state amplitudes contain non-finite values")
+    return a
+
+
+def _numpy_norm_sq(amp: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(amp) ** 2))
+
+
+def numpy_state_amplitudes(amp) -> np.ndarray:
+    """The amplitudes ``TwoQubitState(amp)`` stores: checked, then divided by their norm."""
+    a = _numpy_amplitudes(amp)
+    norm_sq = _numpy_norm_sq(a)
+    if abs(norm_sq - 1.0) > ROUNDOFF:
+        raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
+    a = a / math.sqrt(norm_sq)
+    a.setflags(write=False)
+    return a
+
+
+def numpy_from_amplitudes(amp) -> np.ndarray:
+    """The amplitudes ``TwoQubitState.from_amplitudes(amp)`` stores: scaled by their norm, then as a state's."""
+    a = _numpy_amplitudes(amp)
+    norm = math.sqrt(_numpy_norm_sq(a))
+    if abs(norm - 1.0) > AMPLITUDE_SLACK:
+        raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
+    return numpy_state_amplitudes(a / norm)
+
+
+def numpy_random_amplitudes(rng) -> np.ndarray:
+    """The amplitudes ``random_pure_state(rng)`` stores: complex Gaussians scaled by their norm, then as a state's."""
+    amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return numpy_state_amplitudes(amp / math.sqrt(_numpy_norm_sq(amp)))
+
 
 def numpy_clean_table(p) -> np.ndarray:
     table = np.asarray(p, dtype=float)
@@ -249,11 +317,11 @@ def numpy_correlators(b) -> np.ndarray:
 
 
 def numpy_decomposition_weights(weights) -> np.ndarray:
-    """``LocalDecomposition``'s weights: 16 entries through ``probability_vector``."""
+    """``LocalDecomposition``'s weights: 16 entries through ``numpy_probability_vector``."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (16,):
         raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
-    return probability_vector(w, "weights")
+    return numpy_probability_vector(w, "weights")
 
 
 def numpy_local_decomposition(b) -> np.ndarray | None:

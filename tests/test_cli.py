@@ -294,6 +294,18 @@ class TestOptimizeCommand:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # the same for two keyword specs, which build their amplitudes in _parse_state rather than from 8 reals
+    @pytest.mark.parametrize("fmt, spec, digest", [
+        ("text", "singlet", "cdd489617c183dff88bae569e27064dd237f671e212df61f27bce11eda4ded93"),
+        ("json", "singlet", "dc220a544504d8517c8a4975d7749b214147db5da638a4705a245e621970a635"),
+        ("text", "01", "0731378ceda268f0d36fc0f1d41713d06b2ccbcaa0f5a28ffe6179289fa149ff"),
+        ("json", "01", "db765cfd6ca7c63df8ccf34f2713c6ca4ab750d41540eb64a18ca0c0b50ccbeb"),
+    ], ids=["singlet-text", "singlet-json", "01-text", "01-json"])
+    def test_golden_keyword_report_bytes(self, capsys, fmt, spec, digest):
+        code, out, _ = run(capsys, "--format", fmt, "optimize", spec)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestSampleCommand:
     def test_deterministic_network(self, capsys, det_network_file, tmp_path):
@@ -450,6 +462,21 @@ class TestSampleCommand:
                          "--seed", str(entry["seed"]), "--out", str(out_csv))
         assert code == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == entry["sha256"]
+
+    # SHA-256 of stdout for the 2-value golden network, whose "exact S" (-1.1184374999999998) rounds in
+    # lhv_behavior; written next to the CSV, so that the report's output path is the same on every run
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "2d3d93914de956597190da1ccd8e46891da54932708edebc60e9cd5aadb36ff9"),
+        ("json", "be1ff004233e3d47d5e1e50d264a979277e649f38061c068b04a2f52ee4aca0b"),
+    ], ids=["text", "json"])
+    def test_golden_report_bytes(self, capsys, tmp_path, monkeypatch, fmt, digest):
+        entry = next(e for e in GOLDEN if e["seed"] == 20250005)
+        monkeypatch.chdir(tmp_path)
+        Path("network.json").write_text(json.dumps(entry["network"]))
+        code, out, _ = run(capsys, "--format", fmt, "sample", "network.json", "-n", str(entry["n"]),
+                           "--seed", str(entry["seed"]), "--out", "d.csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("labels", [("x,y", "x,y"), ("l0", "l0"), ('say "hi"', "l1"),
@@ -831,6 +858,18 @@ class TestTaxonomyCommand:
         assert err.startswith(f"error: unknown interpretation '{'z' * 39}... (100002 characters). Valid names: ")
         assert err.count("\n") == 1 and len(err) < 500
 
+    # SHA-256 of stdout, the text report with its table, pinned so that a change of rows, order or layout shows
+    @pytest.mark.parametrize("fmt, argv, digest", [
+        ("text", (), "d30b2dd7cde6a1d9d290856eeda01b56972dfc0687f8b66e8a7aefb56f2b1db7"),
+        ("json", (), "464427ebc72eac11fc38b5795ad20db31f9cc364e0653c7100868dddbf06908a"),
+        ("text", ("Everett",), "ebe64b925a3b30c897a21e8d953627d198292732deaa540adfcc8e720aa7ec01"),
+        ("json", ("Everett",), "a0ccb6545796739ae6cd7cd6eff1a97617794bea9a5af55b3fe3ed25274b3efb"),
+    ], ids=["table-text", "table-json", "everett-text", "everett-json"])
+    def test_golden_report_bytes(self, capsys, fmt, argv, digest):
+        code, out, _ = run(capsys, "--format", fmt, "taxonomy", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestSweepCommand:
     def test_two_rows_csv(self, capsys, tmp_path):
@@ -867,7 +906,7 @@ class TestSweepCommand:
 
         # the count is refused before the angle array, and so any row array, exists;
         # every block of angles that sweep computes starts from np.arange
-        monkeypatch.setattr(optimize.np, "arange", no_rows)
+        monkeypatch.setattr(np, "arange", no_rows)
         steps = optimize.MAX_STEPS + 1
         out_csv = tmp_path / "s.csv"
         code, out, err = run(capsys, "sweep", "singlet", "--steps", str(steps), "--out", str(out_csv))

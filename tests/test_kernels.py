@@ -1,6 +1,7 @@
 """The Python-float kernels give the bytes of the numpy code they replaced.
 
-Each kernel of the behavior layer runs on Python floats in numpy's order of
+Each kernel of the behavior layer, the model's behavior, the probability
+check and a state's amplitudes runs on Python floats in numpy's order of
 operations; its numpy predecessor lives on in conftest as the reference.  The
 quantum layer's products after (a, b, T) run in one written order, that of a
 BLAS kernel without fused multiply-adds, against conftest's loop references,
@@ -22,6 +23,7 @@ import pytest
 
 from bellkit import (
     InvalidInputError,
+    LHVModel,
     LocalDecomposition,
     MeasurementSettings,
     NonlocalWitness,
@@ -36,8 +38,10 @@ from bellkit import (
     correlators,
     local_decomposition,
     nonlocal_witness,
+    lhv_behavior,
     pr_box,
     quantum_behavior,
+    random_model,
     random_no_signaling_behavior,
     random_pure_state,
     seesaw_maximize,
@@ -45,17 +49,22 @@ from bellkit import (
     sweep,
     uniform_behavior,
 )
-from bellkit.behavior import _VALS, Behavior, _table_from_means, deterministic_vertex_tables
-from bellkit.polytope import _sum16
-from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF
+from bellkit.behavior import Behavior, _table_from_means, deterministic_vertex_tables
+from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, pairwise_sum, probability_vector
 from conftest import (
+    _VALS,
     numpy_chsh,
     numpy_clean_table,
     numpy_correlators,
     numpy_decomposition_weights,
+    numpy_from_amplitudes,
+    numpy_lhv_table,
     numpy_local_decomposition,
     numpy_no_signaling,
     numpy_nonlocal_witness,
+    numpy_probability_vector,
+    numpy_random_amplitudes,
+    numpy_state_amplitudes,
     numpy_table_from_means,
     random_direction,
     src_env,
@@ -313,21 +322,91 @@ def test_chsh_edges():
         assert_same(_outcome(chsh, e), _outcome(numpy_chsh, e))
 
 
-def test_numpy_sums_16_doubles_pairwise():
-    """``_sum16`` copies numpy's order for 16 contiguous doubles; fail loudly if numpy changes it.
-
-    Summands of mixed sign and magnitude make the orders differ: the
-    left-to-right sum differs from the pairwise one on about half of them.
-    """
+def sum_vectors():
+    """Dirichlet vectors of every length up to 300 and some longer, then the same with mixed signs and magnitudes."""
     rng = np.random.default_rng(1606)
-    vectors = rng.standard_normal((2000, 16)) * 10.0 ** rng.uniform(-8.0, 8.0, (2000, 16))
-    mismatches = sum(float(w.sum()) != _sum16(w.tolist()) for w in vectors)
-    assert mismatches == 0, (
-        f"numpy {np.__version__} summed {mismatches} of 2000 vectors of 16 doubles in another order than "
-        "((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) with r_j = v_j + v_(j+8); "
-        "LocalDecomposition's Python-float kernel copies that order, so its weights may no longer "
-        "have numpy's bytes")
-    assert sum(np.cumsum(w)[-1] != _sum16(w.tolist()) for w in vectors) > 500  # the inputs tell orders apart
+    for n in [*range(1, 301), 497, 1024, 2000, 4999]:
+        w = rng.dirichlet(np.full(n, rng.choice([0.1, 1.0, 10.0])))
+        yield w
+        yield w * rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    yield from (np.full(n, -0.0) for n in (1, 7, 8, 9, 200))
+
+
+def test_pairwise_sum_in_numpys_order():
+    """``pairwise_sum`` copies the order in which numpy sums contiguous doubles; fail loudly if numpy changes it.
+
+    Summands of mixed sign and magnitude make the orders differ, so the
+    left-to-right sum differs from the pairwise one on many of them.
+    """
+    vectors = list(sum_vectors())
+    mismatches = [len(w) for w in vectors if pairwise_sum(w.tolist()).hex() != float(w.sum()).hex()]
+    assert mismatches == [], (
+        f"numpy {np.__version__} summed vectors of lengths {mismatches} in another order than pairwise_sum's; "
+        "the prior, the setting priors and LocalDecomposition's weights may no longer have numpy's bytes")
+    assert sum(np.cumsum(w)[-1] != pairwise_sum(w.tolist()) for w in vectors) > 200  # the inputs tell orders apart
+
+
+def test_probability_vector_on_python_floats():
+    """Distributions within and beyond the slack, with signed zeros, clamped and refused entries, and a joint."""
+    rng = np.random.default_rng(1607)
+    vectors = [*(w for w in sum_vectors() if w.min() >= 0.0)]
+    for n in (2, 3, 16, 100):
+        for _ in range(50):
+            w = rng.dirichlet(np.ones(n)) * (1.0 + rng.uniform(-1.5, 1.5) * PROBABILITY_SLACK)
+            w[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, -5e-10, -1.5e-9])
+            vectors.append(w)
+    vectors += [[], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, np.inf], [1e308, 1e308], [0.5, 0.5 + 2e-9],
+                [-0.0, 1.0], rng.dirichlet(np.ones(48)).reshape(3, 2, 2, 2, 2)]
+    for w in vectors:
+        assert_same(_outcome(probability_vector, w, "p"), _outcome(numpy_probability_vector, w, "p"))
+
+
+@pytest.mark.parametrize("n, count", [(1, 200), (2, 200), (3, 200), (5, 200), (8, 200), (16, 200), (17, 200),
+                                      (100, 200), (2000, 20)])
+def test_lhv_behavior_on_python_floats(n, count):
+    """The left-to-right k-sum gives einsum's bytes, models with exact 0/1 responses included."""
+    rng = np.random.default_rng(n)
+    for i in range(count):
+        model = random_model(rng, n_lambda=n)
+        if i % 4 == 0:  # deterministic responses, some of them -0.0, and a prior with zeros
+            prior = model.prior * (rng.random(n) < 0.7)
+            prior = prior / prior.sum() if prior.sum() else model.prior
+            alice = np.round(model.alice_response)
+            alice = np.where(alice == 0.0, rng.choice([0.0, -0.0], (n, 2)), alice)
+            model = LHVModel(model.labels, prior, alice, np.round(model.bob_response))
+        assert_same(lhv_behavior(model).table, numpy_clean_table(numpy_lhv_table(model)))
+
+
+# numpy's complex abs takes a fused multiply-add where the CPU has one (x86-64-v3 and later), and rounds
+# otherwise: bellkit's amplitudes keep the FMA bytes on every CPU, so numpy is their reference only there
+_NUMPY_ABS_FMA = (float(np.abs(np.array([complex(0.27276877584472176, -1.2333286640307717)]))[0])
+                  == float.fromhex("0x1.435c9e101ddccp+0"))
+
+
+@pytest.mark.skipif(not _NUMPY_ABS_FMA, reason="numpy's complex abs takes no fused multiply-add on this CPU")
+def test_amplitudes_on_python_complex():
+    """Stored amplitudes of states built three ways, with signed zeros, typed digits and refusals."""
+    rng = np.random.default_rng(1608)
+    c, s = math.cos(0.3), math.sin(0.3)
+    specs = [np.array([c, 0.0, 0.0, s]), np.array([-0.0, c, -s, -0.0]), np.array([0.5, -0.5j, 0.5j, -0.5]),
+             np.array([complex(-0.0, 0.6), complex(0.8, -0.0), 0.0, complex(-0.0, -0.0)]), [1, 0, 0, 0],
+             [1.0 + 1e-7, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0],
+             np.zeros(3), np.eye(2)]
+    for _ in range(500):
+        v = rng.standard_normal(8)
+        v = v / math.sqrt(float(v @ v))
+        typed = [float(f"{x:.7f}") for x in v]  # as a user types them
+        specs.append(np.array([complex(typed[2 * i], typed[2 * i + 1]) for i in range(4)]))
+        specs.append(tuple(specs[-1].tolist()))
+    for amp in specs:
+        assert_same(_outcome(lambda a: TwoQubitState.from_amplitudes(a).amp, amp),
+                    _outcome(numpy_from_amplitudes, amp))
+        assert_same(_outcome(lambda a: TwoQubitState(a).amp, amp), _outcome(numpy_state_amplitudes, amp))
+    seed = 1609
+    for _ in range(500):
+        seed += 1
+        assert_same(random_pure_state(np.random.default_rng(seed)).amp,
+                    numpy_random_amplitudes(np.random.default_rng(seed)))
 
 
 def test_products_in_the_written_order():
@@ -367,3 +446,23 @@ def test_quantum_digest_is_the_same_under_every_openblas_kernel():
                              check=True)
         digests[core or "default"] = out.stdout.strip()
     assert len(set(digests.values())) == 1, digests
+
+
+def test_quantum_digest_is_the_same_without_numpys_cpu_dispatch():
+    """numpy's SIMD kernels (its complex abs takes an FMA in them) switched off: the amplitudes keep their bytes."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("this numpy does not name its dispatched CPU features")
+    dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not dispatched:
+        pytest.skip("numpy dispatches no kernel on this CPU")
+    digests = []
+    for disabled in (None, " ".join(dispatched)):
+        env = {k: v for k, v in src_env().items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = subprocess.run([sys.executable, str(_DIGEST_SCRIPT)], env=env, capture_output=True, text=True,
+                             check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]

@@ -1,4 +1,4 @@
-"""The package surface, which modules each subcommand loads, and the names perfbench traces."""
+"""The package surface, which modules each subcommand loads (numpy among them), and the names perfbench traces."""
 
 import importlib
 import inspect
@@ -80,14 +80,16 @@ def test_cli_binds_the_functions_perfbench_traces(name):
     assert fn.__module__ in ("bellkit.io", "bellkit.network")
 
 
-# runs main(argv) in a fresh interpreter, then prints the bellkit submodules it loaded to stderr
-_LOADED = ("import json, sys\n"
-           "if sys.argv[1:]:\n"
+# runs main(argv) in a fresh interpreter, or imports the module that follows "--import", then prints
+# to stderr the bellkit submodules it loaded, and "numpy" if numpy is among the modules loaded
+_LOADED = ("import importlib, json, sys\n"
+           "if sys.argv[1] == '--import':\n"
+           "    importlib.import_module(sys.argv[2])\n"
+           "else:\n"
            "    from bellkit.cli import main\n"
            "    assert main(sys.argv[1:]) == 0\n"
-           "else:\n"
-           "    import bellkit\n"
-           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bellkit.'))), file=sys.stderr)\n")
+           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bellkit.') or m == 'numpy')),\n"
+           "      file=sys.stderr)\n")
 
 
 def loaded_modules(*argv: str, cwd) -> set[str]:
@@ -99,17 +101,24 @@ def loaded_modules(*argv: str, cwd) -> set[str]:
 
 
 def test_import_bellkit_loads_no_submodule(tmp_path):
-    assert loaded_modules(cwd=tmp_path) == set()
+    assert loaded_modules("--import", "bellkit", cwd=tmp_path) == set()
 
 
+def test_import_bellkit_cli_loads_no_numpy(tmp_path):
+    assert "numpy" not in loaded_modules("--import", "bellkit.cli", cwd=tmp_path)
+
+
+# the light subcommands load no numpy: their arithmetic runs on Python floats
 @pytest.mark.parametrize("argv, heavy", [
     (("enumerate",), set()),
-    (("sample", "network.json", "-n", "100", "--seed", "1", "--out", "s.csv"), set()),
+    (("sample", "network.json", "-n", "100", "--seed", "1", "--out", "s.csv"), {"numpy"}),
     (("taxonomy",), {"bellkit.theses"}),
     (("taxonomy", "Everett"), {"bellkit.theses"}),
     (("chsh", "behavior.json"), {"bellkit.polytope"}),
     (("optimize", "singlet"), {"bellkit.quantum", "bellkit.optimize"}),
-    (("sweep", "00", "--steps", "3", "--out", "w.csv"), {"bellkit.quantum", "bellkit.optimize"}),
+    (("sweep", "00", "--steps", "3", "--out", "w.csv"), {"bellkit.quantum", "bellkit.optimize", "numpy"}),
+    (("chsh", "network.json"), {"bellkit.polytope"}),
+    (("optimize", "0.6,0,0,0,0,0,0.8,0"), {"bellkit.quantum", "bellkit.optimize"}),
 ])
 def test_each_subcommand_loads_only_its_modules(tmp_path, singlet_behavior, argv, heavy):
     (tmp_path / "behavior.json").write_text(json.dumps(behavior_json(singlet_behavior)))
@@ -117,4 +126,4 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, singlet_behavior, argv
     (tmp_path / "network.json").write_text(json.dumps(network_json(spec)))
     loaded = loaded_modules(*argv, cwd=tmp_path)
     assert "bellkit.cli" in loaded
-    assert loaded & HEAVY == heavy
+    assert loaded & (HEAVY | {"numpy"}) == heavy

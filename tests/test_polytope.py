@@ -162,8 +162,9 @@ class TestVertexSimplices:
     @linux_only
     def test_first_build_memory(self):
         # the closed form builds no table on first use, so the first call raises the
-        # peak by ~0.4 MB; a table of vertex simplices built then would take MBs
-        setup = "from bellkit import local_decomposition, uniform_behavior"
+        # peak by ~0.4 MB; a table of vertex simplices built then would take MBs.  numpy,
+        # which the weights' array needs, loads in the setup, as it is no part of the build
+        setup = "import numpy\nfrom bellkit import local_decomposition, uniform_behavior"
         assert peak_rise_mb(setup, "local_decomposition(uniform_behavior())") < 1
 
     def test_weights_match_inverse_stack(self):
