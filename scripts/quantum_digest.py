@@ -8,8 +8,11 @@ the first part of the digest changes only if ``quantum_behavior``,
 of ``seesaw_maximize`` (best S and its four directions) and a 361-row
 ``sweep``; and the amplitudes that ``TwoQubitState.from_amplitudes`` stores
 for 500 state specs typed to 7 decimals, 500 ``random_pure_state`` draws, and
-``exact_chsh`` for 300 random networks with random setting priors.  Run it
-under several OpenBLAS kernels and compare the lines; they must be equal:
+``exact_chsh`` for 300 random networks with random setting priors.  Each
+state is normalised once on Python floats, so no numpy kernel, BLAS kernel or
+CPU feature enters the amplitudes.  Run it under several OpenBLAS kernels, or
+with numpy's CPU dispatch switched off, and compare the lines; they must be
+equal:
 
     PYTHONPATH=src OPENBLAS_CORETYPE=Prescott python scripts/quantum_digest.py
 """
@@ -33,7 +36,10 @@ def direction(rng: np.random.Generator) -> UnitVector3:
 def typed_amplitudes(rng: np.random.Generator) -> np.ndarray:
     """4 amplitudes as a user types them: a seeded unit vector of 8 reals, each cut to 7 decimals."""
     v = rng.standard_normal(8).tolist()
-    norm = math.sqrt(sum(x * x for x in v))
+    norm_sq = 0.0  # left to right: the builtin sum compensates from Python 3.12
+    for x in v:
+        norm_sq += x * x
+    norm = math.sqrt(norm_sq)
     re_im = [float(f"{x / norm:.7f}") for x in v]
     return np.array([complex(re_im[2 * i], re_im[2 * i + 1]) for i in range(4)])
 

@@ -80,14 +80,15 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     With n1, n2 the unit eigenvectors of T^T T for its two largest eigenvalues
     (``_top_eigenvectors``), s_i = |T n_i| are the two largest singular values
     of the state's correlation matrix T and m_i = T n_i / s_i the matching left
-    singular vectors.  Alice measures along m1 and m2 and Bob along
-    cos(t) n1 +/- sin(t) n2 with tan(t) = s2/s1, which gives
-    S = 2 sqrt(s1^2 + s2^2), the maximum (Horodecki, Horodecki & Horodecki,
-    Phys. Lett. A 200, 340 (1995)).  S at the returned directions is that
-    value for any orthonormal n1, n2, so ``best_s`` is what the settings give.
-    Where s2 = 0 (product states), m2 is any unit vector orthogonal to m1.
-    ``best_s`` is always positive.  ``seed`` is accepted for compatibility
-    with the former seeded seesaw and does not affect the result.
+    singular vectors.  With h = sqrt(s1^2 + s2^2), Alice measures along m1
+    and m2 and Bob along (s1 n1 +/- s2 n2) / h, which gives S = 2 h, the
+    maximum (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).
+    S at the returned directions is that value for any orthonormal n1, n2, so
+    ``best_s`` is what the settings give.  A pure state's T has the singular
+    values 1, sin 2t, sin 2t (t its Schmidt angle), so s1, h and ``best_s``
+    are positive; where s2 = 0 (product states), m2 is any unit vector
+    orthogonal to m1.  ``seed`` is accepted for compatibility with the former
+    seeded seesaw and does not affect the result.
     """
     t00, t01, t02, t10, t11, t12, t20, t21, t22 = psi._bloch_and_tensor[2]
     # A = T^T T by its upper triangle
@@ -99,17 +100,17 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     p1, q1, r1 = t00 * x1 + t01 * y1 + t02 * z1, t10 * x1 + t11 * y1 + t12 * z1, t20 * x1 + t21 * y1 + t22 * z1
     p2, q2, r2 = t00 * x2 + t01 * y2 + t02 * z2, t10 * x2 + t11 * y2 + t12 * z2, t20 * x2 + t21 * y2 + t22 * z2
     s1, s2 = math.hypot(p1, q1, r1), math.hypot(p2, q2, r2)
-    m1 = (p1 / s1, q1 / s1, r1 / s1) if s1 else n1  # T = 0: any unit vector
+    m1 = (p1 / s1, q1 / s1, r1 / s1)
     m2 = (p2 / s2, q2 / s2, r2 / s2) if s2 else _complement(m1)[0]
-    theta = math.atan2(s2, s1)
-    c, s = math.cos(theta), math.sin(theta)
+    h = math.hypot(s1, s2)
+    c, s = s1 / h, s2 / h
     settings = MeasurementSettings(
         alice_u=UnitVector3(*m1),
         alice_u_prime=UnitVector3(*m2),
         bob_v=UnitVector3(c * x1 + s * x2, c * y1 + s * y2, c * z1 + s * z2),
         bob_v_prime=UnitVector3(c * x1 - s * x2, c * y1 - s * y2, c * z1 - s * z2),
     )
-    return OptimizationResult(best_s=2.0 * math.hypot(s1, s2), settings=settings)
+    return OptimizationResult(best_s=2.0 * h, settings=settings)
 
 
 def _top_eigenvectors(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> tuple[Vector, Vector]:

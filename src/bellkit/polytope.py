@@ -9,7 +9,8 @@ follows Fine's theorem (A. Fine, PRL 48, 291 (1982)): the measured pairs form
 the cycle A0-B0-A1-B1, and a joint distribution of (A0, A1, B0, B1) exists iff
 the chord A0-A1 can be completed so that both triangles (A0, A1, B_y) have a
 nonnegative distribution; B0 and B1 are then independent given (A0, A1).
-Like ``behavior``, both read a behavior's stored entries, Python floats, in numpy's order.
+Like ``behavior``, both read a behavior's stored entries, Python floats, in numpy's order;
+the weights are summed left to right by ``probabilities``.
 ``chsh_variants`` and ``is_local`` add the 8 signed sums of the 4 correlators
 on Python floats in the written order of ``quantum``, not through BLAS.
 """

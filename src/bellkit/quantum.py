@@ -4,11 +4,12 @@ Basis order for the bipartite system is fixed as |00>, |01>, |10>, |11> with
 the left tensor factor belonging to Alice.  All operations are pure functions
 over immutable values; everything is plain double-precision arithmetic.
 
-A state's amplitudes are normalised on Python complex numbers in numpy's order
-(``_norm_sq``, ``_scaled``), and its (a, b, T) and the products after it, used by
-``quantum_behavior``, ``chsh_of_settings`` and ``sweep``, on Python floats, each
-in one written order (``_bloch_and_tensor``, ``alice_rows``); no step calls
-BLAS, so the bytes do not depend on the BLAS kernel.
+A state's amplitudes are normalised once, on Python complex numbers: each
+part times 1/norm, the norm the square root of re^2 + im^2 added left to right
+(``_sum_of_squares``, ``_normalised``).  Its (a, b, T) and the products after
+it, used by ``quantum_behavior``, ``chsh_of_settings`` and ``sweep``, run on
+Python floats, each in one written order (``_bloch_and_tensor``,
+``alice_rows``).  No step calls numpy or BLAS, so the bytes depend on neither.
 """
 
 from __future__ import annotations
@@ -63,30 +64,30 @@ class TwoQubitState:
     amp = _array_memo("_amp")
 
     def __init__(self, amp):
-        self._store(_amplitudes(amp))
+        amp = _amplitudes(amp)
+        norm_sq = _sum_of_squares(amp)
+        if abs(norm_sq - 1.0) > ROUNDOFF:
+            raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
+        self._store(_normalised(amp, math.sqrt(norm_sq)))
 
     @classmethod
     def _of(cls, amp: list[complex]) -> TwoQubitState:
-        """The state of 4 finite amplitudes ``amp``, Python complex numbers, without checking them again."""
+        """The state of 4 normalised amplitudes ``amp``, Python complex numbers, stored as they are."""
         psi = object.__new__(cls)
         psi._store(amp)
         return psi
 
     def _store(self, amp: list[complex]) -> None:
-        norm_sq = _norm_sq(amp)
-        if abs(norm_sq - 1.0) > ROUNDOFF:
-            raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
-        amp = _scaled(amp, math.sqrt(norm_sq))
         self.__dict__.update(_amp=amp, _bloch_and_tensor=_bloch_and_tensor(amp))
 
     @classmethod
     def from_amplitudes(cls, amp) -> TwoQubitState:
-        """Build from amplitudes within AMPLITUDE_SLACK of unit norm: scaled by it, then normalised as any state."""
+        """Build from amplitudes within AMPLITUDE_SLACK of unit norm, normalised."""
         a = _amplitudes(amp)
-        norm = math.sqrt(_norm_sq(a))
+        norm = math.sqrt(_sum_of_squares(a))
         if abs(norm - 1.0) > AMPLITUDE_SLACK:
             raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
-        return cls._of(_scaled(a, norm))
+        return cls._of(_normalised(a, norm))
 
     @_memo
     def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,34 +136,23 @@ def _amplitudes(amp) -> list[complex]:
     return a
 
 
-def _norm_sq(amp: list[complex]) -> float:
-    """The squared norm of ``amp``, numpy's ``sum(abs(amp) ** 2)`` to the bit; inf when it overflows.
-
-    numpy's complex ``abs`` (its kernel with FMA) is big sqrt(fma(r, r, 1)), r = small/big of |re| and |im|;
-    ``math.fsum`` of the exact products of r's halves (Veltkamp's split) rounds the fma once.
-    """
+def _sum_of_squares(amp: list[complex]) -> float:
+    """The squared norm of ``amp``, re^2 + im^2 of each amplitude added left to right to 0.0; inf when it overflows."""
     total = 0.0
     for c in amp:
-        small, big = sorted((abs(c.real), abs(c.imag)))
-        r = small / big if big else 0.0
-        split = 134217729.0 * r  # 2^27 + 1
-        hi = split - (split - r)
-        lo = r - hi
-        h = math.sqrt(math.fsum((1.0, hi * hi, 2.0 * hi * lo, lo * lo))) * big
-        total += h * h
+        total += c.real * c.real + c.imag * c.imag
     return total
 
 
-def _scaled(amp: list[complex], norm: float) -> list[complex]:
-    """``amp`` / ``norm`` as numpy divides a complex array by a float, in Smith's form for norm + 0j."""
-    # each part adds its product with the ratio 0.0/norm, which sets the sign of some zeros, and is scaled by 1/norm
+def _normalised(amp: list[complex], norm: float) -> list[complex]:
+    """``amp`` / ``norm``, each part times 1/norm (a complex product would set the sign of some zeros)."""
     scale = 1.0 / norm
-    return [complex((c.real + c.imag * 0.0) * scale, (c.imag - c.real * 0.0) * scale) for c in amp]
+    return [complex(c.real * scale, c.imag * scale) for c in amp]
 
 
 def singlet() -> TwoQubitState:
     """The two-qubit singlet (|01> - |10>)/sqrt(2)."""
-    s = 1.0 / math.sqrt(2.0)
+    s = math.sqrt(0.5)  # 1/sqrt(2) correctly rounded: stored as it is
     return TwoQubitState._of([0j, complex(s), complex(-s), 0j])
 
 
@@ -176,7 +166,7 @@ def basis_state(index: int) -> TwoQubitState:
 def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
     amp = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tolist()
-    return TwoQubitState._of(_scaled(amp, math.sqrt(_norm_sq(amp))))
+    return TwoQubitState._of(_normalised(amp, math.sqrt(_sum_of_squares(amp))))
 
 
 def alice_rows(t: tuple[float, ...], u: UnitVector3, up: UnitVector3) -> list[tuple[float, float, float]]:

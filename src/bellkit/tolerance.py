@@ -2,7 +2,7 @@
 
 Each verdict bellkit prints is a comparison at one of these slacks, so they live in one
 place and no function takes its own tolerance argument.  Values are checked as Python
-floats, in numpy's order of operations, so that only an array's construction needs numpy.
+floats, each sum added left to right, so that only an array's construction needs numpy.
 """
 
 from __future__ import annotations
@@ -42,44 +42,27 @@ def read_only_array(values: list, shape: tuple[int, ...] = (-1,)):
     return a
 
 
-def pairwise_sum(v: list[float], lo: int = 0, n: int | None = None) -> float:
-    """The sum of the floats ``v[lo:lo + n]`` in the order in which numpy's ``sum`` adds contiguous doubles.
-
-    Over 128 terms split after half, rounded down to a multiple of 8; of at most 128, 8 running sums r_j of every
-    8th term give 0.0 + ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rest is added left to right.
-    """
-    n = len(v) if n is None else n
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return pairwise_sum(v, lo, half) + pairwise_sum(v, lo + half, n - half)
-    end, total = lo + n - n % 8, 0.0
-    if n >= 8:
-        r0, r1, r2, r3, r4, r5, r6, r7 = v[lo:lo + 8]
-        for i in range(lo + 8, end, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = v[i:i + 8]
-            r0, r1, r2, r3, r4, r5, r6, r7 = r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7
-        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for x in v[end:lo + n]:
-        total += x
-    return total
-
-
 def probabilities(v: list[float], what: str) -> list[float]:
     """The floats ``v`` as a distribution: finite, >= -slack, mass 1 within slack; clipped at 0, renormalised."""
     if not v:
         raise InvalidInputError(f"{what} is empty")
+    # added left to right from 0.0: math.fsum raises on inf - inf, and the builtin sum compensates from Python 3.12;
     # only a sum that is not finite calls for the entrywise check (an overflowing one is refused below)
-    total, low = pairwise_sum(v), min(v)
+    total, low = 0.0, min(v)
+    for x in v:
+        total += x
     if not math.isfinite(total) and not all(map(math.isfinite, v)):
         raise InvalidInputError(f"{what} has non-finite entries")
     if low < -PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} entry {low:.3e} below -{PROBABILITY_SLACK:g}")
     if abs(total - 1.0) > PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} sums to {total:.12g}, not 1 within {PROBABILITY_SLACK:g}")
-    # entries clipped at 0, where -0.0 becomes +0.0 as numpy's clip(0.0, None) makes it: a clipped
-    # negative entry changes the sum, and the sign of a zero changes no bit of it
+    # entries clipped at 0, where -0.0 becomes +0.0: a clipped negative entry changes the sum,
+    # and the sign of a zero changes no bit of it
     if low < 0.0:
-        total = pairwise_sum([x if x > 0.0 else 0.0 for x in v])
+        total = 0.0
+        for x in v:
+            total += x if x > 0.0 else 0.0
     return [x / total if x > 0.0 else 0.0 for x in v]
 
 

@@ -202,15 +202,17 @@ def inverse_stack_decomposition(b) -> LocalDecomposition | None:
 
 # References for the Python-float kernels: the numpy bodies that the code in
 # behavior.py, polytope.py, theses.py, optimize.py, quantum.py, lhv.py and
-# tolerance.py replaced.  Each pair must give the same bytes and refuse with the
+# tolerance.py replaced, with a probability's and a norm's sum taken left to
+# right by np.cumsum.  Each pair must give the same bytes and refuse with the
 # same message.
 
 def numpy_probability_vector(values, what: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.size == 0:
         raise InvalidInputError(f"{what} is empty")
+    # left to right from 0.0: adding 0.0 first only turns a sum of -0.0 into +0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(p.sum())
+        total = 0.0 + float(np.cumsum(p)[-1])
     if not math.isfinite(total) and not np.isfinite(p).all():
         raise InvalidInputError(f"{what} has non-finite entries")
     if p.min() < -PROBABILITY_SLACK:
@@ -218,7 +220,7 @@ def numpy_probability_vector(values, what: str) -> np.ndarray:
     if abs(total - 1.0) > PROBABILITY_SLACK:
         raise InvalidInputError(f"{what} sums to {total:.12g}, not 1 within {PROBABILITY_SLACK:g}")
     p = p.clip(0.0, None)
-    p /= p.sum()
+    p /= 0.0 + np.cumsum(p)[-1]
     p.setflags(write=False)
     return p
 
@@ -239,34 +241,41 @@ def _numpy_amplitudes(amp) -> np.ndarray:
 
 
 def _numpy_norm_sq(amp: np.ndarray) -> float:
+    """re^2 + im^2 of each amplitude, added left to right."""
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(amp) ** 2))
+        return float(np.cumsum(amp.real * amp.real + amp.imag * amp.imag)[-1])
 
 
-def numpy_state_amplitudes(amp) -> np.ndarray:
-    """The amplitudes ``TwoQubitState(amp)`` stores: checked, then divided by their norm."""
-    a = _numpy_amplitudes(amp)
-    norm_sq = _numpy_norm_sq(a)
-    if abs(norm_sq - 1.0) > ROUNDOFF:
-        raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
-    a = a / math.sqrt(norm_sq)
+def _numpy_normalised(amp: np.ndarray, norm: float) -> np.ndarray:
+    """``amp`` with each part times 1/norm, read-only."""
+    a = np.empty(4, dtype=complex)
+    a.real, a.imag = amp.real * (1.0 / norm), amp.imag * (1.0 / norm)
     a.setflags(write=False)
     return a
 
 
+def numpy_state_amplitudes(amp) -> np.ndarray:
+    """The amplitudes ``TwoQubitState(amp)`` stores: checked, then normalised."""
+    a = _numpy_amplitudes(amp)
+    norm_sq = _numpy_norm_sq(a)
+    if abs(norm_sq - 1.0) > ROUNDOFF:
+        raise InvalidInputError(f"state norm^2 = {norm_sq:.12g} deviates from 1 beyond {ROUNDOFF:g}")
+    return _numpy_normalised(a, math.sqrt(norm_sq))
+
+
 def numpy_from_amplitudes(amp) -> np.ndarray:
-    """The amplitudes ``TwoQubitState.from_amplitudes(amp)`` stores: scaled by their norm, then as a state's."""
+    """The amplitudes ``TwoQubitState.from_amplitudes(amp)`` stores: checked at the amplitude slack, then normalised."""
     a = _numpy_amplitudes(amp)
     norm = math.sqrt(_numpy_norm_sq(a))
     if abs(norm - 1.0) > AMPLITUDE_SLACK:
         raise InvalidInputError(f"amplitude norm {norm:.12g} deviates from 1 beyond {AMPLITUDE_SLACK:g}")
-    return numpy_state_amplitudes(a / norm)
+    return _numpy_normalised(a, norm)
 
 
 def numpy_random_amplitudes(rng) -> np.ndarray:
-    """The amplitudes ``random_pure_state(rng)`` stores: complex Gaussians scaled by their norm, then as a state's."""
+    """The amplitudes ``random_pure_state(rng)`` stores: complex Gaussians, normalised."""
     amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return numpy_state_amplitudes(amp / math.sqrt(_numpy_norm_sq(amp)))
+    return _numpy_normalised(amp, math.sqrt(_numpy_norm_sq(amp)))
 
 
 def numpy_clean_table(p) -> np.ndarray:

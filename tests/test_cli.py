@@ -286,8 +286,8 @@ class TestOptimizeCommand:
 
     # SHA-256 of stdout for a generic state, pinned so that a change of the (a, b, T) or optimum arithmetic shows
     @pytest.mark.parametrize("fmt, digest", [
-        ("text", "f5fb2a248e5b5fc0d985dcb84472760fa4dc4a13a28319fb4cb6bd2147ddc113"),
-        ("json", "4ddde34f5a79c8e69c9c8fb4c5cd42c8deb853cfd0bcb772d95f14966c32178a"),
+        ("text", "58a8aa109cdb1c95fbd99999a5d6d62df1027177a4a5dd705a45dfa58cd6b24b"),
+        ("json", "0badb8697a44b8831decd3c7a386e7a7246379a3583151dfd3c9c77727a69162"),
     ], ids=["text", "json"])
     def test_golden_report_bytes(self, capsys, fmt, digest):
         code, out, _ = run(capsys, "--format", fmt, "optimize", GENERIC_SPEC)
@@ -297,7 +297,7 @@ class TestOptimizeCommand:
     # the same for two keyword specs, which build their amplitudes in _parse_state rather than from 8 reals
     @pytest.mark.parametrize("fmt, spec, digest", [
         ("text", "singlet", "cdd489617c183dff88bae569e27064dd237f671e212df61f27bce11eda4ded93"),
-        ("json", "singlet", "dc220a544504d8517c8a4975d7749b214147db5da638a4705a245e621970a635"),
+        ("json", "singlet", "7cf4898d49f14d3d1d62e94fd179a426aef8b58f20c2fe3105a05bf5c8bab2c9"),
         ("text", "01", "0731378ceda268f0d36fc0f1d41713d06b2ccbcaa0f5a28ffe6179289fa149ff"),
         ("json", "01", "db765cfd6ca7c63df8ccf34f2713c6ca4ab750d41540eb64a18ca0c0b50ccbeb"),
     ], ids=["singlet-text", "singlet-json", "01-text", "01-json"])
@@ -924,7 +924,7 @@ class TestSweepCommand:
          "622e4663caad71560ae1c59985ad5700e21123558b25093002fd76f0751f19cd"),
         (["0.6,0,0.48,0,0,0.64,0,0", "--steps", "91", "--theta-start", "0", "--theta-end", "90"],
          "c58ad818e16e0de7ef626a3355e2e3d465624a25f9364646fa8d92de5ede97ef"),
-        ([GENERIC_SPEC, "--steps", "361"], "5623e83cb746858731aaced631cff4396e3a428f1e435c9b3d556d6f6b175a24"),
+        ([GENERIC_SPEC, "--steps", "361"], "8cef29061a4cac0d7cc793ca7f85f47550007bbe8f2eb3a9b8694297caa654c5"),
     ])
     def test_golden_csv_bytes(self, capsys, tmp_path, argv, digest):
         out_csv = tmp_path / "s.csv"

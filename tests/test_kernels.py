@@ -1,15 +1,16 @@
-"""The Python-float kernels give the bytes of the numpy code they replaced.
+"""The Python-float kernels give the bytes of their numpy references.
 
 Each kernel of the behavior layer, the model's behavior, the probability
-check and a state's amplitudes runs on Python floats in numpy's order of
-operations; its numpy predecessor lives on in conftest as the reference.  The
-quantum layer's products after (a, b, T) run in one written order, that of a
-BLAS kernel without fused multiply-adds, against conftest's loop references,
-and give one digest under every OpenBLAS kernel.  The optimum, which no
-longer reads LAPACK's SVD, is checked by value against it (``assert_optimum``),
-and (a, b, T) by bytes in test_caching.py.  Outputs are compared with
-``tobytes()``, so a sign of zero or a last bit that differs fails, and inputs
-that are refused must be refused with the same message.
+check and a state's amplitudes runs on Python floats; its numpy predecessor
+lives on in conftest as the reference, with each probability's and norm's sum
+taken left to right as the kernel takes it.  The quantum layer's products
+after (a, b, T) run in one written order, that of a BLAS kernel without fused
+multiply-adds, against conftest's loop references, and give one digest under
+every OpenBLAS kernel.  The optimum, which no longer reads LAPACK's SVD, is
+checked by value against it (``assert_optimum``), and (a, b, T) by bytes in
+test_caching.py.  Outputs are compared with ``tobytes()``, so a sign of zero
+or a last bit that differs fails, and inputs that are refused must be refused
+with the same message.
 """
 
 import itertools
@@ -50,7 +51,7 @@ from bellkit import (
     uniform_behavior,
 )
 from bellkit.behavior import Behavior, _table_from_means, deterministic_vertex_tables
-from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, pairwise_sum, probability_vector
+from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, probability_vector
 from conftest import (
     _VALS,
     numpy_chsh,
@@ -332,24 +333,12 @@ def sum_vectors():
     yield from (np.full(n, -0.0) for n in (1, 7, 8, 9, 200))
 
 
-def test_pairwise_sum_in_numpys_order():
-    """``pairwise_sum`` copies the order in which numpy sums contiguous doubles; fail loudly if numpy changes it.
-
-    Summands of mixed sign and magnitude make the orders differ, so the
-    left-to-right sum differs from the pairwise one on many of them.
-    """
-    vectors = list(sum_vectors())
-    mismatches = [len(w) for w in vectors if pairwise_sum(w.tolist()).hex() != float(w.sum()).hex()]
-    assert mismatches == [], (
-        f"numpy {np.__version__} summed vectors of lengths {mismatches} in another order than pairwise_sum's; "
-        "the prior, the setting priors and LocalDecomposition's weights may no longer have numpy's bytes")
-    assert sum(np.cumsum(w)[-1] != pairwise_sum(w.tolist()) for w in vectors) > 200  # the inputs tell orders apart
-
-
 def test_probability_vector_on_python_floats():
     """Distributions within and beyond the slack, with signed zeros, clamped and refused entries, and a joint."""
     rng = np.random.default_rng(1607)
     vectors = [*(w for w in sum_vectors() if w.min() >= 0.0)]
+    # the inputs tell the left-to-right order from numpy's pairwise one, which sum() takes from 8 entries on
+    assert sum(float(np.sum(w)) != np.cumsum(w)[-1] for w in vectors) > 200
     for n in (2, 3, 16, 100):
         for _ in range(50):
             w = rng.dirichlet(np.ones(n)) * (1.0 + rng.uniform(-1.5, 1.5) * PROBABILITY_SLACK)
@@ -377,13 +366,6 @@ def test_lhv_behavior_on_python_floats(n, count):
         assert_same(lhv_behavior(model).table, numpy_clean_table(numpy_lhv_table(model)))
 
 
-# numpy's complex abs takes a fused multiply-add where the CPU has one (x86-64-v3 and later), and rounds
-# otherwise: bellkit's amplitudes keep the FMA bytes on every CPU, so numpy is their reference only there
-_NUMPY_ABS_FMA = (float(np.abs(np.array([complex(0.27276877584472176, -1.2333286640307717)]))[0])
-                  == float.fromhex("0x1.435c9e101ddccp+0"))
-
-
-@pytest.mark.skipif(not _NUMPY_ABS_FMA, reason="numpy's complex abs takes no fused multiply-add on this CPU")
 def test_amplitudes_on_python_complex():
     """Stored amplitudes of states built three ways, with signed zeros, typed digits and refusals."""
     rng = np.random.default_rng(1608)
@@ -407,6 +389,24 @@ def test_amplitudes_on_python_complex():
         seed += 1
         assert_same(random_pure_state(np.random.default_rng(seed)).amp,
                     numpy_random_amplitudes(np.random.default_rng(seed)))
+
+
+def test_amplitudes_are_the_input_over_its_norm():
+    """Every entry point stores amp / ||amp|| to ROUNDOFF, the norm taken by numpy's own kernel."""
+    rng = np.random.default_rng(1610)
+    cases = [(singlet(), [0.0, 1.0, -1.0, 0.0]), *((basis_state(i), np.eye(4)[i]) for i in range(4))]
+    for _ in range(500):
+        unit = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        unit /= np.linalg.norm(unit)
+        typed = np.round(unit, 7)
+        seed = int(rng.integers(2 ** 32))
+        draw = np.random.default_rng(seed)
+        cases += [(TwoQubitState(unit), unit), (TwoQubitState.from_amplitudes(typed), typed),
+                  (random_pure_state(np.random.default_rng(seed)),
+                   draw.standard_normal(4) + 1j * draw.standard_normal(4))]
+    for psi, given in cases:
+        given = np.asarray(given, dtype=complex)
+        assert np.abs(psi.amp - given / np.linalg.norm(given)).max() <= ROUNDOFF
 
 
 def test_products_in_the_written_order():
@@ -449,7 +449,7 @@ def test_quantum_digest_is_the_same_under_every_openblas_kernel():
 
 
 def test_quantum_digest_is_the_same_without_numpys_cpu_dispatch():
-    """numpy's SIMD kernels (its complex abs takes an FMA in them) switched off: the amplitudes keep their bytes."""
+    """numpy's SIMD kernels switched off: no byte of the digest, the amplitudes' included, depends on them."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:

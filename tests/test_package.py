@@ -3,15 +3,20 @@
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
+import typing
+from pathlib import Path
 
+import numpy
 import pytest
 
 import bellkit
 import bellkit.cli
 from bellkit import NetworkSpec
 from conftest import behavior_json, deterministic_model, network_json, src_env
+from test_cli import GENERIC_SPEC, GOLDEN_MODEL
 
 # the public names and their defining modules, as bellkit exported them when it still imported eagerly
 PUBLIC = {
@@ -55,6 +60,14 @@ def test_dir_and_star_import_cover_all():
     exec("from bellkit import *", namespace)
     assert set(bellkit.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(bellkit, name) for name in bellkit.__all__)
+
+
+def test_annotations_resolve_with_numpy_supplied():
+    """No module binds numpy at its top, so annotations that name ``np`` resolve once the caller supplies it."""
+    for name in bellkit.__all__:
+        obj = getattr(bellkit, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            typing.get_type_hints(obj, localns={"np": numpy})
 
 
 def test_submodule_import_and_unknown_name():
@@ -127,3 +140,37 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, singlet_behavior, argv
     loaded = loaded_modules(*argv, cwd=tmp_path)
     assert "bellkit.cli" in loaded
     assert loaded & (HEAVY | {"numpy"}) == heavy
+
+
+_MAIN = "import sys\nfrom bellkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def other_interpreters() -> list[str]:
+    """One ``python3.1x`` (x >= 10) per minor version found on PATH that starts, this interpreter's version aside."""
+    found = {f"{sys.version_info[0]}.{sys.version_info[1]}": sys.executable}
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        for exe in sorted(Path(directory or ".").glob("python3.1[0-9]")):
+            if exe.name[len("python"):] in found:
+                continue
+            probe = subprocess.run([str(exe), "-c", "import sys; print(sys.version_info >= (3, 10))"],
+                                   capture_output=True, text=True, timeout=60)
+            if probe.returncode == 0 and probe.stdout.strip() == "True":
+                found[exe.name[len("python"):]] = str(exe)
+    return [exe for exe in found.values() if exe != sys.executable]
+
+
+# these subcommands load no numpy, so any interpreter runs them; their stdout must not depend on which
+@pytest.mark.parametrize("argv", [("optimize", "singlet"), ("--format", "json", "optimize", GENERIC_SPEC),
+                                  ("--format", "json", "chsh", "model.json")], ids=["singlet", "generic", "model"])
+def test_light_reports_are_the_same_under_every_interpreter(tmp_path, argv):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.1x (x >= 10) on PATH")
+    (tmp_path / "model.json").write_text(GOLDEN_MODEL)
+    env = {**src_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+    outputs = {}
+    for exe in (sys.executable, *interpreters):
+        proc = subprocess.run([exe, "-c", _MAIN, *argv], env=env, cwd=tmp_path, capture_output=True, timeout=120)
+        assert proc.returncode == 0, (exe, proc.stderr)
+        outputs[exe] = proc.stdout
+    assert len(set(outputs.values())) == 1, {exe: out[-200:] for exe, out in outputs.items()}
