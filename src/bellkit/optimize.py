@@ -1,9 +1,12 @@
 """The largest CHSH value of a pure state, and S along a rotation of Bob's settings.
 
 Both read the state's 3x3 correlation matrix T only: S at directions
-(u, u', v, v') is u^T T (v + v') + u'^T T (v - v').  The optimum comes from a
-closed-form eigensolver for T^T T on Python floats, and the sweep from numpy
-ufuncs, so neither calls BLAS or LAPACK and the bytes do not depend on their kernel.
+(u, u', v, v') is u^T T (v + v') + u'^T T (v - v').  The optimum reads Bob's
+Bloch vector b too: for a pure state T b = a, and T^T T has the eigenvalues
+1, C^2, C^2 (C the concurrence) with b along the first, so the optimum needs
+no eigensolver and no trigonometry.  It runs on Python floats, and the sweep
+on numpy ufuncs, so neither calls BLAS or LAPACK and the bytes do not depend on
+their kernel.
 """
 
 from __future__ import annotations
@@ -77,24 +80,33 @@ def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
 def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     """The largest S over all measurement directions, in closed form.
 
-    With n1, n2 the unit eigenvectors of T^T T for its two largest eigenvalues
-    (``_top_eigenvectors``), s_i = |T n_i| are the two largest singular values
-    of the state's correlation matrix T and m_i = T n_i / s_i the matching left
-    singular vectors.  With h = sqrt(s1^2 + s2^2), Alice measures along m1
-    and m2 and Bob along (s1 n1 +/- s2 n2) / h, which gives S = 2 h, the
-    maximum (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).
-    S at the returned directions is that value for any orthonormal n1, n2, so
-    ``best_s`` is what the settings give.  A pure state's T has the singular
-    values 1, sin 2t, sin 2t (t its Schmidt angle), so s1, h and ``best_s``
-    are positive; where s2 = 0 (product states), m2 is any unit vector
-    orthogonal to m1.  ``seed`` is accepted for compatibility with the former
-    seeded seesaw and does not affect the result.
+    With n1, n2 unit eigenvectors of T^T T for its two largest eigenvalues,
+    s_i = |T n_i| are the two largest singular values of the state's
+    correlation matrix T and m_i = T n_i / s_i the matching left singular
+    vectors.  With h = sqrt(s1^2 + s2^2), Alice measures along m1 and m2 and
+    Bob along (s1 n1 +/- s2 n2) / h, which gives S = 2 h, the maximum
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  S at
+    the returned directions is that value for any orthonormal n1, n2, so
+    ``best_s`` is what the settings give.
+
+    For a pure state with Schmidt angle t, Bob's Bloch vector b has length
+    cos 2t, T b = a (Alice's), and T^T T has the eigenvalues 1, C^2, C^2 with
+    C = sin 2t, b along the first.  So n1 = b / |b|, and n2 is any unit vector
+    orthogonal to it (``_complement``), which moves only as much as b does;
+    h = sqrt(1 + C^2) is Gisin's figure (Phys. Lett. A 154, 201 (1991)).  For
+    b = 0 (maximally entangled states) T^T T = I, every direction is an
+    eigenvector, and n1, n2 are the x and y axes.  s1 = 1, so h and
+    ``best_s`` are positive; where s2 = 0 (product states), m2 is any unit
+    vector orthogonal to m1.  ``seed`` is accepted for compatibility with the
+    former seeded seesaw and does not affect the result.
     """
-    t00, t01, t02, t10, t11, t12, t20, t21, t22 = psi._bloch_and_tensor[2]
-    # A = T^T T by its upper triangle
-    n1, n2 = _top_eigenvectors(
-        t00 * t00 + t10 * t10 + t20 * t20, t00 * t01 + t10 * t11 + t20 * t21, t00 * t02 + t10 * t12 + t20 * t22,
-        t01 * t01 + t11 * t11 + t21 * t21, t01 * t02 + t11 * t12 + t21 * t22, t02 * t02 + t12 * t12 + t22 * t22)
+    _, (b0, b1, b2), (t00, t01, t02, t10, t11, t12, t20, t21, t22) = psi._bloch_and_tensor
+    size = math.hypot(b0, b1, b2)
+    if size:
+        n1 = (b0 / size, b1 / size, b2 / size)
+        n2 = _complement(n1)[0]
+    else:
+        n1, n2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     (x1, y1, z1), (x2, y2, z2) = n1, n2
     # T n1 and T n2, whose lengths are the two largest singular values
     p1, q1, r1 = t00 * x1 + t01 * y1 + t02 * z1, t10 * x1 + t11 * y1 + t12 * z1, t20 * x1 + t21 * y1 + t22 * z1
@@ -113,59 +125,8 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     return OptimizationResult(best_s=2.0 * h, settings=settings)
 
 
-def _top_eigenvectors(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> tuple[Vector, Vector]:
-    """Orthonormal eigenvectors for the two largest eigenvalues of the symmetric 3x3 matrix A, by its upper triangle.
-
-    After D. Eberly, A Robust Eigensolver for 3x3 Symmetric Matrices
-    (Geometric Tools, 2014), on Python floats.  A is scaled by its largest
-    entry, and B = (A - q I)/p, with q the mean eigenvalue and p^2 the mean
-    squared deviation, has A's eigenvectors and the eigenvalues
-    2 cos(phi + 2 pi k/3), phi = acos(det(B)/2)/3.  The eigenvector of the
-    eigenvalue farthest from the other two is the longest cross product of two
-    rows of B - beta I; the other two solve the 2x2 problem in its orthogonal
-    complement (``_complement_eigenvectors``), which holds for a repeated
-    eigenvalue too.  A multiple of I keeps the x and y axes.
-    """
-    big = max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
-    if big:
-        a00, a01, a02, a11, a12, a22 = a00 / big, a01 / big, a02 / big, a11 / big, a12 / big, a22 / big
-    q = (a00 + a11 + a22) / 3.0
-    b00, b11, b22 = a00 - q, a11 - q, a22 - q
-    p = math.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
-    if p == 0.0:  # A is a multiple of I (to within underflow): every direction is an eigenvector
-        return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-    b00, b01, b02, b11, b12, b22 = b00 / p, a01 / p, a02 / p, b11 / p, a12 / p, b22 / p
-    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
-                      + b02 * (b01 * b12 - b11 * b02))
-    phi = math.acos(min(max(half_det, -1.0), 1.0)) / 3.0
-    rows = ((b00, b01, b02), (b01, b11, b12), (b02, b12, b22))
-    if half_det >= 0.0:  # the largest eigenvalue, 2 cos(phi), is the farthest from the other two
-        n1 = _far_eigenvector(rows, 2.0 * math.cos(phi))
-        return n1, _complement_eigenvectors(rows, n1)[0]
-    # the smallest, 2 cos(phi + 2 pi/3), is the farthest
-    return _complement_eigenvectors(rows, _far_eigenvector(rows, 2.0 * math.cos(phi + 2.0 * math.pi / 3.0)))
-
-
 def _cross(u: Vector, v: Vector) -> Vector:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _far_eigenvector(rows: tuple[Vector, Vector, Vector], beta: float) -> Vector:
-    """The unit eigenvector of the symmetric ``rows`` for its simple eigenvalue ``beta``: the longest row cross product.
-
-    B - beta I has rank 2, so the cross product of two of its rows that is
-    longest is a nonzero multiple of the eigenvector.
-    """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    r0, r1, r2 = (r00 - beta, r01, r02), (r10, r11 - beta, r12), (r20, r21, r22 - beta)
-    best, size = None, -1.0
-    for x, y, z in (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)):
-        d = x * x + y * y + z * z
-        if d > size:
-            best, size = (x, y, z), d
-    norm = math.sqrt(size)
-    x, y, z = best
-    return x / norm, y / norm, z / norm
 
 
 def _complement(w: Vector) -> tuple[Vector, Vector]:
@@ -178,30 +139,6 @@ def _complement(w: Vector) -> tuple[Vector, Vector]:
         h = math.hypot(y, z)
         u = (0.0, z / h, -y / h)
     return u, _cross(w, u)
-
-
-def _complement_eigenvectors(rows: tuple[Vector, Vector, Vector], w: Vector) -> tuple[Vector, Vector]:
-    """The unit eigenvectors of the symmetric ``rows`` orthogonal to its eigenvector ``w``, larger eigenvalue first.
-
-    With (u, v) a basis of w's orthogonal complement, ``rows`` act there as the
-    symmetric 2x2 matrix M = [[m00, m01], [m01, m11]], which one Jacobi rotation
-    by theta = atan2(2 m01, m00 - m11)/2 diagonalizes, the larger eigenvalue
-    along cos(theta) u + sin(theta) v.  The rotation reads no eigenvalue, so the
-    trigonometric formula's error on two close eigenvalues does not enter; a
-    repeated eigenvalue gives theta = 0, u and v.
-    """
-    (b00, b01, b02), (_, b11, b12), (_, _, b22) = rows
-    (u0, u1, u2), (v0, v1, v2) = _complement(w)
-    # B u and B v
-    p0, p1, p2 = b00 * u0 + b01 * u1 + b02 * u2, b01 * u0 + b11 * u1 + b12 * u2, b02 * u0 + b12 * u1 + b22 * u2
-    q0, q1, q2 = b00 * v0 + b01 * v1 + b02 * v2, b01 * v0 + b11 * v1 + b12 * v2, b02 * v0 + b12 * v1 + b22 * v2
-    m00 = u0 * p0 + u1 * p1 + u2 * p2
-    m01 = u0 * q0 + u1 * q1 + u2 * q2
-    m11 = v0 * q0 + v1 * q1 + v2 * q2
-    theta = 0.5 * math.atan2(2.0 * m01, m00 - m11)
-    c, s = math.cos(theta), math.sin(theta)
-    return ((c * u0 + s * v0, c * u1 + s * v1, c * u2 + s * v2),
-            (c * v0 - s * u0, c * v1 - s * u1, c * v2 - s * u2))
 
 
 def sweep(

@@ -30,7 +30,8 @@ GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "gol
 NEGATIVE_SPEC = "-0.6,0,0.48,0,0,0.64,0,0"
 POSITIVE_SPEC = "0.6,0,-0.48,0,0,-0.64,0,0"
 # a generic entangled state, (0.3, 0.1, 0.5, -0.2, 0.4, 0.3, -0.1, 0.6) normalised to 7 decimals:
-# its T has no zero entry, so every product and the optimum's eigenvectors round
+# its b and T have no zero entry, so every product rounds, and the optimum's directions, which follow
+# Bob's Bloch vector b, move only as much as b does
 GENERIC_SPEC = "0.2985112,0.0995037,0.4975186,-0.1990074,0.3980149,0.2985112,-0.0995037,0.5970223"
 # chsh inputs with pinned reports: a random pure state's behavior at four random
 # directions, and a random 3-value model, each written at full double precision
@@ -286,8 +287,8 @@ class TestOptimizeCommand:
 
     # SHA-256 of stdout for a generic state, pinned so that a change of the (a, b, T) or optimum arithmetic shows
     @pytest.mark.parametrize("fmt, digest", [
-        ("text", "58a8aa109cdb1c95fbd99999a5d6d62df1027177a4a5dd705a45dfa58cd6b24b"),
-        ("json", "0badb8697a44b8831decd3c7a386e7a7246379a3583151dfd3c9c77727a69162"),
+        ("text", "faa6bee1ef7403ad24b59d51e17057c88d2c9746d91cc401892530487d8af6a7"),
+        ("json", "078403e0a0d18c86310f90c20825d62c6d8c0f0505a3eefd052c7d2700e70408"),
     ], ids=["text", "json"])
     def test_golden_report_bytes(self, capsys, fmt, digest):
         code, out, _ = run(capsys, "--format", fmt, "optimize", GENERIC_SPEC)
@@ -298,8 +299,8 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("fmt, spec, digest", [
         ("text", "singlet", "cdd489617c183dff88bae569e27064dd237f671e212df61f27bce11eda4ded93"),
         ("json", "singlet", "7cf4898d49f14d3d1d62e94fd179a426aef8b58f20c2fe3105a05bf5c8bab2c9"),
-        ("text", "01", "0731378ceda268f0d36fc0f1d41713d06b2ccbcaa0f5a28ffe6179289fa149ff"),
-        ("json", "01", "db765cfd6ca7c63df8ccf34f2713c6ca4ab750d41540eb64a18ca0c0b50ccbeb"),
+        ("text", "01", "22429685bd78b956d5f0373e2d9063ec74890b20005aced45396aed77789a204"),
+        ("json", "01", "34627b23b1247464dcaf5b25d4851d3af733596ec239c073c9411826b8bdb3e3"),
     ], ids=["singlet-text", "singlet-json", "01-text", "01-json"])
     def test_golden_keyword_report_bytes(self, capsys, fmt, spec, digest):
         code, out, _ = run(capsys, "--format", fmt, "optimize", spec)
