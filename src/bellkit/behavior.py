@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
@@ -54,6 +53,33 @@ class _memo:
         return value
 
 
+class _Frozen:
+    """An immutable value, compared, hashed and shown by its class's annotated fields, as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, type(self).__annotations__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
 def _array_memo(values: str, shape: tuple[int, ...] = (-1,)) -> _memo:
     """A first-use attribute: the read-only array of the Python numbers in the attribute ``values``."""
     return _memo(lambda obj: read_only_array(getattr(obj, values), shape))
@@ -89,9 +115,10 @@ def _expected_products(v) -> list[float]:
             v[12] - v[13] - v[14] + v[15]]
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class Behavior:
+class Behavior(_Frozen):
     """Validated table P(A,B|x,y), clamped at 0, blocks normalized within PROBABILITY_SLACK; entries in ``_entries``."""
+
+    __repr__ = object.__repr__
 
     def __init__(self, table):
         self.__dict__["_entries"] = _clean_entries(flat_values(table, (2, 2, 2, 2), "behavior table"))
@@ -175,8 +202,7 @@ def correlators(b: Behavior) -> np.ndarray:
     return np.array(_expected_products(b._entries))
 
 
-@dataclass(frozen=True, eq=False)
-class NoSignalingReport:
+class NoSignalingReport(_Frozen):
     """Verdict plus the max residual for each of the four marginal constraints.
 
     ``alice_residuals[x]`` is max_A |P(A|x,b) - P(A|x,b')|; ``bob_residuals[y]``
@@ -186,6 +212,10 @@ class NoSignalingReport:
     ok: bool
     alice_residuals: np.ndarray
     bob_residuals: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, ok, alice_residuals, bob_residuals):
+        self.__dict__.update(ok=ok, alice_residuals=alice_residuals, bob_residuals=bob_residuals)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -19,7 +19,8 @@ from pathlib import Path
 
 # quantum, optimize, polytope and theses load in the handlers that use them, and numpy in the functions that
 # build arrays, so that each fresh process loads only what its subcommand runs (enumerate, taxonomy, chsh and
-# optimize load no numpy); the io and network functions stay bound here, where perfbench wraps them
+# optimize load no numpy, and no subcommand loads dataclasses); the io and network functions stay bound here,
+# where perfbench wraps them
 from .behavior import _expected_products, require_no_signaling
 from .errors import InsufficientDataError, InvalidInputError, UnknownInterpretationError
 from .io import (

@@ -17,11 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
-from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B
+from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _Frozen
 from .errors import InvalidInputError, excerpt
 from .lhv import LHVModel
 from .network import NetworkSpec
@@ -165,14 +164,16 @@ def fmt(value: float) -> str:
     return f"{value:.7f}"
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(_Frozen):
     """Everything a command produced, reproducible from inputs plus seed."""
 
     command: str
     inputs_digest: str
     results: dict
-    seed: int | None = None
+    seed: int | None
+
+    def __init__(self, command, inputs_digest, results, seed=None):
+        self.__dict__.update(command=command, inputs_digest=inputs_digest, results=results, seed=seed)
 
     def to_json(self) -> str:
         body = {

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
-from .behavior import DETERMINISTIC_OUTCOMES, Behavior, _array_memo
+from .behavior import DETERMINISTIC_OUTCOMES, Behavior, _Frozen, _array_memo
 from .errors import InvalidInputError, excerpt
 from .tolerance import BOUND_SLACK, ROUNDOFF, flat_values, probabilities
 
@@ -24,8 +23,7 @@ _CSV_UNSAFE = ',"\r\n'
 _UNSAFE_LABEL = re.compile(f"[{_CSV_UNSAFE}\ud800-\udfff]")
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class LHVModel:
+class LHVModel(_Frozen):
     """Finite hidden-variable model: prior over labels plus local response tables.
 
     ``alice_response[k, x]`` is P(A=+1 | setting x, hidden value k) with x = 0
@@ -37,6 +35,7 @@ class LHVModel:
     """
 
     labels: tuple[str, ...]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, labels, prior, alice_response, bob_response):
         labels = tuple(map(str, labels))

@@ -12,9 +12,8 @@ the S that its estimate tracks: the model's, whatever the setting priors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _array_memo, _expected_products, _memo
+from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _Frozen, _array_memo, _expected_products, _memo
 from .errors import InsufficientDataError, InvalidInputError
 from .lhv import LHVModel, chsh, lhv_behavior
 from .tolerance import flat_values, probabilities, probability_vector
@@ -33,8 +32,7 @@ _CHUNK = 1 << 16
 MAX_RECORDS = 10 ** 9
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class NetworkSpec:
+class NetworkSpec(_Frozen):
     """Conditional-probability-table encoding of the source/settings/outcomes DAG.
 
     ``alice_cpt[k, x]`` is P(A=+1 | x, hidden value k); setting priors default
@@ -42,6 +40,7 @@ class NetworkSpec:
     """
 
     model: LHVModel
+    __eq__, __hash__ = object.__eq__, object.__hash__
     setting_prior_a = _array_memo("_prior_a")
     setting_prior_b = _array_memo("_prior_b")
 
@@ -74,8 +73,7 @@ def conditional_behavior(joint: np.ndarray) -> Behavior:
     return Behavior(p_xyab / p_xy[:, :, None, None])
 
 
-@dataclass(frozen=True)
-class MarkovReport:
+class MarkovReport(_Frozen):
     """Max absolute conditional-independence residuals for the three checks.
 
     ``source_settings`` covers mutual independence of the source value and the
@@ -86,6 +84,10 @@ class MarkovReport:
     source_settings: float
     alice_screening: float
     bob_screening: float
+
+    def __init__(self, source_settings, alice_screening, bob_screening):
+        self.__dict__.update(source_settings=source_settings, alice_screening=alice_screening,
+                             bob_screening=bob_screening)
 
     @property
     def max_residual(self) -> float:
@@ -133,8 +135,7 @@ def _screening_residual(joint: np.ndarray) -> float:
     return float(np.max(np.abs(q - qa * qyb)))
 
 
-@dataclass(frozen=True, eq=False)
-class SampleDataset:
+class SampleDataset(_Frozen):
     """Ancestrally sampled records, immutable after creation.
 
     Record i is the code 16*lam + 8*x + 4*y + 2*[A = -1] + [B = -1]: ``lam``
@@ -150,19 +151,20 @@ class SampleDataset:
 
     labels: tuple[str, ...]
     code: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, labels, code):
         import numpy as np
-        code = np.asarray(self.code)
+        code = np.asarray(code)
         if code.ndim != 1 or code.dtype.kind not in "iu":
             raise InvalidInputError(
                 f"record codes must be a 1-d integer array, got {code.dtype} of shape {code.shape}")
-        if code.size and (code.min() < 0 or code.max() >= 16 * len(self.labels)):
-            raise InvalidInputError(f"record codes must lie in [0, {16 * len(self.labels)})")
+        if code.size and (code.min() < 0 or code.max() >= 16 * len(labels)):
+            raise InvalidInputError(f"record codes must lie in [0, {16 * len(labels)})")
         # a view, so that the caller's array stays writable
-        code = code.astype(_code_dtype(len(self.labels)), copy=False).view()
+        code = code.astype(_code_dtype(len(labels)), copy=False).view()
         code.setflags(write=False)
-        object.__setattr__(self, "code", code)
+        self.__dict__.update(labels=labels, code=code)
 
     @property
     def count(self) -> int:
@@ -292,13 +294,15 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
     return SampleDataset(labels=model.labels, code=code)
 
 
-@dataclass(frozen=True)
-class ChshEstimate:
+class ChshEstimate(_Frozen):
     """Sample CHSH with its standard error and per-block record counts."""
 
     s: float
     stderr: float
     per_block_counts: tuple[int, int, int, int]
+
+    def __init__(self, s, stderr, per_block_counts):
+        self.__dict__.update(s=s, stderr=stderr, per_block_counts=per_block_counts)
 
 
 def estimate_chsh(dataset: SampleDataset) -> ChshEstimate:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
+from .behavior import _Frozen
 from .errors import InvalidInputError
 from .lhv import chsh
 from .network import _CHUNK
@@ -31,14 +30,16 @@ MAX_STEPS = 10 ** 7
 Vector = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
+class MeasurementSettings(_Frozen):
     """The four measurement directions (Alice's u, u'; Bob's v, v')."""
 
     alice_u: UnitVector3
     alice_u_prime: UnitVector3
     bob_v: UnitVector3
     bob_v_prime: UnitVector3
+
+    def __init__(self, alice_u, alice_u_prime, bob_v, bob_v_prime):
+        self.__dict__.update(alice_u=alice_u, alice_u_prime=alice_u_prime, bob_v=bob_v, bob_v_prime=bob_v_prime)
 
     def as_tuple(self) -> tuple[UnitVector3, UnitVector3, UnitVector3, UnitVector3]:
         return (self.alice_u, self.alice_u_prime, self.bob_v, self.bob_v_prime)
@@ -61,14 +62,16 @@ def tsirelson_settings() -> MeasurementSettings:
     )
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(_Frozen):
     best_s: float
     settings: MeasurementSettings
     # the maximum is computed, not iterated to; callers written for the
     # former iterative optimizer still read these two
-    iterations: ClassVar[int] = 0
-    converged: ClassVar[bool] = True
+    iterations = 0
+    converged = True
+
+    def __init__(self, best_s, settings):
+        self.__dict__.update(best_s=best_s, settings=settings)
 
 
 def chsh_of_settings(psi: TwoQubitState, s: MeasurementSettings) -> float:
@@ -104,7 +107,7 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     size = math.hypot(b0, b1, b2)
     if size:
         n1 = (b0 / size, b1 / size, b2 / size)
-        n2 = _complement(n1)[0]
+        n2 = _complement(n1)
     else:
         n1, n2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     (x1, y1, z1), (x2, y2, z2) = n1, n2
@@ -113,7 +116,7 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     p2, q2, r2 = t00 * x2 + t01 * y2 + t02 * z2, t10 * x2 + t11 * y2 + t12 * z2, t20 * x2 + t21 * y2 + t22 * z2
     s1, s2 = math.hypot(p1, q1, r1), math.hypot(p2, q2, r2)
     m1 = (p1 / s1, q1 / s1, r1 / s1)
-    m2 = (p2 / s2, q2 / s2, r2 / s2) if s2 else _complement(m1)[0]
+    m2 = (p2 / s2, q2 / s2, r2 / s2) if s2 else _complement(m1)
     h = math.hypot(s1, s2)
     c, s = s1 / h, s2 / h
     settings = MeasurementSettings(
@@ -125,20 +128,14 @@ def seesaw_maximize(psi: TwoQubitState, seed: int | None) -> OptimizationResult:
     return OptimizationResult(best_s=2.0 * h, settings=settings)
 
 
-def _cross(u: Vector, v: Vector) -> Vector:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _complement(w: Vector) -> tuple[Vector, Vector]:
-    """Unit vectors u, v with (u, v, w) orthonormal, for a unit vector ``w``."""
+def _complement(w: Vector) -> Vector:
+    """A unit vector orthogonal to the unit vector ``w``; adding +0.0 makes a zero component +0.0, not -0.0."""
     x, y, z = w
     if abs(x) > abs(y):
         h = math.hypot(x, z)
-        u = (-z / h, 0.0, x / h)
-    else:
-        h = math.hypot(y, z)
-        u = (0.0, z / h, -y / h)
-    return u, _cross(w, u)
+        return (-z / h + 0.0, 0.0, x / h + 0.0)
+    h = math.hypot(y, z)
+    return (0.0, z / h + 0.0, -y / h + 0.0)
 
 
 def sweep(

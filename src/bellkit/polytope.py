@@ -18,9 +18,9 @@ on Python floats in the written order of ``quantum``, not through BLAS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .behavior import Behavior, _block_sums, _expected_products, deterministic_vertex_tables, require_no_signaling
+from .behavior import (Behavior, _Frozen, _block_sums, _expected_products, deterministic_vertex_tables,
+                       require_no_signaling)
 from .errors import InvalidInputError
 from .tolerance import BOUND_SLACK, probabilities, read_only_array
 
@@ -58,15 +58,15 @@ def is_local(b: Behavior) -> bool:
     return max(_variants(*_expected_products(b._entries))) <= LOCAL_BOUND + BOUND_SLACK
 
 
-@dataclass(frozen=True, eq=False)
-class LocalDecomposition:
+class LocalDecomposition(_Frozen):
     """Convex weights over the 16 deterministic strategies, enumeration order."""
 
     weights: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, weights):
         import numpy as np
-        w = np.asarray(self.weights, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if w.shape != (16,):
             raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
         object.__setattr__(self, "weights", read_only_array(probabilities(w.tolist(), "weights")))

@@ -15,9 +15,8 @@ Python floats, each in one written order (``_bloch_and_tensor``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .behavior import Behavior, _array_memo, _memo, _table_from_means
+from .behavior import Behavior, _Frozen, _array_memo, _memo, _table_from_means
 from .errors import InternalConsistencyError, InvalidInputError
 from .tolerance import AMPLITUDE_SLACK, BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, flat_values, read_only_array
 
@@ -26,8 +25,7 @@ _SIGMAS = (((1 + 0j, 0j), (0j, 1 + 0j)), ((0j, 1 + 0j), (1 + 0j, 0j)), ((0j, -1j
            ((1 + 0j, 0j), (0j, -1 + 0j)))
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class UnitVector3(_Frozen):
     """A direction in R^3, renormalized on construction.
 
     Norm deviations up to PROBABILITY_SLACK (accumulated float error) are
@@ -38,8 +36,8 @@ class UnitVector3:
     y: float
     z: float
 
-    def __post_init__(self):
-        x, y, z = float(self.x), float(self.y), float(self.z)
+    def __init__(self, x, y, z):
+        x, y, z = float(x), float(y), float(z)
         norm = math.sqrt(x * x + y * y + z * z)
         # a non-finite component makes the norm inf or NaN, and a NaN norm fails the comparison,
         # so only a refused norm calls for the componentwise check (finite components can overflow it)
@@ -57,9 +55,10 @@ class UnitVector3:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class TwoQubitState:
+class TwoQubitState(_Frozen):
     """Pure state of two qubits: 4 amplitudes over |00>, |01>, |10>, |11>, kept as Python complex numbers."""
+
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     amp = _array_memo("_amp")
 

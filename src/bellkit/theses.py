@@ -12,9 +12,8 @@ behavior while breaking just that thesis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .behavior import Behavior, OUTCOME_VALUES, require_no_signaling
+from .behavior import Behavior, OUTCOME_VALUES, _Frozen, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .network import conditional_behavior
 
@@ -35,14 +34,13 @@ class Thesis(enum.Enum):
 ALL_THESES = frozenset(Thesis)
 
 
-@dataclass(frozen=True)
-class Stance:
+class Stance(_Frozen):
     """The subset of the seven theses a position retains."""
 
     retained: frozenset[Thesis]
 
-    def __post_init__(self):
-        retained = frozenset(self.retained)
+    def __init__(self, retained):
+        retained = frozenset(retained)
         if not retained <= ALL_THESES:
             raise InvalidInputError("stance contains values that are not theses")
         object.__setattr__(self, "retained", retained)
@@ -66,12 +64,14 @@ def classical(s: Stance) -> bool:
     return s.retained == ALL_THESES
 
 
-@dataclass(frozen=True)
-class InterpretationRecord:
+class InterpretationRecord(_Frozen):
     """One taxonomy row: an interpretation and the single thesis it rejects."""
 
     name: str
     rejected: Thesis
+
+    def __init__(self, name, rejected):
+        self.__dict__.update(name=name, rejected=rejected)
 
     def stance(self) -> Stance:
         return Stance.all_but(self.rejected)
@@ -123,8 +123,7 @@ def find_interpretation(name: str) -> InterpretationRecord:
     raise UnknownInterpretationError(name, valid, suggestion)
 
 
-@dataclass(frozen=True)
-class EscapeRoute:
+class EscapeRoute(_Frozen):
     """How dropping one thesis restores consistency with quantum predictions.
 
     Only the locality and measurement-independence routes admit a numerical
@@ -137,6 +136,9 @@ class EscapeRoute:
     constructive: bool
     witness: str
     note: str
+
+    def __init__(self, dropped, constructive, witness, note):
+        self.__dict__.update(dropped=dropped, constructive=constructive, witness=witness, note=note)
 
 
 _ROUTES: dict[Thesis, EscapeRoute] = {
@@ -172,8 +174,7 @@ def escape_route(dropped: Thesis) -> EscapeRoute:
     return _ROUTES[dropped]
 
 
-@dataclass(frozen=True, eq=False)
-class NonlocalWitness:
+class NonlocalWitness(_Frozen):
     """Setting/outcome-dependent decomposition P(A|x) * P(B|y,x,A) of a behavior.
 
     Keeps measurement independence (no hidden-value/setting coupling is even
@@ -183,6 +184,10 @@ class NonlocalWitness:
 
     p_a_given_x: np.ndarray      # (x, A)
     p_b_given_xya: np.ndarray    # (x, y, A, B)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, p_a_given_x, p_b_given_xya):
+        self.__dict__.update(p_a_given_x=p_a_given_x, p_b_given_xya=p_b_given_xya)
 
     def recompose(self) -> Behavior:
         table = self.p_a_given_x[:, None, :, None] * self.p_b_given_xya
@@ -209,8 +214,7 @@ def nonlocal_witness(b: Behavior) -> NonlocalWitness:
     return NonlocalWitness(np.array([a0, a1, a2, a3]).reshape(2, 2), np.array(p_b).reshape(2, 2, 2, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class SuperdeterministicWitness:
+class SuperdeterministicWitness(_Frozen):
     """Hidden-value model whose values encode (and force) the settings.
 
     The hidden domain is the set of full experiment transcripts (x, y, A, B),
@@ -221,6 +225,10 @@ class SuperdeterministicWitness:
 
     atoms: tuple[tuple[int, int, int, int], ...]  # (x, y, A, B) with +/-1 outcomes
     prior: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, atoms, prior):
+        self.__dict__.update(atoms=atoms, prior=prior)
 
     def _atom_index(self) -> tuple[np.ndarray, ...]:
         """Each atom's (x, y, A, B) index into a behavior-shaped table."""

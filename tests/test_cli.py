@@ -299,13 +299,23 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("fmt, spec, digest", [
         ("text", "singlet", "cdd489617c183dff88bae569e27064dd237f671e212df61f27bce11eda4ded93"),
         ("json", "singlet", "7cf4898d49f14d3d1d62e94fd179a426aef8b58f20c2fe3105a05bf5c8bab2c9"),
-        ("text", "01", "22429685bd78b956d5f0373e2d9063ec74890b20005aced45396aed77789a204"),
-        ("json", "01", "34627b23b1247464dcaf5b25d4851d3af733596ec239c073c9411826b8bdb3e3"),
+        ("text", "01", "56fcc4fcbe82017dd87fd92de754aedf9ef5997a8ff1517a363976c5e1564057"),
+        ("json", "01", "5fc726e4203b0b0d1b3939ad1ab967535337922c7045a6a374a3d6c6b0f4d0fa"),
     ], ids=["singlet-text", "singlet-json", "01-text", "01-json"])
     def test_golden_keyword_report_bytes(self, capsys, fmt, spec, digest):
         code, out, _ = run(capsys, "--format", fmt, "optimize", spec)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # a basis state's directions lie on the axes, and each zero component prints as +0.0, not -0.0
+    @pytest.mark.parametrize("spec", ["00", "01", "10", "11"])
+    def test_basis_reports_carry_no_negative_zero(self, capsys, spec):
+        code, text, _ = run(capsys, "optimize", spec)
+        assert code == 0 and "-0.0000000" not in text
+        code, out, _ = run(capsys, "--format", "json", "optimize", spec)
+        components = [x for key in ("alice u", "alice u'", "bob v", "bob v'") for x in json.loads(out)["results"][key]]
+        assert code == 0 and len(components) == 12
+        assert all(math.copysign(1.0, x) > 0.0 for x in components if x == 0.0)
 
 
 class TestSampleCommand:

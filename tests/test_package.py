@@ -94,14 +94,15 @@ def test_cli_binds_the_functions_perfbench_traces(name):
 
 
 # runs main(argv) in a fresh interpreter, or imports the module that follows "--import", then prints
-# to stderr the bellkit submodules it loaded, and "numpy" if numpy is among the modules loaded
+# to stderr the bellkit submodules it loaded, and those of numpy, dataclasses and inspect that it loaded
 _LOADED = ("import importlib, json, sys\n"
            "if sys.argv[1] == '--import':\n"
            "    importlib.import_module(sys.argv[2])\n"
            "else:\n"
            "    from bellkit.cli import main\n"
            "    assert main(sys.argv[1:]) == 0\n"
-           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bellkit.') or m == 'numpy')),\n"
+           "print(json.dumps(sorted(m for m in sys.modules\n"
+           "                        if m.startswith('bellkit.') or m in ('numpy', 'dataclasses', 'inspect'))),\n"
            "      file=sys.stderr)\n")
 
 
@@ -121,7 +122,8 @@ def test_import_bellkit_cli_loads_no_numpy(tmp_path):
     assert "numpy" not in loaded_modules("--import", "bellkit.cli", cwd=tmp_path)
 
 
-# the light subcommands load no numpy: their arithmetic runs on Python floats
+# the light subcommands load no numpy: their arithmetic runs on Python floats; no subcommand loads
+# dataclasses, and the light ones load no inspect either (numpy imports it, so sample and sweep do)
 @pytest.mark.parametrize("argv, heavy", [
     (("enumerate",), set()),
     (("sample", "network.json", "-n", "100", "--seed", "1", "--out", "s.csv"), {"numpy"}),
@@ -140,6 +142,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, singlet_behavior, argv
     loaded = loaded_modules(*argv, cwd=tmp_path)
     assert "bellkit.cli" in loaded
     assert loaded & (HEAVY | {"numpy"}) == heavy
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded or "numpy" in heavy
 
 
 _MAIN = "import sys\nfrom bellkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
