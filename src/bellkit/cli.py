@@ -34,7 +34,6 @@ from .io import (
 )
 from .lhv import chsh, enumerate_deterministic, lhv_behavior
 from .network import (
-    _CHUNK,
     GENERATOR_NAME,
     estimate_chsh,
     exact_chsh,
@@ -85,6 +84,12 @@ def _parse_file(path: str, parse: Callable[[str], object]) -> tuple[str, object]
         return text, parse(text)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+# rows per CSV piece that `sample` and `sweep` write: while rows are under 64 bytes, a piece's text
+# and its encoded copy each stay under 128 KiB (glibc's default mmap threshold), so each piece
+# reuses the last one's memory; sweep rows are at most 50 bytes, a sample row its label plus 13
+_PIECE = 1 << 11
 
 
 def _write_text(path: str, texts: Iterable[str]) -> None:
@@ -204,7 +209,7 @@ def cmd_sample(args) -> RunReport:
     estimate = estimate_chsh(dataset)
     markov = verify_markov(spec)
     exact_s = exact_chsh(spec)
-    _write_text(args.out, (dataset.to_csv(s, s + _CHUNK) for s in range(0, dataset.count, _CHUNK)))
+    _write_text(args.out, (dataset.to_csv(s, s + _PIECE) for s in range(0, dataset.count, _PIECE)))
     return RunReport(
         command="sample",
         inputs_digest=digest_inputs({"file": _file_digest(text), "n": args.n}),
@@ -264,7 +269,7 @@ def cmd_sweep(args) -> RunReport:
     psi = _parse_state(args.state)
     rows = sweep(psi, steps=args.steps,
                  theta_start_deg=args.theta_start, theta_end_deg=args.theta_end)
-    _write_text(args.out, (sweep_rows_to_csv(rows, s, s + _CHUNK) for s in range(0, len(rows), _CHUNK)))
+    _write_text(args.out, (sweep_rows_to_csv(rows, s, s + _PIECE) for s in range(0, len(rows), _PIECE)))
     s_values = rows[:, 1]
     return RunReport(
         command="sweep",

@@ -171,6 +171,7 @@ class RunReport(_Frozen):
     inputs_digest: str
     results: dict
     seed: int | None
+    __hash__ = None  # compared by its fields, but its results are a dict
 
     def __init__(self, command, inputs_digest, results, seed=None):
         self.__dict__.update(command=command, inputs_digest=inputs_digest, results=results, seed=seed)

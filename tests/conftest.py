@@ -44,22 +44,39 @@ def src_env() -> dict:
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 
 
-def peak_rise_mb(setup: str, measured: str, *argv: str) -> float:
-    """The ru_maxrss rise in MB across the code ``measured`` in a fresh interpreter, after ``setup``.
+def _rusage_rise(field: str, setup: str, measured: str, *argv: str) -> int:
+    """The rise of ``getrusage(RUSAGE_SELF).<field>`` across the code ``measured`` in a fresh interpreter.
 
-    Both are Python source run with ``sys`` imported and ``argv`` as
-    ``sys.argv[1:]``.  That interpreter is started by a small one in between:
-    a child's ru_maxrss starts at its parent's high-water mark, and pytest's
-    own would hide the rise.  ru_maxrss is in KiB on Linux only.
+    ``setup`` runs first.  Both are Python source run with ``sys`` imported
+    and ``argv`` as ``sys.argv[1:]``.  That interpreter is started by a small
+    one in between: a child's ru_maxrss starts at its parent's high-water
+    mark, and pytest's own would hide the rise.
     """
     launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
     code = (f"import resource, sys\n{setup}\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"before = resource.getrusage(resource.RUSAGE_SELF).{field}\n"
             f"{measured}\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+            f"print(resource.getrusage(resource.RUSAGE_SELF).{field} - before)\n")
     out = subprocess.run([sys.executable, "-c", launch, "-c", code, *argv], env=src_env(),
                          capture_output=True, text=True, check=True)
-    return int(out.stdout) / 1024
+    return int(out.stdout)
+
+
+def peak_rise_mb(setup: str, measured: str, *argv: str) -> float:
+    """The ru_maxrss rise in MB across ``measured`` after ``setup``, run as ``_rusage_rise`` runs them.
+
+    ru_maxrss is in KiB on Linux only.
+    """
+    return _rusage_rise("ru_maxrss", setup, measured, *argv) / 1024
+
+
+def minor_fault_rise(setup: str, measured: str, *argv: str) -> int:
+    """The ru_minflt rise across ``measured`` after ``setup``, run as ``_rusage_rise`` runs them.
+
+    A minor fault is a page the kernel maps in without reading it from disk,
+    as it does for each fresh page of a large allocation.
+    """
+    return _rusage_rise("ru_minflt", setup, measured, *argv)
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,8 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.cli import _write_text, main
-from conftest import (behavior_json, deterministic_model, linux_only, model_json, network_json, peak_rise_mb,
-                      src_env)
+from conftest import (behavior_json, deterministic_model, linux_only, minor_fault_rise, model_json, network_json,
+                      peak_rise_mb, src_env)
 from test_behavior import signaling_table
 
 SQRT2 = math.sqrt(2.0)
@@ -85,6 +85,8 @@ def run(capsys, *argv):
 # main(sys.argv[1:]) with its report discarded, measured by conftest.peak_rise_mb
 CLI_SETUP = "import contextlib, io\nimport bellkit.cli as cli"
 CLI_MAIN = "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(sys.argv[1:]) == 0"
+# one warm-up call first, so that the imports and first-use work of the call do not count
+CLI_WARM = f"{CLI_SETUP}\n{CLI_MAIN}"
 
 
 class TestChshCommand:
@@ -434,7 +436,6 @@ class TestSampleCommand:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
-    # the n = 10^6 entries cross 15 chunk edges in the draw and the gather, 13 in the write
     @linux_only
     def test_peak_memory_of_ten_million_records(self, tmp_path):
         # the CSV goes to the file piece by piece, so only the 1-byte record codes grow with -n
@@ -445,6 +446,15 @@ class TestSampleCommand:
         assert peak_rise_mb(CLI_SETUP, CLI_MAIN, "sample", str(network), "-n", "10000000",
                             "--seed", "1", "--out", str(out_csv)) < 32
         out_csv.unlink()
+
+    @linux_only
+    def test_minor_faults_of_a_million_records(self, tmp_path):
+        # the draw's blocks and the CSV's pieces reuse the memory of the last (12,399 faults with 2^16-row ones)
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(network_json(NetworkSpec(model=random_model(np.random.default_rng(0),
+                                                                                  n_lambda=2)))))
+        assert minor_fault_rise(CLI_WARM, CLI_MAIN, "sample", str(network), "-n", str(10**6),
+                                "--seed", "1", "--out", str(tmp_path / "d.csv")) < 2000
 
     def test_exact_s_is_the_chsh_s(self, capsys, tmp_path):
         # model files, and network files whose setting priors are not uniform: both commands print one S
@@ -464,6 +474,7 @@ class TestSampleCommand:
             assert code == 0
             assert repr(json.loads(sample_out)["results"]["exact S"]) == repr(json.loads(chsh_out)["results"]["S"]), i
 
+    # the n = 10^6 entries cross 122 block edges in the draw and the counts, 488 piece edges in the write
     @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"seed{e['seed']}")
     def test_golden_csv_digest(self, capsys, tmp_path, entry):
         path = tmp_path / "network.json"
@@ -958,7 +969,13 @@ class TestSweepCommand:
     def test_peak_memory_of_a_million_rows(self, tmp_path):
         # the rows take 16 MB; their CSV text goes to the file piece by piece
         assert peak_rise_mb(CLI_SETUP, CLI_MAIN, "sweep", "singlet", "--steps", "1000000",
-                            "--out", str(tmp_path / "s.csv")) < 64
+                            "--out", str(tmp_path / "s.csv")) < 40
+
+    @linux_only
+    def test_minor_faults_of_a_million_rows(self, tmp_path):
+        # the angle blocks, their one correlator buffer and the CSV's pieces reuse the memory of the last
+        assert minor_fault_rise(CLI_WARM, CLI_MAIN, "sweep", "singlet", "--steps", str(10**6),
+                                "--out", str(tmp_path / "s.csv")) < 4000
 
     @linux_only
     def test_peak_memory_of_300000_rows(self, tmp_path):
