@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import math
 import os
 import stat
 import sys
@@ -265,12 +266,13 @@ def cmd_taxonomy(args) -> RunReport:
 
 
 def cmd_sweep(args) -> RunReport:
-    from .optimize import sweep
+    from .optimize import _sweep_coefficients, sweep
     psi = _parse_state(args.state)
     rows = sweep(psi, steps=args.steps,
                  theta_start_deg=args.theta_start, theta_end_deg=args.theta_end)
     _write_text(args.out, (sweep_rows_to_csv(rows, s, s + _PIECE) for s in range(0, len(rows), _PIECE)))
     s_values = rows[:, 1]
+    amplitude = math.hypot(*_sweep_coefficients(psi))
     return RunReport(
         command="sweep",
         inputs_digest=digest_inputs({"state": args.state, "steps": args.steps,
@@ -280,9 +282,10 @@ def cmd_sweep(args) -> RunReport:
             "output": args.out,
             "first (theta, S)": rows[0].tolist(),
             "last (theta, S)": rows[-1].tolist(),
-            # the first extreme row, so that a tie of 0.0 and -0.0 keeps the earlier sign
-            "min S": float(s_values[s_values.argmin()]),
-            "max S": float(s_values[s_values.argmax()]),
+            "min S": float(s_values.min()),
+            "max S": float(s_values.max()),
+            "min S over all angles": 0.0 - amplitude,  # +0.0, not -0.0, where the amplitude is 0
+            "max S over all angles": amplitude,
         },
     )
 

@@ -86,26 +86,19 @@ def lhv_behavior(model: LHVModel) -> Behavior:
     return Behavior._of(v)
 
 
-def chsh(e) -> float | np.ndarray:
-    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b'): a float for 4 correlators, an array for (n, 4)."""
+def chsh(e) -> float:
+    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') for the 4 correlators (ab, ab', a'b, a'b'), as a float."""
     v = e if type(e) in (list, tuple) and len(e) == 4 and all(type(x) is float for x in e) else None
     if v is None:
         import numpy as np
         e = np.asarray(e, dtype=float)
-        v = e.tolist() if e.shape == (4,) else None
-    # Python floats for 4 correlators in range: the same IEEE sums, without numpy's per-scalar
-    # cost; a NaN fails the comparison, and every refusal takes the checks below
-    if v is not None and all(abs(x) <= 1.0 + BOUND_SLACK for x in v):
-        ab, abp, apb, apbp = v
-        return ab + abp + apb - apbp
-    import numpy as np
-    e = np.asarray(e, dtype=float)
-    if e.ndim > 2 or e.shape[-1:] != (4,):
-        raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
-    # negated <= so that a NaN correlator fails the check too
-    if not np.abs(e).max(initial=0.0) <= 1.0 + BOUND_SLACK:
-        raise InvalidInputError(f"correlator {e.flat[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
-    ab, abp, apb, apbp = e.T
+        if e.shape != (4,):
+            raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
+        v = e.tolist()
+    # a NaN fails the comparison; the worst is the first NaN, else the first of the largest |e|
+    if not all(abs(x) <= 1.0 + BOUND_SLACK for x in v):
+        raise InvalidInputError(f"correlator {max(v, key=lambda x: (x != x, abs(x))):.12g} outside [-1, 1]")
+    ab, abp, apb, apbp = v
     return ab + abp + apb - apbp
 
 

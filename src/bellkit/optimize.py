@@ -4,14 +4,15 @@ Both read the state's 3x3 correlation matrix T only: S at directions
 (u, u', v, v') is u^T T (v + v') + u'^T T (v - v').  The optimum reads Bob's
 Bloch vector b too: for a pure state T b = a, and T^T T has the eigenvalues
 1, C^2, C^2 (C the concurrence) with b along the first, so the optimum needs
-no eigensolver and no trigonometry.  It runs on Python floats, and the sweep
-on numpy ufuncs, so neither calls BLAS or LAPACK and the bytes do not depend on
-their kernel.
+no eigensolver and no trigonometry.  Along the sweep's rotation S is one
+sinusoid, alpha cos theta + beta sin theta, whose two coefficients come from T
+once per call.  The optimum and the coefficients run on Python floats and the
+sweep's rows on numpy ufuncs, so neither calls BLAS or LAPACK and the bytes do
+not depend on their kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -23,8 +24,8 @@ from .quantum import TwoQubitState, UnitVector3, alice_rows, setting_correlators
 
 # largest row count sweep() computes: the rows take 16 bytes each, their temporaries
 # are bounded by the _CHUNK-row blocks, and `bellkit sweep` writes their CSV text
-# 2^11 rows at a time (a fresh `bellkit sweep singlet` peaks at 49 MB at 10^6 rows,
-# ~32 MB of it start-up, and at 186 MB at 10^7 rows, on a 2-CPU x86-64 VM)
+# 2^11 rows at a time (a fresh `bellkit sweep singlet` peaks at 48 MB at 10^6 rows,
+# ~32 MB of it start-up, and at 185 MB at 10^7 rows, on a 2-CPU x86-64 VM)
 MAX_STEPS = 10 ** 7
 
 Vector = tuple[float, float, float]
@@ -138,6 +139,18 @@ def _complement(w: Vector) -> Vector:
     return (0.0, z / h + 0.0, -y / h + 0.0)
 
 
+def _sweep_coefficients(psi: TwoQubitState) -> tuple[float, float]:
+    """(alpha, beta) with S = alpha cos theta + beta sin theta, so S over all theta spans +/-hypot(alpha, beta).
+
+    Turned about z by theta, Bob's w gives E = (p w.x + q w.y) cos theta + (q w.x - p w.y) sin theta + r w.z
+    for (p, q, r) a row of U T, and w.z = 0.0 for both of Bob's; so alpha and beta are S at 0 and 90 degrees.
+    """
+    u, up, v, vp = tsirelson_settings().as_tuple()
+    rows = alice_rows(psi._bloch_and_tensor[2], u, up)
+    return (chsh([0.0 + p * w.x + q * w.y for p, q, _ in rows for w in (v, vp)]),
+            chsh([0.0 + q * w.x - p * w.y for p, q, _ in rows for w in (v, vp)]))
+
+
 def sweep(
     psi: TwoQubitState,
     steps: int,
@@ -154,10 +167,7 @@ def sweep(
     import numpy as np
     # column-major, so that the S column is contiguous and min/max over it copy nothing
     rows = np.empty((steps, 2), order="F")
-    u, up, v, vp = tsirelson_settings().as_tuple()
-    at = alice_rows(psi._bloch_and_tensor[2], u, up)
-    # one correlator buffer for every block, so that each block reuses the last one's memory
-    buffer = np.empty((4, min(_CHUNK, steps)))
+    alpha, beta = _sweep_coefficients(psi)
     # rows in blocks of _CHUNK, so that the temporaries stay bounded whatever the row count
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
@@ -169,16 +179,6 @@ def sweep(
             raise InvalidInputError(
                 f"sweep angles must be finite, got start {theta_start_deg!r} and end {theta_end_deg!r}")
         rad = np.radians(thetas)
-        c, s = np.cos(rad), np.sin(rad)
-        # Bob's directions rotated about z by every angle; each correlator p x + q y + r z, for (p, q, r)
-        # a row of U T, is added left to right to +0.0 as a BLAS accumulator is, in ufuncs that call no BLAS
-        rotated = [(w.x * c - w.y * s, w.y * c + w.x * s, w.z) for w in (v, vp)]
-        e = buffer[:, :n]
-        e.fill(0.0)
-        for acc, ((p, q, r), (x, y, z)) in zip(e, itertools.product(at, rotated)):
-            acc += p * x
-            acc += q * y
-            acc += r * z
         rows[start:start + n, 0] = thetas
-        rows[start:start + n, 1] = chsh(e.T)
+        rows[start:start + n, 1] = alpha * np.cos(rad) + beta * np.sin(rad) + 0.0  # +0.0 where S is 0
     return rows

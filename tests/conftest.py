@@ -462,13 +462,32 @@ def written_order_sweep(psi, steps: int, start: float = 0.0, end: float = 360.0)
     return np.array(rows)
 
 
-def numpy_chsh(e) -> float | np.ndarray:
+def closed_form_sweep(psi, steps: int, start: float = 0.0, end: float = 360.0) -> np.ndarray:
+    """``sweep``'s rows one angle at a time as alpha cos theta + beta sin theta + 0.0.
+
+    alpha and beta are the CHSH sums, by ``written_dot``, of the four correlators'
+    cos and sin coefficients (p x + q y and q x - p y, for (p, q, r) a row of U T and
+    (x, y, z) one of Bob's pair), which are S at 0 and at 90 degrees.
+    """
+    thetas = start + (end - start) * np.arange(steps) / (steps - 1)
+    rad = np.radians(thetas)
+    dirs = [(w.x, w.y, w.z) for w in tsirelson_settings().as_tuple()]
+    ut = [[written_dot(u, col) for col in zip(*psi.correlations[2].tolist())] for u in dirs[:2]]
+    signs = (1.0, 1.0, 1.0, -1.0)
+    alpha = written_dot(signs, [written_dot((p, q), (x, y)) for p, q, _ in ut for x, y, _ in dirs[2:]])
+    beta = written_dot(signs, [written_dot((q, p), (x, -y)) for p, q, _ in ut for x, y, _ in dirs[2:]])
+    rows = [(theta, alpha * c + beta * s + 0.0)
+            for theta, c, s in zip(thetas.tolist(), np.cos(rad).tolist(), np.sin(rad).tolist())]
+    return np.array(rows)
+
+
+def numpy_chsh(e) -> float:
     e = np.asarray(e, dtype=float)
-    if e.ndim > 2 or e.shape[-1:] != (4,):
+    if e.shape != (4,):
         raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
-    if not np.abs(e).max(initial=0.0) <= 1.0 + BOUND_SLACK:
-        raise InvalidInputError(f"correlator {e.flat[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
-    ab, abp, apb, apbp = e.T if e.ndim == 2 else e.tolist()
+    if not np.abs(e).max() <= 1.0 + BOUND_SLACK:
+        raise InvalidInputError(f"correlator {e[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
+    ab, abp, apb, apbp = e.tolist()
     return ab + abp + apb - apbp
 
 

@@ -19,6 +19,7 @@ from bellkit import (
     tsirelson_settings,
 )
 from bellkit.cli import _write_text, main
+from bellkit.tolerance import ROUNDOFF
 from conftest import (behavior_json, deterministic_model, linux_only, minor_fault_rise, model_json, network_json,
                       peak_rise_mb, src_env)
 from test_behavior import signaling_table
@@ -941,12 +942,12 @@ class TestSweepCommand:
     # the last file's first row, 0.0,0.0, also pins the sign of zero
     @pytest.mark.parametrize("argv, digest", [
         (["singlet", "--steps", "361"],
-         "c098d94d1f83c1b958848fae12967c5e4106dcb2672a4c32fe0b7b083dc6600b"),
+         "cc0a5427401ff3af20b6be35c198a6946ea3a84e86ef0e7c57f1f85bc6e74866"),
         (["11", "--steps", "1000", "--theta-start", "-720.5", "--theta-end", "13.25"],
          "622e4663caad71560ae1c59985ad5700e21123558b25093002fd76f0751f19cd"),
         (["0.6,0,0.48,0,0,0.64,0,0", "--steps", "91", "--theta-start", "0", "--theta-end", "90"],
-         "c58ad818e16e0de7ef626a3355e2e3d465624a25f9364646fa8d92de5ede97ef"),
-        ([GENERIC_SPEC, "--steps", "361"], "8cef29061a4cac0d7cc793ca7f85f47550007bbe8f2eb3a9b8694297caa654c5"),
+         "df15a8cd13c3b88c57df6d6dd637e73514169a55324dba58025b644ecb66de43"),
+        ([GENERIC_SPEC, "--steps", "361"], "3640b015cc6c58b37e4f21967a94f6baf191dda073f252712cef0d3ad391f1e6"),
     ])
     def test_golden_csv_bytes(self, capsys, tmp_path, argv, digest):
         out_csv = tmp_path / "s.csv"
@@ -956,14 +957,32 @@ class TestSweepCommand:
 
     # SHA-256 of stdout, written next to the CSV so that the report's output path is the same on every run
     @pytest.mark.parametrize("fmt, digest", [
-        ("text", "9332ba61a7c05d229bc27bee577f61ea5d56cff1f5231bf01d9a6a6b2a7a5725"),
-        ("json", "02f0378cba5433d286867fa95b40e0f911a38ada4a6a680db64f32ab2b12a0ff"),
+        ("text", "1b877126c6cf2658f3b3fc525fc486dbc911866e2a93675395b2b65d1862ea50"),
+        ("json", "fd6c92116e7058f2f2b0a10de4870d71abca4ddcd68869d5b6b5aef50cecbd7a"),
     ], ids=["text", "json"])
     def test_golden_report_bytes(self, capsys, tmp_path, monkeypatch, fmt, digest):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, "--format", fmt, "sweep", GENERIC_SPEC, "--steps", "361", "--out", "s.csv")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", ["singlet", "11", "0.6,0,0.48,0,0,0.64,0,0", GENERIC_SPEC])
+    def test_exact_extremes_bound_the_grid(self, capsys, tmp_path, spec):
+        code, out, _ = run(capsys, "--format", "json", "sweep", spec, "--steps", "3601",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        results = json.loads(out)["results"]
+        low, high = results["min S over all angles"], results["max S over all angles"]
+        assert low <= results["min S"] and results["max S"] <= high
+        assert low == -high and repr(low) != "-0.0"  # 11 has no correlation in the xy-plane: both are +0.0
+
+    def test_exact_maximum_of_the_singlet_is_optimize_best_s(self, capsys, tmp_path):
+        # the rotation passes through the singlet's optimum, 2 sqrt(2)
+        _, out, _ = run(capsys, "--format", "json", "optimize", "singlet")
+        best_s = json.loads(out)["results"]["best S"]
+        _, out, _ = run(capsys, "--format", "json", "sweep", "singlet", "--steps", "3",
+                        "--out", str(tmp_path / "s.csv"))
+        assert abs(json.loads(out)["results"]["max S over all angles"] - best_s) <= ROUNDOFF
 
     @linux_only
     def test_peak_memory_of_a_million_rows(self, tmp_path):
@@ -973,7 +992,7 @@ class TestSweepCommand:
 
     @linux_only
     def test_minor_faults_of_a_million_rows(self, tmp_path):
-        # the angle blocks, their one correlator buffer and the CSV's pieces reuse the memory of the last
+        # the angle blocks, their cos, sin and S temporaries and the CSV's pieces reuse the memory of the last
         assert minor_fault_rise(CLI_WARM, CLI_MAIN, "sweep", "singlet", "--steps", str(10**6),
                                 "--out", str(tmp_path / "s.csv")) < 4000
 

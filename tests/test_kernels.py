@@ -54,6 +54,7 @@ from bellkit.behavior import Behavior, _table_from_means, deterministic_vertex_t
 from bellkit.tolerance import BOUND_SLACK, PROBABILITY_SLACK, ROUNDOFF, probability_vector
 from conftest import (
     _VALS,
+    closed_form_sweep,
     numpy_chsh,
     numpy_clean_table,
     numpy_correlators,
@@ -420,8 +421,12 @@ def test_products_in_the_written_order():
             e, ma, mb = written_order_products(a, b, t, settings)
             assert_same(quantum_behavior(psi, settings).table, behavior_from_correlators(e, ma, mb).table)
             assert_same(chsh_of_settings(psi, MeasurementSettings(*settings)), chsh(e.reshape(4)))
-        assert_same(np.ascontiguousarray(sweep(psi, steps=37, theta_start_deg=-90.0, theta_end_deg=270.0)),
-                    written_order_sweep(psi, 37, -90.0, 270.0))
+        rows = np.ascontiguousarray(sweep(psi, steps=37, theta_start_deg=-90.0, theta_end_deg=270.0))
+        assert_same(rows, closed_form_sweep(psi, 37, -90.0, 270.0))
+        # the rotated pair's correlators add S's terms in another order than the closed form: equal to round-off
+        physics = written_order_sweep(psi, 37, -90.0, 270.0)
+        assert_same(rows[:, 0], physics[:, 0])
+        assert np.abs(rows[:, 1] - physics[:, 1]).max() <= ROUNDOFF
 
 
 def test_chsh_variants_in_the_written_order():

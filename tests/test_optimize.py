@@ -16,6 +16,7 @@ from bellkit import (
     sweep,
     tsirelson_settings,
 )
+from bellkit.optimize import _sweep_coefficients
 from bellkit.tolerance import PROBABILITY_SLACK, ROUNDOFF
 from conftest import chsh_via_behavior, random_direction, svd_best_s
 from test_cli import GENERIC_SPEC
@@ -200,7 +201,7 @@ class TestSweep:
         assert rows[1][1] == pytest.approx(-2.0, abs=1e-9)
 
     def test_s_column_is_contiguous(self):
-        # a strided S column is copied whole by each of cmd_sweep's argmin/argmax
+        # a strided S column is copied whole by each of cmd_sweep's min/max
         assert sweep(singlet(), steps=9)[:, 1].flags.c_contiguous
 
     def test_rejects_single_step(self):
@@ -210,3 +211,32 @@ class TestSweep:
     def test_full_turn_returns_to_start(self):
         rows = sweep(singlet(), steps=9, theta_start_deg=0.0, theta_end_deg=360.0)
         assert rows[0][1] == pytest.approx(rows[-1][1], abs=1e-9)
+
+    def test_bobs_pair_lies_in_the_xy_plane(self):
+        # the condition under which S along the rotation about z has no constant term
+        settings = tsirelson_settings()
+        assert (settings.bob_v.z, settings.bob_v_prime.z) == (0.0, 0.0)
+
+    def test_no_s_is_negative_zero(self):
+        # the basis states give alpha = beta = 0, whose products with cos and sin are -0.0 in some quadrants
+        rng = np.random.default_rng(3601)
+        states = [singlet(), *map(basis_state, range(4)), TwoQubitState(np.array([0.6, 0.0, 0.8, 0.0])),
+                  *(random_pure_state(rng) for _ in range(50))]
+        for psi in states:
+            for bounds in ((0.0, 360.0), tuple(rng.uniform(-720.0, 720.0, 2).tolist())):
+                s = sweep(psi, 361, *bounds)[:, 1]
+                assert not np.signbit(s[s == 0.0]).any()
+
+    def test_exact_extremes_bound_every_grid_value(self):
+        rng = np.random.default_rng(3602)
+        for psi in [singlet(), *map(basis_state, range(4)), *(random_pure_state(rng) for _ in range(100))]:
+            amplitude = math.hypot(*_sweep_coefficients(psi))
+            s = sweep(psi, 3601)[:, 1]
+            assert -amplitude <= s.min() and s.max() <= amplitude
+
+    def test_exact_maximum_never_exceeds_the_optimum(self):
+        # the rotation reaches a subset of all settings
+        rng = np.random.default_rng(3603)
+        for _ in range(1000):
+            psi = random_pure_state(rng)
+            assert math.hypot(*_sweep_coefficients(psi)) <= seesaw_maximize(psi, seed=0).best_s
