@@ -173,14 +173,10 @@ def behavior_from_correlators(
     ``bob_marginals[y]`` are the expectations of A and B (default 0, i.e.
     uniform marginals).  Raises if the resulting table has a negative entry.
     """
-    import numpy as np
-    e = np.asarray(e, dtype=float)
-    ma = np.zeros(2) if alice_marginals is None else np.asarray(alice_marginals, dtype=float)
-    mb = np.zeros(2) if bob_marginals is None else np.asarray(bob_marginals, dtype=float)
-    shapes = (e.shape, ma.shape, mb.shape)
-    if shapes != ((2, 2), (2,), (2,)):
-        raise InvalidInputError(f"need 2x2 correlators and 2 marginals per party, got shapes {shapes}")
-    return Behavior._of(_table_from_means(e.tolist(), ma.tolist(), mb.tolist()))
+    e = flat_values(e, (2, 2), "correlators")
+    ma = [0.0, 0.0] if alice_marginals is None else flat_values(alice_marginals, (2,), "alice_marginals")
+    mb = [0.0, 0.0] if bob_marginals is None else flat_values(bob_marginals, (2,), "bob_marginals")
+    return Behavior._of(_table_from_means([e[:2], e[2:]], ma, mb))
 
 
 def _table_from_means(e: list[list[float]], ma: list[float], mb: list[float]) -> list[float]:

@@ -88,13 +88,7 @@ def lhv_behavior(model: LHVModel) -> Behavior:
 
 def chsh(e) -> float:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') for the 4 correlators (ab, ab', a'b, a'b'), as a float."""
-    v = e if type(e) in (list, tuple) and len(e) == 4 and all(type(x) is float for x in e) else None
-    if v is None:
-        import numpy as np
-        e = np.asarray(e, dtype=float)
-        if e.shape != (4,):
-            raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
-        v = e.tolist()
+    v = flat_values(e, (4,), "correlators (ab, ab', a'b, a'b')")
     # a NaN fails the comparison; the worst is the first NaN, else the first of the largest |e|
     if not all(abs(x) <= 1.0 + BOUND_SLACK for x in v):
         raise InvalidInputError(f"correlator {max(v, key=lambda x: (x != x, abs(x))):.12g} outside [-1, 1]")

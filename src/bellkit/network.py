@@ -16,7 +16,7 @@ import math
 from .behavior import Behavior, SETTING_LABELS_A, SETTING_LABELS_B, _Frozen, _array_memo, _expected_products, _memo
 from .errors import InsufficientDataError, InvalidInputError
 from .lhv import LHVModel, chsh, lhv_behavior
-from .tolerance import flat_values, probabilities, probability_vector
+from .tolerance import flat_values, probabilities, probability_vector, read_only_view
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -161,10 +161,7 @@ class SampleDataset(_Frozen):
                 f"record codes must be a 1-d integer array, got {code.dtype} of shape {code.shape}")
         if code.size and (code.min() < 0 or code.max() >= 16 * len(labels)):
             raise InvalidInputError(f"record codes must lie in [0, {16 * len(labels)})")
-        # a view, so that the caller's array stays writable
-        code = code.astype(_code_dtype(len(labels)), copy=False).view()
-        code.setflags(write=False)
-        self.__dict__.update(labels=labels, code=code)
+        self.__dict__.update(labels=labels, code=read_only_view(code.astype(_code_dtype(len(labels)), copy=False)))
 
     @property
     def count(self) -> int:

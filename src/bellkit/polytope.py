@@ -10,7 +10,9 @@ the cycle A0-B0-A1-B1, and a joint distribution of (A0, A1, B0, B1) exists iff
 the chord A0-A1 can be completed so that both triangles (A0, A1, B_y) have a
 nonnegative distribution; B0 and B1 are then independent given (A0, A1).
 Like ``behavior``, both read a behavior's stored entries, Python floats, in numpy's order;
-the weights are summed left to right by ``probabilities``.
+the weights are summed left to right by ``probabilities``.  By the same theorem a decomposition
+is a local hidden-variable model whose 16 hidden values are the deterministic strategies, so it
+recomposes its behavior through ``lhv_behavior``.
 ``chsh_variants`` and ``is_local`` add the 8 signed sums of the 4 correlators
 on Python floats in the written order of ``quantum``, not through BLAS.
 """
@@ -19,14 +21,20 @@ from __future__ import annotations
 
 import math
 
-from .behavior import (Behavior, _Frozen, _block_sums, _expected_products, deterministic_vertex_tables,
+from .behavior import (DETERMINISTIC_OUTCOMES, Behavior, _array_memo, _Frozen, _block_sums, _expected_products,
                        require_no_signaling)
-from .errors import InvalidInputError
-from .tolerance import BOUND_SLACK, probabilities, read_only_array
+from .lhv import LHVModel, lhv_behavior
+from .tolerance import BOUND_SLACK, flat_values, probabilities
 
 LOCAL_BOUND = 2.0
 # the largest |S| of any quantum behavior (Tsirelson)
 TSIRELSON = 2.0 * math.sqrt(2.0)
+
+# the deterministic strategies as hidden values: each labelled by its outcome signs, each party
+# answering +1 with probability 1.0 or 0.0 at its two settings
+_STRATEGY_LABELS = tuple("".join("+" if o > 0 else "-" for o in s) for s in DETERMINISTIC_OUTCOMES)
+_ALICE_RESPONSES = [[float(a > 0), float(ap > 0)] for a, ap, _, _ in DETERMINISTIC_OUTCOMES]
+_BOB_RESPONSES = [[float(b > 0), float(bp > 0)] for _, _, b, bp in DETERMINISTIC_OUTCOMES]
 
 
 def _variants(ab: float, abp: float, apb: float, apbp: float) -> list[float]:
@@ -42,10 +50,7 @@ def _variants(ab: float, abp: float, apb: float, apbp: float) -> list[float]:
 def chsh_variants(e) -> np.ndarray:
     """The 8 signed CHSH combinations of four correlators."""
     import numpy as np
-    e = np.asarray(e, dtype=float)
-    if e.shape != (4,):
-        raise InvalidInputError(f"need 4 correlators, got shape {e.shape}")
-    return np.array(_variants(*e.tolist()))
+    return np.array(_variants(*flat_values(e, (4,), "correlators (ab, ab', a'b, a'b')")))
 
 
 def is_local(b: Behavior) -> bool:
@@ -59,29 +64,19 @@ def is_local(b: Behavior) -> bool:
 
 
 class LocalDecomposition(_Frozen):
-    """Convex weights over the 16 deterministic strategies, enumeration order."""
+    """Convex weights over the 16 deterministic strategies, enumeration order; Python floats in ``_weights``."""
 
     weights: np.ndarray
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, weights):
-        import numpy as np
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (16,):
-            raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
-        object.__setattr__(self, "weights", read_only_array(probabilities(w.tolist(), "weights")))
+        self.__dict__["_weights"] = probabilities(flat_values(weights, (16,), "weights"), "weights")
 
-    @classmethod
-    def _of(cls, v: list[float]) -> LocalDecomposition:
-        """The decomposition with the 16 weights ``v`` (Python floats), without an array round trip."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "weights", read_only_array(probabilities(v, "weights")))
-        return d
+    weights = _array_memo("_weights")
 
     def behavior(self) -> Behavior:
-        """The mixture behavior these weights produce."""
-        import numpy as np
-        return Behavior(np.tensordot(self.weights, deterministic_vertex_tables(), axes=(0, 0)))
+        """The mixture behavior these weights produce: that of the model whose hidden values are the strategies."""
+        return lhv_behavior(LHVModel(_STRATEGY_LABELS, self._weights, _ALICE_RESPONSES, _BOB_RESPONSES))
 
 
 def local_decomposition(b: Behavior) -> LocalDecomposition | None:
@@ -122,4 +117,4 @@ def local_decomposition(b: Behavior) -> LocalDecomposition | None:
         pair = d0 + d1  # P(a0, a1), from triangle b'
         g0, g1 = (d0 / pair, d1 / pair) if pair > 0.0 else (0.0, 0.0)  # P(b1 | a0, a1)
         weights += (c0 * g0, c0 * g1, c1 * g0, c1 * g1)
-    return LocalDecomposition._of(weights)
+    return LocalDecomposition(weights)

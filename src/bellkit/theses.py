@@ -16,6 +16,7 @@ import enum
 from .behavior import Behavior, OUTCOME_VALUES, _Frozen, require_no_signaling
 from .errors import InvalidInputError, UnknownInterpretationError
 from .network import conditional_behavior
+from .tolerance import read_only_view
 
 
 class Thesis(enum.Enum):
@@ -187,7 +188,7 @@ class NonlocalWitness(_Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, p_a_given_x, p_b_given_xya):
-        self.__dict__.update(p_a_given_x=p_a_given_x, p_b_given_xya=p_b_given_xya)
+        self.__dict__.update(p_a_given_x=read_only_view(p_a_given_x), p_b_given_xya=read_only_view(p_b_given_xya))
 
     def recompose(self) -> Behavior:
         table = self.p_a_given_x[:, None, :, None] * self.p_b_given_xya
@@ -228,7 +229,7 @@ class SuperdeterministicWitness(_Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, atoms, prior):
-        self.__dict__.update(atoms=atoms, prior=prior)
+        self.__dict__.update(atoms=atoms, prior=read_only_view(prior))
 
     def _atom_index(self) -> tuple[np.ndarray, ...]:
         """Each atom's (x, y, A, B) index into a behavior-shaped table."""

@@ -19,14 +19,15 @@ AMPLITUDE_SLACK = 1e-6  # norm of typed amplitudes, which a command line carries
 
 def flat_values(values, shape: tuple[int, ...], what: str, kind: type = float) -> list:
     """``values`` of ``shape`` as a flat list of Python ``kind`` numbers; numpy reads all but nested lists of them."""
-    flat = [values]
-    for size in shape:
-        if not all(type(v) in (list, tuple) and len(v) == size for v in flat):
-            break
-        flat = [x for v in flat for x in v]
-    else:
-        if all(type(x) is kind for x in flat):
-            return flat
+    if type(values) in (list, tuple):  # anything else goes to numpy without a walk
+        flat = [values]
+        for size in shape:
+            if not all(type(v) in (list, tuple) and len(v) == size for v in flat):
+                break
+            flat = [x for v in flat for x in v]
+        else:
+            if all(type(x) is kind for x in flat):
+                return flat
     import numpy as np
     a = np.asarray(values, dtype=kind)
     if a.shape != shape:
@@ -40,6 +41,14 @@ def read_only_array(values: list, shape: tuple[int, ...] = (-1,)):
     a = np.array(values).reshape(shape)
     a.setflags(write=False)
     return a
+
+
+def read_only_view(a):
+    """A read-only view of the array ``a``, so that ``a`` itself stays writable."""
+    import numpy as np
+    view = np.asarray(a).view()
+    view.setflags(write=False)
+    return view
 
 
 def probabilities(v: list[float], what: str) -> list[float]:

@@ -346,7 +346,7 @@ def numpy_decomposition_weights(weights) -> np.ndarray:
     """``LocalDecomposition``'s weights: 16 entries through ``numpy_probability_vector``."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (16,):
-        raise InvalidInputError(f"need 16 weights, got shape {w.shape}")
+        raise InvalidInputError(f"weights must have shape (16,), got {w.shape}")
     return numpy_probability_vector(w, "weights")
 
 
@@ -484,7 +484,7 @@ def closed_form_sweep(psi, steps: int, start: float = 0.0, end: float = 360.0) -
 def numpy_chsh(e) -> float:
     e = np.asarray(e, dtype=float)
     if e.shape != (4,):
-        raise InvalidInputError(f"need 4 correlators (ab, ab', a'b, a'b'), got shape {e.shape}")
+        raise InvalidInputError(f"correlators (ab, ab', a'b, a'b') must have shape (4,), got {e.shape}")
     if not np.abs(e).max() <= 1.0 + BOUND_SLACK:
         raise InvalidInputError(f"correlator {e[np.argmax(np.abs(e))]:.12g} outside [-1, 1]")
     ab, abp, apb, apbp = e.tolist()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,9 +133,13 @@ class TestFromCorrelators:
                 ma[x], abs=1e-12
             )
 
-    @pytest.mark.parametrize("e, ma", [(0.5, None), (np.zeros(4), None), (np.zeros((2, 2)), np.zeros(3))])
-    def test_wrong_shapes_rejected(self, e, ma):
-        with pytest.raises(InvalidInputError, match="need 2x2 correlators and 2 marginals per party"):
+    @pytest.mark.parametrize("e, ma, message", [
+        (0.5, None, "correlators must have shape (2, 2), got ()"),
+        (np.zeros(4), None, "correlators must have shape (2, 2), got (4,)"),
+        (np.zeros((2, 2)), np.zeros(3), "alice_marginals must have shape (2,), got (3,)"),
+    ], ids=["0.5-None", "e1-None", "e2-ma2"])
+    def test_wrong_shapes_rejected(self, e, ma, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             behavior_from_correlators(e, ma)
 
     def test_pr_box_blocks(self):

@@ -948,7 +948,7 @@ class TestSweepCommand:
         (["0.6,0,0.48,0,0,0.64,0,0", "--steps", "91", "--theta-start", "0", "--theta-end", "90"],
          "df15a8cd13c3b88c57df6d6dd637e73514169a55324dba58025b644ecb66de43"),
         ([GENERIC_SPEC, "--steps", "361"], "3640b015cc6c58b37e4f21967a94f6baf191dda073f252712cef0d3ad391f1e6"),
-    ])
+    ], ids=["singlet", "11", "0.6,0,0.48,0,0,0.64,0,0", "generic"])
     def test_golden_csv_bytes(self, capsys, tmp_path, argv, digest):
         out_csv = tmp_path / "s.csv"
         code, _, _ = run(capsys, "sweep", *argv, "--out", str(out_csv))

@@ -173,7 +173,7 @@ class TestChsh:
     @pytest.mark.parametrize("e, message", [
         ([math.nan, 0.0, 0.0, 0.0], "correlator nan outside [-1, 1]"),
         ([0.0, 1.5, 0.0, 0.0], "correlator 1.5 outside [-1, 1]"),
-        ([0.0, 0.0, 0.0], "need 4 correlators (ab, ab', a'b, a'b'), got shape (3,)"),
+        ([0.0, 0.0, 0.0], "correlators (ab, ab', a'b, a'b') must have shape (4,), got (3,)"),
     ], ids=["nan", "out-of-range", "shape"])
     def test_refusal_messages(self, e, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
@@ -184,7 +184,8 @@ class TestChsh:
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (10, 3), (10, 5), (2, 2, 4), (), (10, 4), (0, 4)])
     def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(InvalidInputError, match="need 4 correlators"):
+        message = f"correlators (ab, ab', a'b, a'b') must have shape (4,), got {shape}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             chsh(np.zeros(shape))
 
 

@@ -146,6 +146,28 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, singlet_behavior, argv
     assert "inspect" not in loaded or "numpy" in heavy
 
 
+# the decomposition and its recomposition run on Python floats, as the verdicts do
+_NO_NUMPY = ("import sys\n"
+             "from bellkit import LocalDecomposition, behavior_from_correlators, chsh, is_local, local_decomposition\n"
+             "from bellkit.tolerance import ROUNDOFF\n"
+             "b = behavior_from_correlators([[0.5, 0.25], [0.5, -0.5]], [0.25, -0.125], [0.0, 0.5])\n"
+             "d = local_decomposition(b)\n"
+             "assert is_local(b) and d is not None\n"
+             "assert max(abs(x - y) for x, y in zip(d.behavior()._entries, b._entries)) <= ROUNDOFF\n"
+             "vertex = LocalDecomposition([0.0, 1.0] + [0.0] * 14).behavior()\n"
+             "assert vertex._entries[4:8] == (0.0, 1.0, 0.0, 0.0)\n"
+             "assert chsh([0.5, 0.25, 0.5, -0.5]) == 1.75\n"
+             "print('numpy' in sys.modules)\n")
+
+
+def test_decomposition_loads_no_numpy(tmp_path):
+    env = {**src_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 _MAIN = "import sys\nfrom bellkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
 

@@ -139,7 +139,7 @@ class TestLocalDecomposition:
             LocalDecomposition(np.concatenate([[-1e-6, 1.0 + 1e-6], np.zeros(14)]))
 
     @pytest.mark.parametrize("weights, message", [
-        (np.zeros(15), "need 16 weights, got shape (15,)"),
+        (np.zeros(15), "weights must have shape (16,), got (15,)"),
         (np.r_[np.nan, np.full(15, 1.0 / 15.0)], "weights has non-finite entries"),
         (np.r_[np.inf, np.zeros(15)], "weights has non-finite entries"),
         (np.r_[-1e-6, 1.0 + 1e-6, np.zeros(14)], "weights entry -1.000e-06 below -1e-09"),

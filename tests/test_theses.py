@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from bellkit import (
     Behavior,
     InvalidInputError,
+    NonlocalWitness,
     Stance,
+    SuperdeterministicWitness,
     Thesis,
     UnknownInterpretationError,
     chsh,
@@ -200,6 +202,17 @@ class TestNonlocalWitness:
             null = witness.p_a_given_x == 0.0
             assert np.all(witness.p_b_given_xya.transpose(0, 2, 1, 3)[null] == 0.5)
 
+    def test_arrays_are_read_only(self):
+        witness = nonlocal_witness(uniform_behavior())
+        for arr in (witness.p_a_given_x, witness.p_b_given_xya):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7.0
+        assert np.max(np.abs(witness.recompose().table - 0.25)) == 0.0
+        # the constructor stores views, so the caller's arrays stay writable
+        p_a, p_b = np.full((2, 2), 0.5), np.full((2, 2, 2, 2), 0.5)
+        NonlocalWitness(p_a, p_b)
+        p_a[0, 0] = p_b[0, 0, 0, 0] = 1.0
+
 
 class TestSuperdeterministicWitness:
     def test_reproduces_singlet_behavior(self, singlet_behavior):
@@ -241,6 +254,15 @@ class TestSuperdeterministicWitness:
             b = random_no_signaling_behavior(rng)
             witness = superdeterministic_witness(b)
             assert np.max(np.abs(witness.induced_behavior().table - b.table)) <= 1e-12
+
+    def test_prior_is_read_only(self):
+        witness = superdeterministic_witness(uniform_behavior())
+        with pytest.raises(ValueError, match="read-only"):
+            witness.prior[0] = 7.0
+        assert np.max(np.abs(witness.induced_behavior().table - 0.25)) == 0.0
+        prior = np.array([1.0])
+        SuperdeterministicWitness(((0, 0, 1, -1),), prior)
+        prior[0] = 0.5
 
 
 def test_stance_rejects_non_theses():
